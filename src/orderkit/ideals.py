@@ -18,6 +18,7 @@ from math import gcd, isqrt
 from . import quadforms
 from .errors import (
     FactorizationViolation,
+    IndexTooLarge,
     MethodDisagreement,
     NotFullRank,
     OrderMismatch,
@@ -536,9 +537,11 @@ def class_monoid(gamma: Order, census_budget_factor=16,
     """C = Pic * {intermediate classes}, audited by a stable-sublattice census.
 
     The census enumerates every primitive stable sublattice of index up to
-    N(f)^2 * census_budget_factor and verifies each lands in an assembled
-    class, and that every assembled class is hit: the executable form of the
-    product decomposition, with FactorizationViolation as the fatal signal.
+    max(N(f)^2 * census_budget_factor, isqrt(|disc|) + 1) and verifies each
+    lands in an assembled class, and that every assembled class is hit: the
+    executable form of the product decomposition, with FactorizationViolation
+    as the fatal signal.  An index N(f) above ``max_index`` raises
+    IndexTooLarge before any class is built.
     """
     if gamma.degree == 1:
         cls = _make_class(unit_ideal(gamma))
@@ -548,6 +551,11 @@ def class_monoid(gamma: Order, census_budget_factor=16,
                                 operation="class_monoid")
     om = maximal_order(gamma.field)
     nf = conductor(gamma, om).norm
+    # N(f) = [O_L : f] is the quotient that intermediate_classes enumerates;
+    # check its budget before the Picard group is built.
+    if nf > max_index:
+        raise IndexTooLarge(f"quotient order {nf} exceeds budget {max_index}",
+                            operation="enumerate_intermediate_lattices")
     pic = picard_group(gamma)
     inter = intermediate_classes(gamma, om, max_index=max_index)
 
@@ -590,7 +598,6 @@ def class_monoid(gamma: Order, census_budget_factor=16,
                                 if lab in inter_labels)
 
     # census audit
-    budget = nf * nf * census_budget_factor
     form_to_class = {}
     for idx, c in enumerate(classes):
         for f in quadforms.class_forms(ideal_form(c.representative)):
@@ -600,6 +607,9 @@ def class_monoid(gamma: Order, census_budget_factor=16,
                     "two distinct classes share a canonical form",
                     operation="class_monoid")
     t, n = gamma.omega_data()
+    # every class has a reduced form with leading coefficient at most
+    # isqrt(|disc|), so the budget never stops below that
+    budget = max(nf * nf * census_budget_factor, isqrt(abs(t * t - 4 * n)) + 1)
     # Census bases (a, b + omega) are anti-oriented for real fields: the
     # oriented form flips the middle coefficient there.
     mid_sign = -1 if gamma.field.signature[0] == 2 else 1

@@ -3,6 +3,14 @@
 Polynomials are coefficient lists, constant term first.  All arithmetic is
 exact: Fractions for field elements, integers for resultants and
 discriminants, Sturm sequences for signatures.
+
+Element arithmetic in a quadratic field Q[t]/(t^2 + b1 t + b0) uses closed
+forms: products by the relation t^2 = -b1 t - b0, the norm and trace as
+quadratic and linear forms in the coordinates, and inverses as the conjugate
+over the norm.  Every other degree goes through the generic route (reduction
+of the convolution by the power table, a Bareiss determinant of the
+multiplication matrix, an exact linear solve), which the tests also use as
+the oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -382,7 +390,7 @@ class FieldElement:
     def _check(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise ValueError("elements of different fields")
         return other
 
@@ -422,6 +430,20 @@ class FieldElement:
             return FieldElement(self.field,
                                 tuple(a * other for a in self.coords))
         other = self._check(other)
+        field = self.field
+        if field.degree == 2:
+            b0, b1, _ = field.coeffs
+            a0, a1 = self.coords
+            c0, c1 = other.coords
+            top = a1 * c1
+            return FieldElement(field, (a0 * c0 - b0 * top,
+                                        a0 * c1 + a1 * c0 - b1 * top))
+        return self._mul_generic(other)
+
+    __rmul__ = __mul__
+
+    def _mul_generic(self, other):
+        """Product by convolution reduced through the power table."""
         n = self.field.degree
         conv = [Fraction(0)] * (2 * n - 1)
         for i, a in enumerate(self.coords):
@@ -430,8 +452,6 @@ class FieldElement:
                     if b:
                         conv[i + j] += a * b
         return FieldElement(self.field, tuple(self.field._reduce_product(conv)))
-
-    __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
@@ -455,10 +475,18 @@ class FieldElement:
         for i in range(n):
             rows.append(list(cur.coords))
             if i + 1 < n:
-                cur = cur * x
+                cur = cur._mul_generic(x)
         return rows
 
     def norm(self) -> Fraction:
+        if self.field.degree == 2:
+            b0, b1, _ = self.field.coeffs
+            a0, a1 = self.coords
+            return a0 * a0 - b1 * a0 * a1 + b0 * a1 * a1
+        return self._norm_generic()
+
+    def _norm_generic(self) -> Fraction:
+        """Determinant of the multiplication matrix, by Bareiss."""
         rows = self.mult_matrix()
         n = len(rows)
         den = 1
@@ -469,12 +497,30 @@ class FieldElement:
         return Fraction(_det_bareiss(int_rows), den ** n)
 
     def trace(self) -> Fraction:
+        if self.field.degree == 2:
+            a0, a1 = self.coords
+            return 2 * a0 - self.field.coeffs[1] * a1
+        return self._trace_generic()
+
+    def _trace_generic(self) -> Fraction:
+        """Trace of the multiplication matrix."""
         rows = self.mult_matrix()
         return sum(rows[i][i] for i in range(len(rows)))
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        field = self.field
+        if field.degree == 2:
+            # x * conj(x) = N(x), with conj(t) = -b1 - t
+            b0, b1, _ = field.coeffs
+            a0, a1 = self.coords
+            n = a0 * a0 - b1 * a0 * a1 + b0 * a1 * a1
+            return FieldElement(field, ((a0 - b1 * a1) / n, -a1 / n))
+        return self._inverse_generic()
+
+    def _inverse_generic(self):
+        """Solve x * y = 1 through the multiplication matrix."""
         n = self.field.degree
         target = [Fraction(1 if i == 0 else 0) for i in range(n)]
         sol = solve_square(self.mult_matrix(), [target])

@@ -27,14 +27,18 @@ from .numberfield import FieldElement, NumberField, squarefree_part
 class Order:
     """A unital, multiplicatively closed, full-rank lattice in a number field."""
 
-    __slots__ = ("field", "lattice", "assumed_maximal", "_elements")
+    __slots__ = ("field", "lattice", "assumed_maximal", "_elements",
+                 "_unital", "_omega_data")
 
     def __init__(self, field: NumberField, lattice: Lattice,
                  assumed_maximal=False):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "assumed_maximal", assumed_maximal)
+        # derived data, computed on first use (the order is immutable)
         object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "_unital", None)
+        object.__setattr__(self, "_omega_data", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Order is immutable")
@@ -85,6 +89,11 @@ class Order:
     def unital_basis_elements(self):
         """A basis starting with 1: complete the coordinate row of 1 to a
         unimodular transform of the stored HNF basis."""
+        if self._unital is None:
+            object.__setattr__(self, "_unital", self._compute_unital_basis())
+        return self._unital
+
+    def _compute_unital_basis(self):
         from .intmat import complete_unimodular, coords_in
         one_lat = Lattice.from_rows([list(self.field.one().coords)],
                                     self.degree)
@@ -114,24 +123,12 @@ class Order:
 
     def omega_data(self):
         """(trace, norm) of the canonical generator omega of a quadratic order."""
-        w = self.omega()
-        t, n = w.trace(), w.norm()
-        assert t.denominator == 1 and n.denominator == 1
-        return int(t), int(n)
-
-    def element_from_coords(self, coords) -> FieldElement:
-        basis = self.basis_elements()
-        out = self.field.zero()
-        for c, b in zip(coords, basis):
-            out = out + b * c
-        return out
-
-    def coords_of(self, e: FieldElement):
-        """Rational coordinates of a field element in this order's basis."""
-        from .intmat import solve_square
-        rows = [[Fraction(x) for x in r] for r in self.lattice.rows_q()]
-        sol = solve_square(rows, [list(e.coords)])
-        return tuple(sol[0])
+        if self._omega_data is None:
+            w = self.omega()
+            t, n = w.trace(), w.norm()
+            assert t.denominator == 1 and n.denominator == 1
+            object.__setattr__(self, "_omega_data", (int(t), int(n)))
+        return self._omega_data
 
 
 def is_order(field: NumberField, basis_rows, den=1) -> Order:

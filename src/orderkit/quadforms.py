@@ -344,31 +344,16 @@ def _unit_from_automorph(form, u, d):
 
 def _unit_sqrt(t, u, d):
     """If (t + u sqrt d)/2 = eps^2 for a unit eps of the same order, return eps."""
-    # eps = (x + y sqrt d)/2 with x^2 + d y^2 = 2t and x y = u.
-    for y in _divisors_signed(u):
-        if y <= 0:
+    # eps = (x + y sqrt d)/2 with x^2 + d y^2 = 2t, x y = u and
+    # x^2 - d y^2 = 4 N(eps), so x^2 = t + 2n and d y^2 = t - 2n for n = +-1.
+    for n in (1, -1):
+        x2, dy2 = t + 2 * n, t - 2 * n
+        if x2 <= 0 or dy2 <= 0 or dy2 % d:
             continue
-        if u % y:
-            continue
-        x = u // y
-        if x <= 0:
-            continue
-        if x * x + d * y * y == 2 * t and (x * x - d * y * y) in (4, -4):
+        x, y = isqrt(x2), isqrt(dy2 // d)
+        if x * x == x2 and y * y == dy2 // d and x * y == u:
             return x, y
     return None
-
-
-def _divisors_signed(n):
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 def fundamental_unit_brute(d, limit=10_000_000):

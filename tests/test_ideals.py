@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from orderkit import ideals, quadforms
 from orderkit.errors import (
     FactorizationViolation,
+    IndexTooLarge,
     OrderMismatch,
     SearchBudgetExceeded,
 )
@@ -364,3 +366,23 @@ class TestClassMonoid:
         assert len(m.intermediate_subset) <= nf ** 2
         assert len(m.picard_subset) <= nf * h
         assert m.size <= nf ** 3 * h
+
+    def test_index_budget_checked_before_picard(self, gaussian_field,
+                                                monkeypatch):
+        def fail(_gamma):
+            raise AssertionError("picard_group ran past the index budget")
+
+        monkeypatch.setattr(ideals, "picard_group", fail)
+        z400i = is_order(gaussian_field, [[1, 0], [0, 400]])
+        with pytest.raises(IndexTooLarge, match="quotient order 160000"):
+            class_monoid(z400i)
+
+    @pytest.mark.parametrize("b0", [935, 987])
+    def test_census_budget_reaches_reduced_forms(self, b0):
+        # the reduced forms of some classes of these maximal orders all lead
+        # with a coefficient above N(f)^2 * 16 = 16
+        om = maximal_order(make_field([b0, 0, 1]))
+        d0 = om.disc()
+        m = class_monoid(om)
+        assert m.census_budget == math.isqrt(-d0) + 1
+        assert len(m.picard_subset) == m.size == quadforms.form_class_count(d0)

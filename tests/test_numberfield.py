@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orderkit.errors import DegreeMismatch, NotMonic, Reducible
 from orderkit.numberfield import (
@@ -259,3 +262,48 @@ class TestNormalClosure:
                 m, _ = squarefree_part(poly_discriminant(poly))
                 expected = (3, True) if m == 1 else (6, True)
                 assert normal_closure_degree(make_field(poly)) == expected
+
+
+# --- degree-2 closed forms against the generic route -------------------------
+
+def _quadratic_field(b0, b1):
+    """x^2 + b1 x + b0 as a field, or None when it factors over Q."""
+    d = b1 * b1 - 4 * b0
+    if d >= 0 and math.isqrt(d) ** 2 == d:
+        return None
+    return make_field([b0, b1, 1])
+
+
+coefficient = st.integers(min_value=-60, max_value=60)
+coordinate = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+
+
+class TestQuadraticClosedForms:
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient, coefficient, coordinate, coordinate, coordinate,
+           coordinate)
+    def test_against_generic_route(self, b0, b1, a0, a1, c0, c1):
+        field = _quadratic_field(b0, b1)
+        assume(field is not None)
+        x, y = field.element([a0, a1]), field.element([c0, c1])
+        prod = x * y
+        assert prod == x._mul_generic(y)
+        assert all(type(c) is Fraction for c in prod.coords)
+        assert x.norm() == x._norm_generic()
+        assert x.trace() == x._trace_generic()
+        assert type(x.norm()) is Fraction and type(x.trace()) is Fraction
+        if not x.is_zero():
+            inv = x.inverse()
+            assert inv == x._inverse_generic()
+            assert x * inv == field.one()
+
+    def test_zero_has_no_inverse(self, gaussian_field):
+        with pytest.raises(ZeroDivisionError):
+            gaussian_field.zero().inverse()
+
+    def test_other_degrees_take_generic_route(self):
+        cubic = make_field([-2, 0, 0, 1])
+        x = cubic.element([1, Fraction(1, 2), 3])
+        # N(a + b t + c t^2) = a^3 + 2 b^3 + 4 c^3 - 6abc when t^3 = 2
+        assert x.norm() == Fraction(401, 4)
+        assert x * x.inverse() == cubic.one()

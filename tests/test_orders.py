@@ -1,7 +1,10 @@
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orderkit.errors import (
     NeedsUserInput,
@@ -14,6 +17,7 @@ from orderkit.errors import (
 from orderkit.intmat import lattice_index
 from orderkit.numberfield import RATIONAL_FIELD, make_field
 from orderkit.orders import (
+    Order,
     conductor,
     conductor_comparison_check,
     fundamental_unit,
@@ -225,3 +229,21 @@ class TestUnits:
     def test_bound_two_pow_g(self, z_i, o_minus3, z_sqrt_minus5, field_sqrt2):
         for gamma in (z_i, o_minus3, z_sqrt_minus5, maximal_order(field_sqrt2)):
             assert unit_square_quotient(gamma).square_class_count <= 4
+
+
+class TestDerivedDataCache:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 6))
+    def test_cached_equals_fresh(self, b0, b1, f):
+        d = b1 * b1 - 4 * b0
+        assume(d < 0 or isqrt(d) ** 2 != d)
+        gamma = scaled_subring(maximal_order(make_field([b0, b1, 1])), f)
+        basis, data = gamma.unital_basis_elements(), gamma.omega_data()
+        assert gamma.unital_basis_elements() is basis
+        assert gamma.omega_data() is data
+        fresh = Order(make_field([b0, b1, 1]), gamma.lattice)
+        assert fresh == gamma
+        assert fresh.unital_basis_elements() == basis
+        assert fresh.omega_data() == data
+        t, n = data
+        assert t * t - 4 * n == gamma.disc()

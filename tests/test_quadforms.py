@@ -178,3 +178,14 @@ def test_definite_form_counts_classical():
     # reduced-form class numbers used for the maximal-order class count
     assert [len(qf.reduced_definite_forms(d))
             for d in (-3, -4, -15, -23, -47, -71)] == [1, 1, 2, 3, 5, 7]
+
+
+def test_fundamental_unit_with_large_coefficients():
+    # the unit of disc 409 has 11- and 12-digit coefficients, so the square
+    # root step must not walk the divisors of u
+    t, u = qf.fundamental_unit_xy(409)
+    assert (t, u) == (223843593936, 11068353370)
+    assert t * t - 409 * u * u == -4
+    assert qf._unit_sqrt(t, u, 409) is None
+    # eps^2 = ((t^2 + d u^2)/2 + t u sqrt(d))/2 gives eps back
+    assert qf._unit_sqrt((t * t + 409 * u * u) // 2, t * u, 409) == (t, u)
