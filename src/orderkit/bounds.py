@@ -110,7 +110,13 @@ class BigBound:
             "exact_flag": self.exact_flag,
         }
         if self.exact_flag:
-            out["exact_value"] = str(self.exact_value)
+            try:
+                out["exact_value"] = str(self.exact_value)
+            except ValueError:
+                # Python refuses decimal strings above sys.get_int_max_str_digits()
+                # digits, a guard against its quadratic conversion: give the
+                # exact value as the [base, exp] factors it is the product of.
+                out["exact_value"] = [list(f) for f in self.factors]
         return out
 
 

@@ -19,6 +19,7 @@ from .errors import (
     BoundViolation,
     DegreeMismatch,
     HypothesisViolated,
+    MethodDisagreement,
     NotFreeModule,
     UnsupportedDegree,
 )
@@ -30,12 +31,7 @@ from .intmat import (
     snf,
     solve_square,
 )
-from .numberfield import (
-    FieldElement,
-    NumberField,
-    _solve_underdetermined,
-    roots_in_field,
-)
+from .numberfield import FieldElement, NumberField, roots_in_field
 from .orders import Order, conductor, maximal_order, scaled_subring, torsion_units
 from .ideals import (
     FractionalIdeal,
@@ -180,12 +176,15 @@ class RingMorphism:
 
 def _unital_coords(order: Order, e: FieldElement, integral=True):
     basis = order.unital_basis_elements()
-    rows = [list(b.coords) for b in basis]
-    sol = _solve_underdetermined(rows, list(e.coords))
+    sol = solve_square([b.coords for b in basis], [e.coords])
     if sol is None:
         raise ValueError("element outside the span of the order")
+    sol = sol[0]
     if integral:
-        assert all(c.denominator == 1 for c in sol)
+        if any(c.denominator != 1 for c in sol):
+            raise MethodDisagreement(
+                "element of the order has non-integral unital coordinates",
+                operation="_unital_coords")
         return [int(c) for c in sol]
     return sol
 
@@ -239,15 +238,19 @@ def compatibility_of(rho: RingMorphism):
         for j in range(n):
             e = gen_k if i == j else k.zero()
             target_flat.extend(e.coords)
-    sol = _solve_underdetermined(rows, target_flat)
-    assert sol is not None, "no compatible embedding: decomposition is broken"
+    sol = solve_square(rows, [target_flat])
+    if sol is None:
+        raise MethodDisagreement(
+            "no compatible embedding: decomposition is broken",
+            operation="compatibility_of")
     lam = l.zero()
-    for c, b in zip(sol, basis):
+    for c, b in zip(sol[0], basis):
         lam = lam + b * c
     for idx, e in enumerate(embs):
         if e == lam:
             return idx, e
-    raise AssertionError("embedding image is not a root; bug")
+    raise MethodDisagreement("embedding image is not a root",
+                             operation="compatibility_of")
 
 
 def _action_matrices(gamma: Order, ideal: FractionalIdeal):
@@ -258,11 +261,11 @@ def _action_matrices(gamma: Order, ideal: FractionalIdeal):
     for g in gamma.unital_basis_elements():
         prod_rows = [list((g * e).coords) for e in elems]
         sol = solve_square(rows, prod_rows)
-        mat = []
-        for r in sol:
-            assert all(c.denominator == 1 for c in r)
-            mat.append([int(c) for c in r])
-        out.append(mat)
+        if any(c.denominator != 1 for r in sol for c in r):
+            raise MethodDisagreement(
+                "order element maps the ideal outside itself",
+                operation="_action_matrices")
+        out.append([[int(c) for c in r] for r in sol])
     return out
 
 
@@ -319,26 +322,16 @@ def structures_from_ideal_classes(gamma: Order, target: MatrixOrder,
 
 def _phi_o_k_inside(k, l, phi_gen, ok: Order, gamma: Order) -> bool:
     for b in ok.basis_elements():
-        if not maximal_order(l).contains(_apply_embedding_into(l, phi_gen, b)):
+        if not maximal_order(l).contains(_apply_embedding(phi_gen, b)):
             return False
     return True
 
 
-def _apply_embedding_into(l: NumberField, phi_gen: FieldElement,
-                          e: FieldElement) -> FieldElement:
-    """Image of e in L under the embedding sending K's generator to phi_gen."""
-    out = l.zero()
+def _apply_embedding(gen_image: FieldElement, e: FieldElement) -> FieldElement:
+    """Image of e under the field map sending e's generator to gen_image."""
+    out = gen_image.field.zero()
     for j, c in enumerate(e.coords):
-        out = out + (phi_gen ** j) * c
-    return out
-
-
-def _apply_embedding(psi_gen: FieldElement, e: FieldElement) -> FieldElement:
-    """Image of e (element of L) under the map sending L's generator to psi_gen."""
-    field = psi_gen.field
-    out = field.zero()
-    for j, c in enumerate(e.coords):
-        out = out + (psi_gen ** j) * c
+        out = out + (gen_image ** j) * c
     return out
 
 
@@ -346,7 +339,7 @@ def _inverse_embedding(k: NumberField, l: NumberField,
                        phi_gen: FieldElement) -> FieldElement:
     """psi(theta_L) in K for the inverse of the isomorphism phi: K -> L."""
     for r in roots_in_field(list(l.coeffs), k):
-        if _apply_embedding_into(l, phi_gen, r) == l.gen():
+        if _apply_embedding(phi_gen, r) == l.gen():
             return r
     raise AssertionError("embedding is not invertible; bug for n = 1")
 
@@ -389,9 +382,6 @@ def structure_to_ideal(rho: RingMorphism) -> FractionalIdeal:
         for i in range(n):
             flat.extend(m[0][i].coords)
         mv.append(flat)
-    inv = solve_square(mv, [[Fraction(1 if i == j else 0) for j in range(g)]
-                            for i in range(g)])
-    assert inv is not None, "cyclic vector gave a singular matrix"
     # lattice of O_K^n in flattened coordinates: block diagonal of O_K rows
     lam_rows = []
     for blk in range(n):
@@ -400,10 +390,11 @@ def structure_to_ideal(rho: RingMorphism) -> FractionalIdeal:
             for t, x in enumerate(r):
                 row[blk * dk + t] = x
             lam_rows.append(row)
-    # preimage of O_K^n: rows R * M^{-1}
-    pre = []
-    for r in lam_rows:
-        pre.append([sum(r[t] * inv[t][j] for t in range(g)) for j in range(g)])
+    # preimage of O_K^n: the rows x with x * M = R
+    pre = solve_square(mv, lam_rows)
+    if pre is None:
+        raise MethodDisagreement("cyclic vector gave a singular matrix",
+                                 operation="structure_to_ideal")
     lat = Lattice.from_rows(pre, g)
     return FractionalIdeal(gamma, lat)
 

@@ -25,13 +25,14 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedDegree,
 )
-from .intmat import Lattice, _det_bareiss, lattice_index
+from .intmat import Lattice, _det_bareiss, lattice_index, solve_square
 from .modular import factorize, kronecker, sqrts_mod
 from .numberfield import FieldElement
 from .orders import (
     Order,
     _lattice_times_element,
     conductor,
+    escaping_product,
     fundamental_unit,
     maximal_order,
     torsion_units,
@@ -47,12 +48,9 @@ class FractionalIdeal:
         if lattice.rank != order.degree:
             raise NotFullRank("a fractional ideal has full rank",
                               operation="FractionalIdeal")
-        if check:
-            elems = [order.field.element(r) for r in lattice.rows_q()]
-            for g in order.basis_elements():
-                for e in elems:
-                    if not lattice.contains((g * e).coords):
-                        raise ValueError("lattice is not stable under the order")
+        if check and escaping_product(order.basis_elements(), lattice,
+                                      order.field) is not None:
+            raise ValueError("lattice is not stable under the order")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "lattice", lattice)
 
@@ -88,7 +86,7 @@ class FractionalIdeal:
 
     def primitive(self) -> "FractionalIdeal":
         """The scaling of I that is integral with coordinate content 1."""
-        c = _rational_coords(self.order.lattice, self.lattice)
+        c = solve_square(self.order.lattice.rows_q(), self.lattice.rows_q())
         den = 1
         for row in c:
             for x in row:
@@ -98,13 +96,6 @@ class FractionalIdeal:
             for x in row:
                 g = gcd(g, int(x * den))
         return self.scale(Fraction(den, g))
-
-
-def _rational_coords(base: Lattice, lat: Lattice):
-    from .intmat import solve_square
-    sol = solve_square([list(r) for r in base.rows_q()],
-                       [list(r) for r in lat.rows_q()])
-    return sol
 
 
 def _covolume(lat: Lattice) -> Fraction:
@@ -351,14 +342,16 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
         if not gamma.lattice.contains_lattice(lower):
             raise OrderMismatch("replacement ideal must sit inside the order",
                                 operation="intermediate_classes")
-        if not _is_stable(maximal, lower):
+        if escaping_product(maximal.basis_elements(), lower,
+                            gamma.field) is not None:
             raise OrderMismatch("replacement ideal must be stable under the "
                                 "maximal order", operation="intermediate_classes")
     lattices = enumerate_intermediate_lattices(maximal.lattice, lower,
                                                max_index=max_index)
     classes = {}
     for lat in lattices:
-        if not _is_stable(gamma, lat):
+        if escaping_product(gamma.basis_elements(), lat,
+                            gamma.field) is not None:
             continue
         ideal = FractionalIdeal(gamma, lat, check=False)
         lab = class_label(ideal)
@@ -369,15 +362,6 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
         assert len(out) <= f.norm ** gamma.degree, \
             "intermediate class count exceeded N(f)^g"
     return out
-
-
-def _is_stable(gamma: Order, lat: Lattice) -> bool:
-    elems = [gamma.field.element(r) for r in lat.rows_q()]
-    for g in gamma.basis_elements():
-        for e in elems:
-            if not lat.contains((g * e).coords):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ forms with transformation matrices, determinants, kernels, lattice sums,
 intersections, indices, and enumeration of all lattices between two nested
 ones (via subgroup enumeration of the finite abelian quotient).
 
+``solve_square`` is the package's one solver over Q: it eliminates
+fraction-free on integer rows and makes Fractions only for the answer.
+Unimodular inverses need no solve at all; they are the transform of the HNF.
+
 The HNF convention, used repo-wide so that lattice equality is normal-form
 equality: row-style upper echelon, positive pivots, entries above each pivot
 reduced into [0, pivot).
@@ -13,7 +17,7 @@ reduced into [0, pivot).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import IndexTooLarge, NotSublattice, RankDeficient
 
@@ -275,33 +279,56 @@ def left_kernel(m: IntMatrix) -> IntMatrix:
 
 
 def solve_square(a_rows, b_rows):
-    """Solve x * A = B over the rationals for square invertible A.
+    """Solve x * A = B over the rationals for a k x n matrix A of any shape.
 
-    ``a_rows`` is an n x n integer (or Fraction) matrix, ``b_rows`` a k x n
-    one; returns the k x n matrix of Fractions, or None if A is singular.
+    Entries may be ints or Fractions; ``b_rows`` is an m x n matrix.  Returns
+    an m x k matrix of Fractions (zero on the free variables when the rows of
+    A are dependent), or None exactly when some row of B lies outside the
+    row space of A.  Elimination runs fraction-free on the integer system
+    [A^T | B^T]: each equation is cleared of denominators and kept primitive,
+    and Fractions are made only for the answer.
     """
-    n = len(a_rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a_rows)]
-    # Invert A by Gauss-Jordan on [A | I]; we need A^{-1} acting on the right.
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
+    k, m = len(a_rows), len(b_rows)
+    n = len(b_rows[0]) if m else (len(a_rows[0]) if k else 0)
+    eqs = []
+    for j in range(n):
+        row = [r[j] for r in a_rows] + [r[j] for r in b_rows]
+        den = lcm(*[x.denominator for x in row])
+        eqs.append(_primitive([x.numerator * (den // x.denominator)
+                               for x in row]))
+    pivots = []
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, n) if eqs[i][col]), None)
         if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+            continue
+        eqs[r], eqs[piv] = eqs[piv], eqs[r]
+        prow = eqs[r]
+        p = prow[col]
         for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = [row[n:] for row in aug]
-    # x = B * A^{-1}
-    out = []
-    for brow in b_rows:
-        out.append([sum(Fraction(brow[k]) * inv[k][j] for k in range(n))
-                    for j in range(n)])
+            v = eqs[i][col]
+            if i != r and v:
+                g = gcd(p, v)
+                a, b = p // g, v // g
+                eqs[i] = _primitive([a * x - b * y
+                                     for x, y in zip(eqs[i], prow)])
+        pivots.append(col)
+        r += 1
+    if any(any(row[k:]) for row in eqs[r:]):
+        return None
+    out = [[Fraction(0)] * k for _ in range(m)]
+    for row, col in zip(eqs, pivots):
+        p = row[col]
+        for t in range(m):
+            if row[k + t]:
+                out[t][col] = Fraction(row[k + t], p)
     return out
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _reduce_int_vector(vec, hrows, pivots):
@@ -503,14 +530,17 @@ def complete_unimodular(c) -> IntMatrix:
 
 
 def inverse_unimodular(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with det +-1."""
-    d = u.det()
-    if d not in (1, -1):
+    """Exact inverse of a matrix with det +-1: the transform of its HNF.
+
+    The HNF of a unimodular matrix is the identity, so h = w * u gives
+    w = u^-1; any other normal form means u is not unimodular.
+    """
+    if u.rows != u.cols:
         raise ValueError("matrix is not unimodular")
-    sol = solve_square([list(r) for r in u.entries],
-                       [[1 if i == j else 0 for j in range(u.rows)]
-                        for i in range(u.rows)])
-    return IntMatrix([[int(x) for x in row] for row in sol])
+    h, w = hnf(u)
+    if h != IntMatrix.identity(u.rows):
+        raise ValueError("matrix is not unimodular")
+    return w
 
 
 def _subgroup_lattices_of_quotient(diag, max_subgroups):

@@ -27,7 +27,9 @@ def factorize(n: int) -> dict:
     if n <= 1:
         return {}
     out = {}
-    if n < 1 << 22:
+    # The table costs about 40 bytes per entry and grows to n; above 2^18,
+    # trial division (at most 2^10 odd divisors below 2^22) is cheaper.
+    if n < 1 << 18:
         _grow_spf(n)
         while n > 1:
             p = _SPF[n]

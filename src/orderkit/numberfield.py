@@ -9,17 +9,28 @@ forms: products by the relation t^2 = -b1 t - b0, the norm and trace as
 quadratic and linear forms in the coordinates, and inverses as the conjugate
 over the norm.  Every other degree goes through the generic route (reduction
 of the convolution by the power table, a Bareiss determinant of the
-multiplication matrix, an exact linear solve), which the tests also use as
-the oracle for the closed forms.
+multiplication matrix, an exact solve through ``intmat.solve_square``), which
+the tests also use as the oracle for the closed forms.
+
+Minimal polynomials also solve through ``intmat.solve_square``; polynomials
+are interpolated by one Lagrange routine, and squarefree parts are read off
+``modular.factorize``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import DegreeMismatch, NotMonic, Reducible, SearchBudgetExceeded
+from .errors import (
+    DegreeMismatch,
+    MethodDisagreement,
+    NotMonic,
+    Reducible,
+    SearchBudgetExceeded,
+)
 from .intmat import _det_bareiss, solve_square
+from .modular import factorize
 
 
 # --- integer / rational polynomial helpers ---------------------------------
@@ -118,25 +129,16 @@ def squarefree_part(n: int):
     """n = s^2 * m with m squarefree; returns (m, s).  n may be negative."""
     if n == 0:
         return 0, 1
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    m, s = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                m *= d
-        d += 1 if d == 2 else 2
-    m *= n
-    return sign * m, s
+    m, s = (-1 if n < 0 else 1), 1
+    for p, e in factorize(n).items():
+        s *= p ** (e // 2)
+        if e % 2:
+            m *= p
+    return m, s
 
 
-def _int_divisors(n):
+def _signed_divisors(n):
+    """The divisors of n, each followed by its negative, in increasing size."""
     n = abs(n)
     small, big = [], []
     d = 1
@@ -146,14 +148,7 @@ def _int_divisors(n):
             if d != n // d:
                 big.append(n // d)
         d += 1
-    return small + big[::-1]
-
-
-def _signed_divisors(n):
-    out = []
-    for d in _int_divisors(n):
-        out.extend((d, -d))
-    return out
+    return [x for d in small + big[::-1] for x in (d, -d)]
 
 
 def _monic_factor_candidates(p, deg, budget=400_000):
@@ -193,15 +188,11 @@ def _interpolate_monic(pts, vals, deg):
     Uses exactly ``deg`` points to pin the lower coefficients; the caller
     verifies candidates by exact division.
     """
-    rows = [[Fraction(t) ** j for j in range(deg)] for t in pts[:deg]]
-    rhs = [Fraction(v) - Fraction(t) ** deg for t, v in zip(pts[:deg], vals[:deg])]
-    sol = solve_square(list(map(list, zip(*rows))), [rhs])
-    if sol is None:
+    pts, vals = pts[:deg], vals[:deg]
+    low = _lagrange(pts, [v - t ** deg for t, v in zip(pts, vals)])
+    if any(c.denominator != 1 for c in low):
         return None
-    coeffs = sol[0]
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return [int(c) for c in coeffs] + [1]
+    return [int(c) for c in low] + [0] * (deg - len(low)) + [1]
 
 
 def integer_roots(p):
@@ -541,45 +532,14 @@ class FieldElement:
             powers.append(powers[-1] * self)
         for d in range(1, n + 1):
             # Is self^d a combination of lower powers?
-            rows = [list(powers[k].coords) for k in range(d)]
-            rhs = list(powers[d].coords)
-            sol = _solve_underdetermined(rows, rhs)
+            sol = solve_square([p.coords for p in powers[:d]],
+                               [powers[d].coords])
             if sol is not None:
-                return poly_trim([-c for c in sol] + [Fraction(1)])
+                return poly_trim([-c for c in sol[0]] + [Fraction(1)])
         raise AssertionError("minimal polynomial must exist")
 
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
-
-
-def _solve_underdetermined(rows, rhs):
-    """Solve sum c_k rows[k] = rhs exactly, or None; rows need not be square."""
-    k = len(rows)
-    n = len(rhs)
-    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(rhs[j])]
-           for j in range(n)]
-    piv_cols = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k]:
-            return None
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(piv_cols):
-        sol[col] = aug[i][k]
-    return sol
 
 
 # --- embeddings and closures -------------------------------------------------
@@ -681,26 +641,36 @@ def _tensor_resultant(pk, pl, s):
         # pk(t - s x) as integer polynomial in x
         q = [poly_eval(cz, t) if cz else 0 for cz in fx]
         vals.append(resultant(poly_trim(list(pl)), poly_trim(q)))
-    return _lagrange_int(pts, vals)
+    coeffs = _lagrange(pts, vals)
+    if any(c.denominator != 1 for c in coeffs):
+        raise MethodDisagreement("interpolated resultant is not integral",
+                                 operation="embedding_count")
+    return [int(c) for c in coeffs]
 
 
-def _lagrange_int(pts, vals):
-    n = len(pts)
-    out = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(pts, vals)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
+def _lagrange(pts, vals):
+    """Coefficients of the polynomial of degree < len(pts) through (pts, vals).
+
+    The integer Lagrange basis polynomials are summed over the common
+    denominator of the nodes; Fractions are made only for the result.
+    """
+    nums, dens = [], []
+    for i, xi in enumerate(pts):
+        basis = [1]
+        denom = 1
         for j, xj in enumerate(pts):
-            if j == i:
-                continue
-            basis = poly_mul(basis, [Fraction(-xj), Fraction(1)])
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for d, c in enumerate(basis):
-            out[d] += scale * c
-    out = poly_trim(out)
-    assert all(c.denominator == 1 for c in out)
-    return [int(c) for c in out]
+            if j != i:
+                basis = poly_mul(basis, [-xj, 1])
+                denom *= xi - xj
+        nums.append([vals[i] * c for c in basis])
+        dens.append(denom)
+    common = lcm(*dens)
+    out = [0] * len(pts)
+    for num, d in zip(nums, dens):
+        scale = common // d
+        for k, c in enumerate(num):
+            out[k] += c * scale
+    return poly_trim([Fraction(c, common) for c in out])
 
 
 def _count_factors_of_degree(r, g):

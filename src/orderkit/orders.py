@@ -143,15 +143,29 @@ def is_order(field: NumberField, basis_rows, den=1) -> Order:
             operation="is_order")
     if not lat.contains(field.one().coords):
         raise NotUnital("1 is not in the lattice", operation="is_order")
+    # Products commute, so the first escaping pair (a, b) has a listed
+    # no later than b: the same pair a triangular scan would report.
     elems = [field.element(r) for r in lat.rows_q()]
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            if not lat.contains((a * b).coords):
-                raise NotClosed(
-                    f"product of basis elements {list(a.coords)} and "
-                    f"{list(b.coords)} leaves the lattice",
-                    operation="is_order")
+    escape = escaping_product(elems, lat, field)
+    if escape is not None:
+        a, b = escape
+        raise NotClosed(
+            f"product of basis elements {list(a.coords)} and "
+            f"{list(b.coords)} leaves the lattice",
+            operation="is_order")
     return Order(field, lat)
+
+
+def escaping_product(multipliers, lat: Lattice, field: NumberField):
+    """The first pair (g, e), g in ``multipliers`` and e a basis element of
+    ``lat``, whose product g * e leaves ``lat``; None when ``lat`` is stable
+    under multiplication by every multiplier."""
+    elems = [field.element(r) for r in lat.rows_q()]
+    for g in multipliers:
+        for e in elems:
+            if not lat.contains((g * e).coords):
+                return g, e
+    return None
 
 
 def _as_lattice(field, basis_rows, den=1):

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import bounds as bounds_mod
-from .errors import FactorizationViolation, OrderkitError
+from .errors import FactorizationViolation
 from .gamma_structures import (
     MatrixOrder,
     RingMorphism,
@@ -85,32 +85,20 @@ class CheckResult:
         return f"{status} {self.name} ({self.seconds:.2f}s): {self.details}"
 
 
-def _monoids_for(corpus):
-    return [class_monoid(e.order) for e in corpus]
-
-
-def check_lenstra_factorization(corpus, monoids=None) -> CheckResult:
+def check_lenstra_factorization(corpus, monoids) -> CheckResult:
     """Census audit: the class monoid equals Pic * intermediate classes."""
     t0 = time.time()
-    try:
-        if monoids is None:
-            monoids = _monoids_for(corpus)
-        audited = sum(m.census_checked for m in monoids)
-        sizes = [m.size for m in monoids]
-    except OrderkitError as err:
-        return CheckResult("lenstra-factorization", False, time.time() - t0,
-                           f"{type(err).__name__}: {err}")
+    audited = sum(m.census_checked for m in monoids)
+    sizes = [m.size for m in monoids]
     return CheckResult(
         "lenstra-factorization", True, time.time() - t0,
         f"{len(corpus)} orders, {audited} census ideals audited, "
         f"max |C| = {max(sizes)}")
 
 
-def check_class_bounds(corpus, monoids=None) -> CheckResult:
+def check_class_bounds(corpus, monoids) -> CheckResult:
     """|I| <= N(f)^g, |Pic| <= N(f) h, and |C| <= N(f)^(g+1) h on the corpus."""
     t0 = time.time()
-    if monoids is None:
-        monoids = _monoids_for(corpus)
     bad = []
     for entry, m in zip(corpus, monoids):
         nf, h = m.conductor_norm, m.maximal_class_number
@@ -168,15 +156,13 @@ def _conjugate(rho: RingMorphism, u: IntMatrix) -> RingMorphism:
     return RingMorphism(rho.source, rho.target, tuple(out), check=False)
 
 
-def check_bijection_roundtrip(corpus, monoids=None, conjugations=20,
+def check_bijection_roundtrip(corpus, monoids, conjugations=20,
                               seed=20260810) -> CheckResult:
     """Round-trip identity class -> morphism -> class, plus invariance of the
     compatibility index and the class under random unimodular conjugation."""
     import random
     rng = random.Random(seed)
     t0 = time.time()
-    if monoids is None:
-        monoids = _monoids_for(corpus)
     target = MatrixOrder(RATIONAL_FIELD, 2)
     structures = 0
     for entry, monoid in zip(corpus, monoids):
@@ -294,18 +280,27 @@ def check_conductor_comparison(corpus, ds=(1, 2, 3)) -> CheckResult:
                        f"{len(corpus)} orders x d in {list(ds)}")
 
 
-def check_negative_control(corpus, monoids=None) -> CheckResult:
-    """Flip one multiplication-table entry; the audit must catch it."""
-    t0 = time.time()
-    if monoids is None:
-        monoids = [class_monoid(e.order) for e in corpus[:8]]
-    victim = next((m for m in monoids if m.size > 1), None)
-    if victim is None:
-        return CheckResult("negative-control", False, time.time() - t0,
-                           "no monoid of size > 1 in corpus")
+def _inject_fault(monoids):
+    """(index, faulty copy) of the first monoid with more than one class,
+    its table entry (0, size - 1) moved to the next class; None when every
+    monoid is trivial."""
+    idx = next((i for i, m in enumerate(monoids) if m.size > 1), None)
+    if idx is None:
+        return None
+    victim = monoids[idx]
     table = [list(row) for row in victim.table]
     table[0][victim.size - 1] = (table[0][victim.size - 1] + 1) % victim.size
-    faulty = replace(victim, table=tuple(tuple(r) for r in table))
+    return idx, replace(victim, table=tuple(tuple(r) for r in table))
+
+
+def check_negative_control(monoids) -> CheckResult:
+    """Flip one multiplication-table entry; the audit must catch it."""
+    t0 = time.time()
+    injected = _inject_fault(monoids)
+    if injected is None:
+        return CheckResult("negative-control", False, time.time() - t0,
+                           "no monoid of size > 1 in corpus")
+    _, faulty = injected
     try:
         verify_monoid_table(faulty)
     except FactorizationViolation:
@@ -339,14 +334,10 @@ class SuiteReport:
 def run_suite(max_abs_disc=200, max_conductor=6, conjugations=20,
               inject_fault=False) -> SuiteReport:
     corpus = build_corpus(max_abs_disc, max_conductor)
-    monoids = _monoids_for(corpus)
+    monoids = [class_monoid(e.order) for e in corpus]
     if inject_fault:
-        victim_idx = next(i for i, m in enumerate(monoids) if m.size > 1)
-        victim = monoids[victim_idx]
-        table = [list(row) for row in victim.table]
-        table[0][victim.size - 1] = (table[0][victim.size - 1] + 1) % victim.size
-        monoids[victim_idx] = replace(victim,
-                                      table=tuple(tuple(r) for r in table))
+        victim_idx, faulty = _inject_fault(monoids)
+        monoids[victim_idx] = faulty
     results = [
         check_lenstra_factorization(corpus, monoids),
         check_class_bounds(corpus, monoids),
@@ -357,7 +348,7 @@ def run_suite(max_abs_disc=200, max_conductor=6, conjugations=20,
         check_bound_evaluators(),
         check_conductor_comparison(corpus),
         _audit_tables(monoids),
-        check_negative_control(corpus, monoids=None) if not inject_fault
+        check_negative_control(monoids[:8]) if not inject_fault
         else CheckResult("negative-control", True, 0.0,
                          "skipped: fault injected in main tables instead"),
     ]

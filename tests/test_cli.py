@@ -50,6 +50,20 @@ class TestBoundCommand:
         payload = json.loads(out)
         assert payload["bound"] is None and "unbounded" in payload["note"]
 
+    def test_exact_value_beyond_str_limit(self, capsys):
+        # 2^(8^8) has 5,050,446 digits, more than Python converts to a
+        # decimal string: the exact value comes back as its factors.
+        from orderkit.bounds import SIntegerSpec, thm_b
+        rc, out, _ = run_cli(capsys, "bound", "--formula", "thm-b",
+                             "--g", "1")
+        assert rc == 0
+        bound = json.loads(out)["bound"]
+        assert bound["exact_flag"] and bound["digit_count"] == 5_050_446
+        value = 1
+        for base, exp in bound["exact_value"]:
+            value *= base ** exp
+        assert value == thm_b(1, SIntegerSpec(()), 1).exact_value
+
     def test_level_structure(self, capsys):
         rc, out, _ = run_cli(capsys, "bound", "--formula", "level-structure",
                              "--kind", "principal_n", "--n", "3", "--g", "1")

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderkit.errors import IndexTooLarge, NotSublattice, RankDeficient
 from orderkit.intmat import (
@@ -16,6 +19,7 @@ from orderkit.intmat import (
     lattice_index,
     left_kernel,
     snf,
+    solve_square,
 )
 
 
@@ -281,3 +285,97 @@ def test_determinism():
     assert hnf(m) == hnf(m)
     assert snf(m)[0] == snf(m)[0]
     assert hnf_basis(m) == hnf_basis(m)
+
+
+# --- the exact solver and unimodular inverses ---------------------------------
+
+small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+def _rational_rank(rows):
+    """Rank over Q, read from the HNF of the denominator-cleared rows."""
+    den = 1
+    for r in rows:
+        for x in r:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    return hnf_basis(IntMatrix([[int(x * den) for x in r] for r in rows])).rows
+
+
+@st.composite
+def linear_system(draw):
+    """(A, B): a k x n matrix A, k <= n <= 4, whose later rows may be
+    combinations of earlier ones, and rows of B that lie in the row space of A
+    or are arbitrary."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    vec = st.lists(small_fraction, min_size=n, max_size=n)
+    a = []
+    for i in range(k):
+        if i and draw(st.booleans()):
+            cs = draw(st.lists(small_fraction, min_size=i, max_size=i))
+            a.append([sum(c * r[j] for c, r in zip(cs, a)) for j in range(n)])
+        else:
+            a.append(draw(vec))
+    b = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            cs = draw(st.lists(small_fraction, min_size=k, max_size=k))
+            b.append([sum(c * r[j] for c, r in zip(cs, a)) for j in range(n)])
+        else:
+            b.append(draw(vec))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_system())
+def test_solve_square_against_rank_oracle(system):
+    a, b = system
+    sol = solve_square(a, b)
+    outside = _rational_rank(a + b) > _rational_rank(a)
+    assert (sol is None) == outside
+    if sol is not None:
+        assert len(sol) == len(b) and all(len(x) == len(a) for x in sol)
+        for x, brow in zip(sol, b):
+            assert all(type(c) is Fraction for c in x)
+            assert [sum(c * r[j] for c, r in zip(x, a))
+                    for j in range(len(brow))] == brow
+
+
+def test_solve_square_examples():
+    assert solve_square([[2, 0], [0, 3]], [[1, 1]]) == [[Fraction(1, 2),
+                                                        Fraction(1, 3)]]
+    assert solve_square([[1, 2], [2, 4]], [[1, 0]]) is None
+    assert solve_square([[1, 2], [2, 4]], [[3, 6]]) == [[3, 0]]
+    assert solve_square([[1, 0, 0]], [[0, 1, 0]]) is None
+
+
+@st.composite
+def unimodular_matrix(draw):
+    n = draw(st.integers(1, 4))
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 10))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        elif draw(st.booleans()):
+            m[i], m[j] = m[j], m[i]
+        else:
+            c = draw(st.integers(-4, 4))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return IntMatrix(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular_matrix())
+def test_inverse_unimodular_two_sided(u):
+    ui = inverse_unimodular(u)
+    ident = IntMatrix.identity(u.rows)
+    assert u * ui == ident
+    assert ui * u == ident
+
+
+def test_inverse_unimodular_rejects():
+    with pytest.raises(ValueError):
+        inverse_unimodular(IntMatrix([[2, 1], [0, 1]]))
+    with pytest.raises(ValueError):
+        inverse_unimodular(IntMatrix([[1, 0, 0], [0, 1, 0]]))

@@ -264,6 +264,29 @@ class TestNormalClosure:
                 assert normal_closure_degree(make_field(poly)) == expected
 
 
+signed_integer = st.one_of(
+    st.integers(-10 ** 8, 10 ** 8),
+    st.builds(lambda a, b: a * b * b, st.integers(-10 ** 4, 10 ** 4),
+              st.integers(1, 100)),
+).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_integer)
+def test_squarefree_part_property(n):
+    m, s = squarefree_part(n)
+    assert s >= 1 and s * s * m == n
+    assert all(m % (p * p) for p in range(2, math.isqrt(abs(m)) + 1))
+
+
+def test_squarefree_part_keeps_factor_table_small():
+    # the discriminant of x^2 + 1000003 is below 2^22: factoring it must not
+    # grow modular.factorize's sieve table to the size of the input
+    from orderkit import modular
+    assert squarefree_part(-4_000_012) == (-1_000_003, 2)
+    assert len(modular._SPF) <= 1 << 19
+
+
 # --- degree-2 closed forms against the generic route -------------------------
 
 def _quadratic_field(b0, b1):
