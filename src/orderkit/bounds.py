@@ -46,7 +46,7 @@ class BigBound:
     __slots__ = ("factors", "exact_value", "log10", "digit_count",
                  "exact_flag", "_lo", "_hi")
 
-    def __init__(self, factors, exact_threshold=EXACT_DIGIT_THRESHOLD):
+    def __init__(self, factors):
         norm = []
         for base, exp in factors:
             base, exp = int(base), int(exp)
@@ -74,7 +74,7 @@ class BigBound:
         object.__setattr__(self, "digit_count", digits)
         object.__setattr__(self, "log10",
                            ((lo + hi) / 2).quantize(Decimal("1e-15")))
-        if digits <= exact_threshold:
+        if digits <= EXACT_DIGIT_THRESHOLD:
             v = 1
             for base, exp in norm:
                 v *= base ** exp

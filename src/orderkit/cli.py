@@ -58,8 +58,12 @@ def parse_basis(text: str):
     return rows
 
 
-def _merge_config(args, parser_defaults, config_path):
-    """Flat key=value config; explicit flags win over config values."""
+def _merge_config(args, actions, config_path):
+    """Flat key=value config; explicit flags win over config values.
+
+    Each value is read as its flag would be: coerced by the argparse action's
+    declared ``type`` (a bool for store_true flags, else kept a string) and
+    checked against its ``choices``."""
     if not config_path:
         return {}
     merged = {}
@@ -76,12 +80,18 @@ def _merge_config(args, parser_defaults, config_path):
     for key, value in merged.items():
         if not hasattr(args, key):
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key) == parser_defaults.get(key):
-            cur = parser_defaults.get(key)
-            if isinstance(cur, bool):
+        action = actions[key]
+        if getattr(args, key) == action.default:
+            if isinstance(action, argparse._StoreTrueAction):
                 value = value.lower() in ("1", "true", "yes")
-            elif isinstance(cur, int) or value.lstrip("-").isdigit():
-                value = int(value)
+            elif action.type is not None:
+                try:
+                    value = action.type(value)
+                except ValueError:
+                    raise UsageError(
+                        f"bad config value {value!r} for {key!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise UsageError(f"bad config value {value!r} for {key!r}")
             setattr(args, key, value)
     return merged
 
@@ -370,10 +380,10 @@ def main(argv=None):
     argv = _merge_negative_values(list(argv))
     try:
         args = parser.parse_args(argv)
-        defaults = {a.dest: a.default for a in parser._actions}
+        actions = {a.dest: a for a in parser._actions}
         for sp in (parser._subparsers._group_actions[0].choices or {}).values():
-            defaults.update({a.dest: a.default for a in sp._actions})
-        merged = _merge_config(args, defaults, args.config)
+            actions.update({a.dest: a for a in sp._actions})
+        merged = _merge_config(args, actions, args.config)
         if args.command == "verify-suite":
             return _cmd_verify_suite(args)
         handler = {"bound": _cmd_bound,

@@ -36,7 +36,6 @@ from .orders import Order, conductor, maximal_order, scaled_subring, torsion_uni
 from .ideals import (
     FractionalIdeal,
     ClassMonoid,
-    class_label,
     class_monoid,
 )
 
@@ -162,16 +161,6 @@ class RingMorphism:
 
     def __hash__(self):
         return hash((self.source, self.target, self.images))
-
-    def rationalized_gen_image(self):
-        """Matrix of the field generator of the source under rho tensor Q."""
-        theta = self.source.field.gen()
-        coords = _unital_coords(self.source, theta, integral=False)
-        out = None
-        for c, m in zip(coords, self.images):
-            term = _mat_scale(m, c)
-            out = term if out is None else _mat_add(out, term)
-        return out
 
 
 def _unital_coords(order: Order, e: FieldElement, integral=True):
@@ -312,8 +301,7 @@ def structures_from_ideal_classes(gamma: Order, target: MatrixOrder,
                                     operation="structures_from_ideal_classes")
             images.append(((img,),))
         rho = RingMorphism(gamma, target, tuple(images))
-        label = class_label(structure_to_ideal(rho))
-        idx = next(i for i, c in enumerate(monoid.classes) if c.label == label)
+        idx, label = structure_to_ideal_class(rho, monoid)
         return [GammaStructure(rho, phi_index, idx, label)]
     raise UnsupportedDegree(
         "structures for K != Q need n = 1 at desk scale",

@@ -31,12 +31,20 @@ from .numberfield import FieldElement
 from .orders import (
     Order,
     _lattice_times_element,
+    colon_lattice,
     conductor,
     escaping_product,
     fundamental_unit,
     maximal_order,
     torsion_units,
 )
+
+# Largest quotient N(f) = [O_L : f] whose intermediate lattices are enumerated.
+_MAX_INDEX = 100_000
+# The census audits stable sublattices up to index N(f)^2 times this factor.
+_CENSUS_BUDGET_FACTOR = 16
+# Coefficient budget of the generic equivalence search (degree >= 3).
+_EQUIVALENCE_BUDGET = 4000
 
 
 class FractionalIdeal:
@@ -80,9 +88,6 @@ class FractionalIdeal:
     def norm_index(self) -> Fraction:
         """Generalized index [Gamma : I] (covolume ratio), a positive rational."""
         return _covolume(self.lattice) / _covolume(self.order.lattice)
-
-    def is_integral(self):
-        return self.order.lattice.contains_lattice(self.lattice)
 
     def primitive(self) -> "FractionalIdeal":
         """The scaling of I that is integral with coordinate content 1."""
@@ -139,11 +144,9 @@ def colon_ideal(i: FractionalIdeal, j: FractionalIdeal) -> FractionalIdeal:
     if i.order != j.order:
         raise OrderMismatch("ideals of different orders",
                             operation="colon_ideal")
-    lat = None
-    for b in j.elements():
-        pre = _lattice_times_element(i.lattice, b.inverse(), i.order.field)
-        lat = pre if lat is None else lat.intersect(pre)
-    return FractionalIdeal(i.order, lat, check=False)
+    return FractionalIdeal(i.order,
+                           colon_lattice(i.lattice, j.elements(), i.order.field),
+                           check=False)
 
 
 def is_invertible(i: FractionalIdeal) -> bool:
@@ -225,8 +228,7 @@ def _aligned_element(i: FractionalIdeal, j: FractionalIdeal):
     return None
 
 
-def is_equivalent(i: FractionalIdeal, j: FractionalIdeal,
-                  coefficient_budget=4000):
+def is_equivalent(i: FractionalIdeal, j: FractionalIdeal):
     """A nonzero x with J = x*I, or None when no such x exists.
 
     Quadratic orders are decided exactly through canonical forms; other
@@ -248,14 +250,16 @@ def is_equivalent(i: FractionalIdeal, j: FractionalIdeal,
             return None
         x = _aligned_element(i, j)
         if x is None:
-            raise AssertionError(
-                "equal class labels but alignment failed; this is a bug")
+            raise MethodDisagreement(
+                "equal class labels but alignment failed",
+                operation="is_equivalent")
         return x
-    return _search_equivalence(i, j, coefficient_budget)
+    return _search_equivalence(i, j)
 
 
-def _search_equivalence(i, j, budget):
-    """Generic route: x in (J : I) with |N(x)| = covolume ratio, box search."""
+def _search_equivalence(i, j):
+    """Generic route: x in (J : I) with |N(x)| = covolume ratio, box search
+    over at most 8 * _EQUIVALENCE_BUDGET coefficient vectors."""
     ratio = j.norm_index() / i.norm_index()
     col = colon_ideal(j, i)
     basis = col.elements()
@@ -267,7 +271,7 @@ def _search_equivalence(i, j, budget):
             if all(c == 0 for c in combo):
                 continue
             tested += 1
-            if tested > budget * 8:
+            if tested > _EQUIVALENCE_BUDGET * 8:
                 raise SearchBudgetExceeded("equivalence search budget exhausted",
                                            operation="is_equivalent")
             x = i.order.field.zero()
@@ -287,23 +291,6 @@ def _search_equivalence(i, j, budget):
         operation="is_equivalent")
 
 
-def equivalence_bruteforce(i: FractionalIdeal, j: FractionalIdeal, radius=30):
-    """Oracle: exhaustive small-element scaling search, no theory involved."""
-    basis = colon_ideal(j, i).elements()
-    g = i.order.degree
-    for combo in itertools.product(range(-radius, radius + 1), repeat=g):
-        if all(c == 0 for c in combo):
-            continue
-        x = i.order.field.zero()
-        for c, b in zip(combo, basis):
-            x = x + b * c
-        if x.is_zero():
-            continue
-        if i.scale(x).lattice == j.lattice:
-            return x
-    return None
-
-
 # --- class sets ---------------------------------------------------------------
 
 
@@ -317,13 +304,15 @@ class IdealClass:
         return f"IdealClass(label={self.label}, invertible={self.invertible})"
 
 
-def _make_class(rep: FractionalIdeal) -> IdealClass:
+def _make_class(rep: FractionalIdeal, label: tuple) -> IdealClass:
+    """The class labelled ``label`` (the caller's class_label of ``rep``),
+    represented by the primitive scaling of ``rep``."""
     rep = rep.primitive()
-    return IdealClass(rep, is_invertible(rep), class_label(rep))
+    return IdealClass(rep, is_invertible(rep), label)
 
 
 def intermediate_classes(gamma: Order, maximal: Order | None = None,
-                         max_index=100_000, lower_ideal=None):
+                         max_index=_MAX_INDEX, lower_ideal=None):
     """The classes with a representative I satisfying f <= I <= O_L.
 
     ``lower_ideal`` optionally replaces the conductor by a smaller ideal of
@@ -356,11 +345,11 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
         ideal = FractionalIdeal(gamma, lat, check=False)
         lab = class_label(ideal)
         if lab not in classes:
-            classes[lab] = _make_class(ideal)
+            classes[lab] = _make_class(ideal, lab)
     out = sorted(classes.values(), key=lambda c: c.label)
-    if lower_ideal is None:
-        assert len(out) <= f.norm ** gamma.degree, \
-            "intermediate class count exceeded N(f)^g"
+    if lower_ideal is None and len(out) > f.norm ** gamma.degree:
+        raise FactorizationViolation("intermediate class count exceeded N(f)^g",
+                                     operation="intermediate_classes")
     return out
 
 
@@ -393,7 +382,9 @@ def class_number_formula(gamma: Order) -> int:
     for p, e in factorize(f_idx).items():
         num *= p ** (e - 1) * (p - kronecker(d0, p))
     u_idx = _unit_index(gamma, om)
-    assert num % u_idx == 0, "index formula gave a non-integer"
+    if num % u_idx:
+        raise MethodDisagreement("index formula gave a non-integer",
+                                 operation="class_number_formula")
     return num // u_idx
 
 
@@ -415,11 +406,13 @@ def picard_group(gamma: Order) -> PicardGroup:
     (a) enumeration of invertible primitive stable ideals up to the reduced-
     form norm bound, grouped by class; (b) the index formula relating
     |Pic(Gamma)| to the class number of the maximal order.  A mismatch is an
-    implementation bug, reported as MethodDisagreement.
+    implementation bug, reported as MethodDisagreement.  No class products
+    are formed here: the group laws (closure, inverses) are checked on the
+    multiplication table of class_monoid, where each product is computed once.
     """
     if gamma.degree == 1:
-        cls = _make_class(unit_ideal(gamma))
-        return PicardGroup((cls,), 1, 1, 1, 1)
+        unit = unit_ideal(gamma)
+        return PicardGroup((_make_class(unit, class_label(unit)),), 1, 1, 1, 1)
     if gamma.degree != 2:
         raise UnsupportedDegree("picard_group implemented for degree <= 2",
                                 operation="picard_group")
@@ -434,29 +427,13 @@ def picard_group(gamma: Order) -> PicardGroup:
             continue
         lab = class_label(ideal)
         if lab not in found:
-            found[lab] = _make_class(ideal)
+            found[lab] = _make_class(ideal, lab)
     classes = sorted(found.values(), key=lambda c: c.label)
     h_formula = class_number_formula(gamma)
     if len(classes) != h_formula:
         raise MethodDisagreement(
             f"picard enumeration found {len(classes)} classes, formula "
             f"says {h_formula}", operation="picard_group")
-    # group sanity: closed under products, with inverses
-    labels = set(found)
-    principal = class_label(unit_ideal(gamma))
-    for c1 in classes:
-        has_inverse = False
-        for c2 in classes:
-            lab = class_label(ideal_product(c1.representative,
-                                            c2.representative))
-            if lab not in labels:
-                raise MethodDisagreement("picard classes not closed under "
-                                         "products", operation="picard_group")
-            if lab == principal:
-                has_inverse = True
-        if not has_inverse:
-            raise MethodDisagreement("picard class without inverse",
-                                     operation="picard_group")
     h0 = quadforms.form_class_count(om.disc())
     return PicardGroup(tuple(classes), len(classes), h_formula, h0, nf)
 
@@ -516,19 +493,23 @@ class ClassMonoid:
             operation="class_monoid")
 
 
-def class_monoid(gamma: Order, census_budget_factor=16,
-                 max_index=100_000) -> ClassMonoid:
+def class_monoid(gamma: Order) -> ClassMonoid:
     """C = Pic * {intermediate classes}, audited by a stable-sublattice census.
 
+    The multiplication table comes from _product_labels, which multiplies
+    each pair of class representatives once; a product outside the assembled
+    classes is a FactorizationViolation, and the monoid laws and the group
+    laws of the Picard subset (closure, inverses) are checked on the table.
     The census enumerates every primitive stable sublattice of index up to
-    max(N(f)^2 * census_budget_factor, isqrt(|disc|) + 1) and verifies each
-    lands in an assembled class, and that every assembled class is hit: the
-    executable form of the product decomposition, with FactorizationViolation
-    as the fatal signal.  An index N(f) above ``max_index`` raises
-    IndexTooLarge before any class is built.
+    max(N(f)^2 * 16, isqrt(|disc|) + 1) and verifies each lands in an
+    assembled class, and that every assembled class is hit: the executable
+    form of the product decomposition, with FactorizationViolation as the
+    fatal signal.  An index N(f) above 100,000 raises IndexTooLarge before
+    any class is built.
     """
     if gamma.degree == 1:
-        cls = _make_class(unit_ideal(gamma))
+        unit = unit_ideal(gamma)
+        cls = _make_class(unit, class_label(unit))
         return ClassMonoid(gamma, (cls,), ((0,),), (0,), (0,), 1, 1, 1, 1)
     if gamma.degree != 2:
         raise UnsupportedDegree("class_monoid implemented for degree <= 2",
@@ -537,11 +518,11 @@ def class_monoid(gamma: Order, census_budget_factor=16,
     nf = conductor(gamma, om).norm
     # N(f) = [O_L : f] is the quotient that intermediate_classes enumerates;
     # check its budget before the Picard group is built.
-    if nf > max_index:
-        raise IndexTooLarge(f"quotient order {nf} exceeds budget {max_index}",
+    if nf > _MAX_INDEX:
+        raise IndexTooLarge(f"quotient order {nf} exceeds budget {_MAX_INDEX}",
                             operation="enumerate_intermediate_lattices")
     pic = picard_group(gamma)
-    inter = intermediate_classes(gamma, om, max_index=max_index)
+    inter = intermediate_classes(gamma, om)
 
     assembled = {}
     identity_label = class_label(unit_ideal(gamma))
@@ -550,31 +531,21 @@ def class_monoid(gamma: Order, census_budget_factor=16,
             prod = ideal_product(p.representative, i.representative)
             lab = class_label(prod)
             if lab not in assembled:
-                assembled[lab] = _make_class(prod)
+                assembled[lab] = _make_class(prod, lab)
     # identity first, rest ordered by label
     rest = sorted((lab for lab in assembled if lab != identity_label))
     ordering = [identity_label] + rest
     classes = tuple(assembled[lab] for lab in ordering)
     index_of = {lab: i for i, lab in enumerate(ordering)}
 
-    g = gamma.degree
-    if not len(inter) <= nf ** g:
-        raise FactorizationViolation("intermediate set exceeded N(f)^g",
-                                     operation="class_monoid")
-
     # multiplication table; any product escaping the set is a violation
     table = []
-    for ci in classes:
-        row = []
-        for cj in classes:
-            lab = class_label(ideal_product(ci.representative,
-                                            cj.representative))
-            if lab not in index_of:
-                raise FactorizationViolation(
-                    "product of classes left the assembled monoid",
-                    operation="class_monoid")
-            row.append(index_of[lab])
-        table.append(tuple(row))
+    for row in _product_labels(classes):
+        if not all(lab in index_of for lab in row):
+            raise FactorizationViolation(
+                "product of classes left the assembled monoid",
+                operation="class_monoid")
+        table.append(tuple(index_of[lab] for lab in row))
 
     picard_subset = tuple(i for i, c in enumerate(classes) if c.invertible)
     inter_labels = {c.label for c in inter}
@@ -593,7 +564,7 @@ def class_monoid(gamma: Order, census_budget_factor=16,
     t, n = gamma.omega_data()
     # every class has a reduced form with leading coefficient at most
     # isqrt(|disc|), so the budget never stops below that
-    budget = max(nf * nf * census_budget_factor, isqrt(abs(t * t - 4 * n)) + 1)
+    budget = max(nf * nf * _CENSUS_BUDGET_FACTOR, isqrt(abs(t * t - 4 * n)) + 1)
     # Census bases (a, b + omega) are anti-oriented for real fields: the
     # oriented form flips the middle coefficient there.
     mid_sign = -1 if gamma.field.signature[0] == 2 else 1
@@ -628,8 +599,25 @@ def _classify_form(fa, fb, fc, form_to_class):
     return form_to_class.get(red)
 
 
+def _product_labels(classes):
+    """labels[i][j] = class_label of the product of the representatives of
+    classes[i] and classes[j]: the one place where class representatives are
+    multiplied pair by pair.  Ideal products commute, so each unordered pair
+    is multiplied once."""
+    n = len(classes)
+    labels = [[None] * n for _ in range(n)]
+    for i, ci in enumerate(classes):
+        for j in range(i, n):
+            lab = class_label(ideal_product(ci.representative,
+                                            classes[j].representative))
+            labels[i][j] = labels[j][i] = lab
+    return labels
+
+
 def _check_monoid_laws(monoid: ClassMonoid):
-    """Identity, commutativity, associativity of the multiplication table."""
+    """Identity, commutativity, associativity of the multiplication table,
+    and the group laws of the Picard subset: closed under products, every
+    element with an inverse inside it."""
     n = monoid.size
     t = monoid.table
     for i in range(n):
@@ -644,20 +632,23 @@ def _check_monoid_laws(monoid: ClassMonoid):
                 if t[t[i][j]][k] != t[i][t[j][k]]:
                     raise FactorizationViolation("table not associative",
                                                  operation="class_monoid")
+    pic = set(monoid.picard_subset)
     for idx in monoid.picard_subset:
-        if 0 not in [t[idx][j] for j in monoid.picard_subset]:
+        products = [t[idx][j] for j in monoid.picard_subset]
+        if 0 not in products or not pic.issuperset(products):
             raise FactorizationViolation("picard subset is not a group",
                                          operation="class_monoid")
 
 
 def verify_monoid_table(monoid: ClassMonoid):
-    """Recompute every table entry from the representatives; raises on mismatch.
+    """Recompute every table entry from the representatives with
+    _product_labels, then check the monoid and Picard group laws on the
+    table; raises FactorizationViolation on any mismatch.
 
     This is the hook the fault-injection negative control goes through."""
-    for i, ci in enumerate(monoid.classes):
-        for j, cj in enumerate(monoid.classes):
-            lab = class_label(ideal_product(ci.representative,
-                                            cj.representative))
+    labels = _product_labels(monoid.classes)
+    for i, row in enumerate(labels):
+        for j, lab in enumerate(row):
             if monoid.classes[monoid.table[i][j]].label != lab:
                 raise FactorizationViolation(
                     f"table entry ({i},{j}) does not match its recomputed "

@@ -45,12 +45,6 @@ def poly_deg(p):
     return len(p) - 1
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
-
-
 def poly_neg(p):
     return [-a for a in p]
 
@@ -460,7 +454,6 @@ class FieldElement:
         """Matrix of multiplication by self on the power basis (rows = images)."""
         n = self.field.degree
         rows = []
-        e = self.field.one()
         x = self.field.gen()
         cur = self
         for i in range(n):
@@ -537,9 +530,6 @@ class FieldElement:
             if sol is not None:
                 return poly_trim([-c for c in sol[0]] + [Fraction(1)])
         raise AssertionError("minimal polynomial must exist")
-
-    def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
 
 
 # --- embeddings and closures -------------------------------------------------

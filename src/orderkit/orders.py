@@ -224,10 +224,6 @@ class ConductorData:
     lattice: Lattice
     norm: int
 
-    def as_ideal(self, gamma: Order):
-        from .ideals import FractionalIdeal
-        return FractionalIdeal(gamma, self.lattice)
-
 
 def conductor(gamma: Order, maximal: Order) -> ConductorData:
     """{x in O_L : x*O_L <= Gamma} via lattice intersections."""
@@ -236,11 +232,18 @@ def conductor(gamma: Order, maximal: Order) -> ConductorData:
     if not maximal.contains_order(gamma):
         raise NotContained("order is not contained in the maximal order",
                            operation="conductor")
-    lat = None
-    for o in maximal.basis_elements():
-        pre = _lattice_times_element(gamma.lattice, o.inverse(), gamma.field)
-        lat = pre if lat is None else lat.intersect(pre)
+    lat = colon_lattice(gamma.lattice, maximal.basis_elements(), gamma.field)
     return ConductorData(lat, lattice_index(maximal.lattice, lat))
+
+
+def colon_lattice(lat: Lattice, elements, field) -> Lattice:
+    """{x : x*e in lat for every e in ``elements``}: the intersection of the
+    preimages of ``lat`` under multiplication by each (nonzero) element."""
+    out = None
+    for e in elements:
+        pre = _lattice_times_element(lat, e.inverse(), field)
+        out = pre if out is None else out.intersect(pre)
+    return out
 
 
 def _lattice_times_element(lat: Lattice, e: FieldElement, field) -> Lattice:
@@ -284,10 +287,8 @@ class ConductorComparison:
         return self.scaling_contained and self.norm_bound_holds
 
 
-def conductor_comparison_check(gamma: Order, d: int,
-                               maximal: Order | None = None) -> ConductorComparison:
-    if maximal is None:
-        maximal = maximal_order(gamma.field)
+def conductor_comparison_check(gamma: Order, d: int) -> ConductorComparison:
+    maximal = maximal_order(gamma.field)
     g = gamma.field.degree
     f = conductor(gamma, maximal)
     gp = scaled_subring(gamma, d)
@@ -295,6 +296,10 @@ def conductor_comparison_check(gamma: Order, d: int,
     contained = fp.lattice.contains_lattice(f.lattice.scale(d))
     bound = fp.norm <= d ** g * f.norm
     return ConductorComparison(d, f.norm, fp.norm, contained, bound)
+
+
+# Powers of the maximal order's unit tried per unit of [O_L : Gamma].
+_POWER_BUDGET_FACTOR = 6
 
 
 @dataclass(frozen=True)
@@ -337,12 +342,12 @@ def torsion_units(gamma: Order):
     return out
 
 
-def fundamental_unit(gamma: Order, power_budget_factor=6) -> FieldElement:
+def fundamental_unit(gamma: Order) -> FieldElement:
     """Fundamental unit of a real quadratic order, > 1 in the first embedding.
 
     The unit of the maximal order comes from the continued-fraction cycle of
     the principal form; for a non-maximal order the smallest power landing in
-    the order is taken, with a search budget of [O_L : Gamma] * factor.
+    the order is taken, with a search budget of [O_L : Gamma] * 6.
     """
     field = gamma.field
     if field.degree != 2 or field.signature != (2, 0):
@@ -359,7 +364,7 @@ def fundamental_unit(gamma: Order, power_budget_factor=6) -> FieldElement:
     eps = (field.from_rational(t) + sqrt_d0 * u) * Fraction(1, 2)
     assert abs(eps.norm()) == 1
     idx = lattice_index(om.lattice, gamma.lattice)
-    budget = idx * power_budget_factor
+    budget = idx * _POWER_BUDGET_FACTOR
     power = eps
     for _ in range(budget):
         if gamma.contains(power):

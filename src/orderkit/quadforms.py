@@ -27,12 +27,6 @@ def content(form):
     return gcd(gcd(abs(a), abs(b)), abs(c))
 
 
-def primitive_part(form):
-    g = content(form)
-    a, b, c = form
-    return (a // g, b // g, c // g), g
-
-
 def apply_baschange(form, m):
     """Form of the basis (p*alpha + q*beta, r*alpha + s*beta), m = [[p,q],[r,s]]."""
     a, b, c = form
@@ -354,20 +348,3 @@ def _unit_sqrt(t, u, d):
         if x * x == x2 and y * y == dy2 // d and x * y == u:
             return x, y
     return None
-
-
-def fundamental_unit_brute(d, limit=10_000_000):
-    """Oracle: smallest unit > 1 by direct search on u in (t+u sqrt d)/2."""
-    u = 1
-    while u <= limit:
-        hits = []
-        for pm in (4, -4):
-            t2 = d * u * u + pm
-            if t2 > 0:
-                t = isqrt(t2)
-                if t * t == t2:
-                    hits.append(t)
-        if hits:
-            return min(hits), u
-        u += 1
-    raise AssertionError("no unit found within limit")

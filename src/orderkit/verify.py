@@ -43,10 +43,6 @@ class CorpusEntry:
     field_disc: int
     conductor_index: int
 
-    @property
-    def is_maximal(self):
-        return self.conductor_index == 1
-
 
 def build_corpus(max_abs_disc=200, max_conductor=6):
     """All quadratic orders with |disc| <= max_abs_disc, conductor <= max_conductor."""

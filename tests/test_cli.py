@@ -174,6 +174,27 @@ class TestConfigAndUsage:
         payload = json.loads(out)
         assert payload["inputs"]["nu"] == 5
 
+    def test_config_values_coerced_by_flag_type(self, capsys, tmp_path):
+        # --excluded-primes is an untyped string flag, --g is type=int
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("excluded_primes = 2\ng = 2\n")
+        rc, out, _ = run_cli(capsys, "bound", "--formula", "thm-a-height",
+                             "--config", str(cfg))
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["inputs"]["excluded_primes"] == [2]
+        assert payload["inputs"]["g"] == 2
+
+    @pytest.mark.parametrize("line", ["g = two", "kind = nope"])
+    def test_bad_config_value(self, capsys, tmp_path, line):
+        # not an int for a type=int flag; not one of the flag's choices
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(line + "\n")
+        rc, _, err = run_cli(capsys, "bound", "--formula", "level-structure",
+                             "--config", str(cfg))
+        assert rc == 1
+        assert "usage error" in err
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("wibble = 3\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,6 @@ from orderkit.ideals import (
     class_label,
     class_monoid,
     colon_ideal,
-    equivalence_bruteforce,
     ideal_product,
     intermediate_classes,
     is_equivalent,
@@ -32,6 +32,23 @@ from orderkit.ideals import (
     _stable_ideal_pairs,
     _standard_ideal,
 )
+
+
+def equivalence_bruteforce(i: FractionalIdeal, j: FractionalIdeal, radius=30):
+    """Oracle: exhaustive small-element scaling search, no theory involved."""
+    basis = colon_ideal(j, i).elements()
+    g = i.order.degree
+    for combo in itertools.product(range(-radius, radius + 1), repeat=g):
+        if all(c == 0 for c in combo):
+            continue
+        x = i.order.field.zero()
+        for c, b in zip(combo, basis):
+            x = x + b * c
+        if x.is_zero():
+            continue
+        if i.scale(x).lattice == j.lattice:
+            return x
+    return None
 
 
 def ideal_from_rows(order, rows, den=1):
@@ -376,6 +393,17 @@ class TestClassMonoid:
         z400i = is_order(gaussian_field, [[1, 0], [0, 400]])
         with pytest.raises(IndexTooLarge, match="quotient order 160000"):
             class_monoid(z400i)
+
+    def test_picard_subset_must_be_closed(self):
+        from dataclasses import replace
+        # Z/4 with picard_subset (0, 1, 3): each element has an inverse in
+        # the subset, but 1 * 1 = 2 leaves it
+        table = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
+        z4 = ideals.ClassMonoid(None, (None,) * 4, table, (0, 1, 3), (0,),
+                                1, 1, 1, 1)
+        with pytest.raises(FactorizationViolation, match="not a group"):
+            ideals._check_monoid_laws(z4)
+        ideals._check_monoid_laws(replace(z4, picard_subset=(0, 2)))
 
     @pytest.mark.parametrize("b0", [935, 987])
     def test_census_budget_reaches_reduced_forms(self, b0):

@@ -5,6 +5,23 @@ from math import isqrt
 from orderkit import quadforms as qf
 
 
+def fundamental_unit_brute(d, limit=10_000_000):
+    """Oracle: smallest unit > 1 by direct search on u in (t+u sqrt d)/2."""
+    u = 1
+    while u <= limit:
+        hits = []
+        for pm in (4, -4):
+            t2 = d * u * u + pm
+            if t2 > 0:
+                t = isqrt(t2)
+                if t * t == t2:
+                    hits.append(t)
+        if hits:
+            return min(hits), u
+        u += 1
+    raise AssertionError("no unit found within limit")
+
+
 def random_form(rng, definite):
     while True:
         a = rng.randint(1, 12)
@@ -163,7 +180,7 @@ def test_fundamental_units_against_brute():
               76, 92, 124, 136, 152, 172, 184, 188):
         t, u = qf.fundamental_unit_xy(d)
         assert t * t - d * u * u in (4, -4)
-        assert (t, u) == qf.fundamental_unit_brute(d)
+        assert (t, u) == fundamental_unit_brute(d)
 
 
 def test_fundamental_unit_norm_signs():
