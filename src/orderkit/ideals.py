@@ -150,7 +150,17 @@ def colon_ideal(i: FractionalIdeal, j: FractionalIdeal) -> FractionalIdeal:
 
 
 def is_invertible(i: FractionalIdeal) -> bool:
-    """I is invertible iff I * (Gamma : I) = Gamma."""
+    """I is invertible iff I * (Gamma : I) = Gamma.
+
+    Quadratic orders are Gorenstein, so there I is invertible exactly when
+    its multiplier ring is Gamma, whose discriminant is that of the
+    primitive form of I (Cox, Primes of the form x^2 + ny^2, Lemma 7.5):
+    no colon ideal or product is formed.  Other degrees take the colon
+    route, which the tests keep as the oracle for degree 2.
+    """
+    if i.order.degree == 2:
+        t, n = i.order.omega_data()
+        return quadforms.disc_of(ideal_form(i)) == t * t - 4 * n
     inv = colon_ideal(unit_ideal(i.order), i)
     return ideal_product(i, inv).lattice == i.order.lattice
 
@@ -404,7 +414,9 @@ def picard_group(gamma: Order) -> PicardGroup:
     """Pic(Gamma) computed two ways and cross-checked.
 
     (a) enumeration of invertible primitive stable ideals up to the reduced-
-    form norm bound, grouped by class; (b) the index formula relating
+    form norm bound, grouped by class: the primitive form of each ideal is
+    computed once and gives both its invertibility (its discriminant is
+    that of Gamma) and its class label; (b) the index formula relating
     |Pic(Gamma)| to the class number of the maximal order.  A mismatch is an
     implementation bug, reported as MethodDisagreement.  No class products
     are formed here: the group laws (closure, inverses) are checked on the
@@ -423,9 +435,10 @@ def picard_group(gamma: Order) -> PicardGroup:
     found = {}
     for a, b in _stable_ideal_pairs(gamma, bound):
         ideal = _standard_ideal(gamma, a, b)
-        if not is_invertible(ideal):
+        form = ideal_form(ideal)
+        if quadforms.disc_of(form) != d:  # not invertible, see is_invertible
             continue
-        lab = class_label(ideal)
+        lab = quadforms.class_label(form)
         if lab not in found:
             found[lab] = _make_class(ideal, lab)
     classes = sorted(found.values(), key=lambda c: c.label)
@@ -448,20 +461,43 @@ def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
 
 def _stable_ideal_pairs(gamma: Order, bound):
     """(a, b) with 0 <= b < a <= bound and a | N(b + omega): the primitive
-    stable sublattices of the order, enumerated by solving the congruence
-    (2b + t)^2 = disc mod 4a."""
+    stable sublattices of the order, with the b of each a ordered by
+    (t + 2b) mod 2a, the least root y of y^2 = disc mod 4a that gives b.
+
+    The roots b of b^2 + t*b + n mod a come by CRT from its prime-power
+    factors p^k.  The roots mod each p^k are solved once per call, from
+    y^2 = disc mod p^k (mod 4 * 2^k when p = 2) with b = (y - t) / 2, and
+    kept; an a with a rootless prime-power factor is skipped at once.
+    """
     t, n = gamma.omega_data()
     d = t * t - 4 * n
+    roots = {}  # p^k -> roots b mod p^k of b^2 + t*b + n
     for a in range(1, bound + 1):
-        seen = set()
-        for y in sqrts_mod(d, 4 * a):
-            if (y - t) % 2:
-                continue
-            b = ((y - t) // 2) % a
-            if b in seen:
-                continue
-            seen.add(b)
-            yield a, b
+        bs, m = [0], 1
+        for p, k in factorize(a).items():
+            pk = p ** k
+            rs = roots.get(pk)
+            if rs is None:
+                rs = roots[pk] = _quadratic_roots(t, d, p, pk)
+            if not rs:
+                break
+            inv = pow(m, -1, pk)
+            bs = [b + m * ((r - b) * inv % pk) for b in bs for r in rs]
+            m *= pk
+        else:
+            two_a = 2 * a
+            bs.sort(key=lambda b: (t + 2 * b) % two_a)
+            for b in bs:
+                yield a, b
+
+
+def _quadratic_roots(t, d, p, pk):
+    """The roots b mod p^k of b^2 + t*b + n, where d = t^2 - 4n."""
+    if p == 2:
+        return sorted({(y - t) // 2 % pk for y in sqrts_mod(d, 4 * pk)
+                       if (y - t) % 2 == 0})
+    half = (pk + 1) // 2  # the inverse of 2 mod p^k
+    return [(y - t) * half % pk for y in sqrts_mod(d, pk)]
 
 
 # --- the class monoid -----------------------------------------------------------

@@ -20,7 +20,7 @@ are interpolated by one Lagrange routine, and squarefree parts are read off
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     DegreeMismatch,
@@ -171,9 +171,22 @@ def _monic_factor_candidates(p, deg, budget=400_000):
         if q is None or tuple(q) in seen:
             continue
         seen.add(tuple(q))
-        quo, rem = poly_divmod(p, q)
-        if not rem and all(c.denominator == 1 for c in quo):
+        if _divides_monic(p, q):
             yield q
+
+
+def _divides_monic(p, q):
+    """Whether the monic integer polynomial q divides the integer polynomial
+    p: synthetic division on ints (the quotient is integral since q is
+    monic), stopping at the first nonzero remainder coefficient."""
+    r = list(p)
+    dq = len(q) - 1
+    for shift in range(len(r) - 1 - dq, -1, -1):
+        c = r[shift + dq]
+        if c:
+            for i in range(dq):
+                r[shift + i] -= c * q[i]
+    return not any(r[:dq])
 
 
 def _interpolate_monic(pts, vals, deg):
@@ -470,15 +483,23 @@ class FieldElement:
         return self._norm_generic()
 
     def _norm_generic(self) -> Fraction:
-        """Determinant of the multiplication matrix, by Bareiss."""
-        rows = self.mult_matrix()
-        n = len(rows)
-        den = 1
-        for r in rows:
-            for x in r:
-                den = den * x.denominator // gcd(den, x.denominator)
-        int_rows = [[int(x * den) for x in r] for r in rows]
-        return Fraction(_det_bareiss(int_rows), den ** n)
+        """Determinant of the multiplication matrix, by Bareiss on integers:
+        with v = den * self integral, N(self) = det(M_v) / den^g, and M_v is
+        built from the integer power table."""
+        table = self.field._pow_table
+        n = self.field.degree
+        den = lcm(*(c.denominator for c in self.coords))
+        v = [c.numerator * (den // c.denominator) for c in self.coords]
+        rows = []
+        for i in range(n):
+            row = [0] * n
+            for j, c in enumerate(v):
+                if c:
+                    for k, e in enumerate(table[i + j]):
+                        if e:
+                            row[k] += c * e
+            rows.append(row)
+        return Fraction(_det_bareiss(rows), den ** n)
 
     def trace(self) -> Fraction:
         if self.field.degree == 2:

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from orderkit import ideals, quadforms
+from orderkit import ideals, modular, quadforms
 from orderkit.errors import (
     FactorizationViolation,
     IndexTooLarge,
@@ -49,6 +51,29 @@ def equivalence_bruteforce(i: FractionalIdeal, j: FractionalIdeal, radius=30):
         if i.scale(x).lattice == j.lattice:
             return x
     return None
+
+
+def stable_pairs_per_modulus(gamma, bound):
+    """Oracle: the census of stable pairs by one sqrts_mod(disc, 4a) per a,
+    keeping the first b that each root y of y^2 = disc mod 4a gives."""
+    t, n = gamma.omega_data()
+    d = t * t - 4 * n
+    for a in range(1, bound + 1):
+        seen = set()
+        for y in modular.sqrts_mod(d, 4 * a):
+            if (y - t) % 2:
+                continue
+            b = ((y - t) // 2) % a
+            if b in seen:
+                continue
+            seen.add(b)
+            yield a, b
+
+
+def invertible_by_colon(i):
+    """Oracle: I * (Gamma : I) = Gamma, by a colon ideal and a product."""
+    inv = colon_ideal(unit_ideal(i.order), i)
+    return ideal_product(i, inv).lattice == i.order.lattice
 
 
 def ideal_from_rows(order, rows, den=1):
@@ -124,6 +149,30 @@ class TestInvertibility:
     def test_maximal_order_all_invertible(self, z_sqrt_minus5):
         for a, b in _stable_ideal_pairs(z_sqrt_minus5, 10):
             assert is_invertible(_standard_ideal(z_sqrt_minus5, a, b))
+
+    @pytest.mark.parametrize("coeffs,rows", [
+        ([1, 0, 1], [[1, 0], [0, 2]]),      # Z[2i]
+        ([1, 0, 1], [[1, 0], [0, 3]]),      # Z[3i]
+        ([3, 0, 1], [[1, 0], [0, 1]]),      # Z[sqrt(-3)]
+        ([7, 0, 1], [[1, 0], [0, 1]]),      # Z[sqrt(-7)]
+        ([-2, 0, 1], [[1, 0], [0, 3]]),     # Z[3 sqrt(2)]
+        ([-5, 0, 1], [[1, 0], [0, 1]]),     # Z[sqrt(5)]
+        ([-1, -1, 1], [[1, 0], [0, 3]]),    # Z[3 (1 + sqrt(5)) / 2]
+    ])
+    def test_discriminant_route_matches_colon_route(self, coeffs, rows):
+        gamma = is_order(make_field(coeffs), rows)
+        budget = class_monoid(gamma).census_budget
+        field = gamma.field
+        scalar = field.element([Fraction(3, 2), Fraction(-1, 3)])
+        seen = {True: 0, False: 0}
+        for a, b in _stable_ideal_pairs(gamma, budget):
+            ideal = _standard_ideal(gamma, a, b)
+            expected = invertible_by_colon(ideal)
+            assert is_invertible(ideal) == expected
+            seen[expected] += 1
+            if a % 7 == 0:
+                assert is_invertible(ideal.scale(scalar)) == expected
+        assert seen[True] and seen[False]
 
 
 class TestEquivalence:
@@ -297,6 +346,29 @@ class TestIntermediateClasses:
         smaller = o_minus3.lattice.scale(4)  # 4 O_L inside f = 2 O_L
         wider = intermediate_classes(z_sqrt_minus3, lower_ideal=smaller)
         assert {c.label for c in base} <= {c.label for c in wider}
+
+
+class TestStablePairs:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-30, 30), st.integers(-300, 300),
+           st.integers(1, 2000))
+    @example(0, 36, 2000)     # Z[6i]: many roots mod powers of 2 and 3
+    @example(-1, -240, 2000)  # real, odd trace
+    def test_sieve_matches_per_modulus_route(self, t, n, bound):
+        d = t * t - 4 * n
+        assume(d < 0 or math.isqrt(d) ** 2 != d)
+        gamma = is_order(make_field([n, -t, 1]), [[1, 0], [0, 1]])
+        assert (list(_stable_ideal_pairs(gamma, bound))
+                == list(stable_pairs_per_modulus(gamma, bound)))
+
+    def test_census_keeps_factor_table_small(self, gaussian_field,
+                                             monkeypatch):
+        # a census of bound 82,944 = 72^2 * 16 factors every a up to it and
+        # solves roots mod 4 * 2^k: the sieve table must stay within 2^18
+        monkeypatch.setattr(modular, "_SPF", [0, 1])
+        z72i = is_order(gaussian_field, [[1, 0], [0, 72]])
+        assert sum(1 for _ in _stable_ideal_pairs(z72i, 82_944)) > 0
+        assert len(modular._SPF) <= 1 << 18
 
 
 class TestPicard:

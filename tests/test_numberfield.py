@@ -330,3 +330,48 @@ class TestQuadraticClosedForms:
         # N(a + b t + c t^2) = a^3 + 2 b^3 + 4 c^3 - 6abc when t^3 = 2
         assert x.norm() == Fraction(401, 4)
         assert x * x.inverse() == cubic.one()
+
+
+# --- integer routes of the generic norm and the factor search ----------------
+
+def norm_by_fraction_matrix(x):
+    """Oracle: the determinant of the Fraction multiplication matrix, cleared
+    of denominators and taken by Bareiss."""
+    from orderkit.intmat import _det_bareiss
+    rows = x.mult_matrix()
+    den = 1
+    for r in rows:
+        for c in r:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    int_rows = [[int(c * den) for c in r] for r in rows]
+    return Fraction(_det_bareiss(int_rows), den ** len(rows))
+
+
+HIGHER_DEGREE_FIELDS = [
+    make_field([-2, 0, 0, 1]),         # x^3 - 2
+    make_field([-1, -3, 0, 1]),        # x^3 - 3x - 1
+    make_field([5, -7, 2, 1]),         # x^3 + 2x^2 - 7x + 5
+    make_field([1, 0, 0, 0, 1]),       # x^4 + 1
+    make_field([3, -2, 0, 5, 1]),      # x^4 + 5x^3 - 2x + 3
+]
+
+
+class TestIntegerGenericRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(HIGHER_DEGREE_FIELDS),
+           st.lists(coordinate, min_size=4, max_size=4))
+    def test_norm_against_fraction_matrix(self, field, coords):
+        x = field.element(coords[:field.degree])
+        norm = x.norm()
+        assert type(norm) is Fraction
+        assert norm == x._norm_generic() == norm_by_fraction_matrix(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+           st.lists(st.integers(-20, 20), min_size=0, max_size=5))
+    def test_divides_monic_against_poly_divmod(self, q_low, p_low):
+        from orderkit.numberfield import _divides_monic, poly_divmod, poly_mul
+        q = q_low + [1]
+        for p in (p_low + [1], poly_mul(q, p_low + [1])):
+            _, rem = poly_divmod(p, q)
+            assert _divides_monic(p, q) == (not rem)
