@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 from . import quadforms
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .intmat import Lattice, _det_bareiss, lattice_index, solve_square
 from .modular import factorize, kronecker, sqrts_mod
-from .numberfield import FieldElement
+from .numberfield import FieldElement, integral_norm
 from .orders import (
     Order,
     _lattice_times_element,
@@ -269,11 +270,16 @@ def is_equivalent(i: FractionalIdeal, j: FractionalIdeal):
 
 def _search_equivalence(i, j):
     """Generic route: x in (J : I) with |N(x)| = covolume ratio, box search
-    over at most 8 * _EQUIVALENCE_BUDGET coefficient vectors."""
-    ratio = j.norm_index() / i.norm_index()
-    col = colon_ideal(j, i)
-    basis = col.elements()
+    over at most 8 * _EQUIVALENCE_BUDGET coefficient vectors.
+
+    A candidate is kept as its integer coordinates v = den * x over the
+    colon lattice's denominator, so |N(x)| = ratio reads |N(v)| =
+    ratio * den^g; only a candidate of the right norm becomes an element."""
+    field = i.order.field
+    col = colon_ideal(j, i).lattice
+    den, cols = col.den, list(zip(*col.basis.entries))
     g = i.order.degree
+    target = j.norm_index() / i.norm_index() * den ** g
     radius = 4
     tested = 0
     while radius <= 64:
@@ -284,17 +290,16 @@ def _search_equivalence(i, j):
             if tested > _EQUIVALENCE_BUDGET * 8:
                 raise SearchBudgetExceeded("equivalence search budget exhausted",
                                            operation="is_equivalent")
-            x = i.order.field.zero()
-            for c, b in zip(combo, basis):
-                x = x + b * c
-            if x.is_zero() or abs(x.norm()) != ratio:
+            v = [sum(map(mul, combo, column)) for column in cols]
+            if not any(v) or abs(integral_norm(field, v)) != target:
                 continue
+            x = field.element([Fraction(c, den) for c in v])
             if i.scale(x).lattice == j.lattice:
                 return x
         radius *= 2
-        if i.order.field.signature[0] == 0 and g == 2:
+        if field.signature[0] == 0 and g == 2:
             break  # imaginary quadratic: the first ball is already complete
-    if i.order.field.signature == (0, 1):
+    if field.signature == (0, 1):
         return None
     raise SearchBudgetExceeded(
         "cannot certify inequivalence for this signature",
@@ -316,8 +321,17 @@ class IdealClass:
 
 def _make_class(rep: FractionalIdeal, label: tuple) -> IdealClass:
     """The class labelled ``label`` (the caller's class_label of ``rep``),
-    represented by the primitive scaling of ``rep``."""
+    represented by the primitive scaling of ``rep``.
+
+    For a quadratic order the label is a primitive form of the class, so
+    invertibility is is_invertible's own test read off it: the label's
+    discriminant is that of the order.  Other degrees call is_invertible.
+    """
     rep = rep.primitive()
+    if rep.order.degree == 2:
+        t, n = rep.order.omega_data()
+        return IdealClass(rep, quadforms.disc_of(label) == t * t - 4 * n,
+                          label)
     return IdealClass(rep, is_invertible(rep), label)
 
 
@@ -414,9 +428,11 @@ def picard_group(gamma: Order) -> PicardGroup:
     """Pic(Gamma) computed two ways and cross-checked.
 
     (a) enumeration of invertible primitive stable ideals up to the reduced-
-    form norm bound, grouped by class: the primitive form of each ideal is
-    computed once and gives both its invertibility (its discriminant is
-    that of Gamma) and its class label; (b) the index formula relating
+    form norm bound, grouped by class: the form of each census pair (a, b)
+    is read off its integers as the census of class_monoid does, and gives
+    both its invertibility (content 1, i.e. its discriminant is that of
+    Gamma) and its class label; only the first ideal of each class is built
+    as a lattice, to represent it; (b) the index formula relating
     |Pic(Gamma)| to the class number of the maximal order.  A mismatch is an
     implementation bug, reported as MethodDisagreement.  No class products
     are formed here: the group laws (closure, inverses) are checked on the
@@ -433,14 +449,12 @@ def picard_group(gamma: Order) -> PicardGroup:
     nf = conductor(gamma, om).norm
     bound = isqrt(abs(d)) + 1
     found = {}
-    for a, b in _stable_ideal_pairs(gamma, bound):
-        ideal = _standard_ideal(gamma, a, b)
-        form = ideal_form(ideal)
-        if quadforms.disc_of(form) != d:  # not invertible, see is_invertible
+    for a, b, form in _census_forms(gamma, bound):
+        if quadforms.content(form) != 1:  # not invertible, see is_invertible
             continue
         lab = quadforms.class_label(form)
         if lab not in found:
-            found[lab] = _make_class(ideal, lab)
+            found[lab] = _make_class(_standard_ideal(gamma, a, b), lab)
     classes = sorted(found.values(), key=lambda c: c.label)
     h_formula = class_number_formula(gamma)
     if len(classes) != h_formula:
@@ -449,6 +463,17 @@ def picard_group(gamma: Order) -> PicardGroup:
             f"says {h_formula}", operation="picard_group")
     h0 = quadforms.form_class_count(om.disc())
     return PicardGroup(tuple(classes), len(classes), h_formula, h0, nf)
+
+
+def _census_forms(gamma: Order, bound):
+    """(a, b, form) for each pair of _stable_ideal_pairs(gamma, bound), with
+    form the oriented form of Z*a + Z*(b + omega) times its content, read
+    off the integers: (a, s*(2b + t), (b^2 + t*b + n) / a).  Census bases
+    are anti-oriented for real fields, so s = -1 there and 1 otherwise."""
+    t, n = gamma.omega_data()
+    s = -1 if gamma.field.signature[0] == 2 else 1
+    for a, b in _stable_ideal_pairs(gamma, bound):
+        yield a, b, (a, s * (2 * b + t), (b * b + t * b + n) // a)
 
 
 def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
@@ -533,9 +558,12 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     """C = Pic * {intermediate classes}, audited by a stable-sublattice census.
 
     The multiplication table comes from _product_labels, which multiplies
-    each pair of class representatives once; a product outside the assembled
-    classes is a FactorizationViolation, and the monoid laws and the group
-    laws of the Picard subset (closure, inverses) are checked on the table.
+    each pair of classes once (two Picard classes by composing their forms);
+    a product outside the assembled classes is a FactorizationViolation,
+    and the monoid laws and the group laws of the Picard subset (closure,
+    inverses) are checked on the table.  A Picard class times the
+    intermediate class represented by the order itself is that Picard class,
+    so no ideal product is formed for it.
     The census enumerates every primitive stable sublattice of index up to
     max(N(f)^2 * 16, isqrt(|disc|) + 1) and verifies each lands in an
     assembled class, and that every assembled class is hit: the executable
@@ -564,6 +592,10 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     identity_label = class_label(unit_ideal(gamma))
     for p in pic.classes:
         for i in inter:
+            if i.representative.lattice == gamma.lattice:
+                # P * Gamma = P: the Picard class itself
+                assembled.setdefault(p.label, p)
+                continue
             prod = ideal_product(p.representative, i.representative)
             lab = class_label(prod)
             if lab not in assembled:
@@ -591,7 +623,7 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     # census audit
     form_to_class = {}
     for idx, c in enumerate(classes):
-        for f in quadforms.class_forms(ideal_form(c.representative)):
+        for f in quadforms.class_forms(c.label):
             prev = form_to_class.setdefault(f, idx)
             if prev != idx:
                 raise MethodDisagreement(
@@ -601,15 +633,11 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     # every class has a reduced form with leading coefficient at most
     # isqrt(|disc|), so the budget never stops below that
     budget = max(nf * nf * _CENSUS_BUDGET_FACTOR, isqrt(abs(t * t - 4 * n)) + 1)
-    # Census bases (a, b + omega) are anti-oriented for real fields: the
-    # oriented form flips the middle coefficient there.
-    mid_sign = -1 if gamma.field.signature[0] == 2 else 1
     hit = set()
     checked = 0
-    for a, b in _stable_ideal_pairs(gamma, budget):
+    for a, b, form in _census_forms(gamma, budget):
         checked += 1
-        idx = _classify_form(a, mid_sign * (2 * b + t),
-                             (b * b + t * b + n) // a, form_to_class)
+        idx = _classify_form(form, form_to_class)
         if idx is None:
             raise FactorizationViolation(
                 f"census ideal [{a}, {b} + w] is in no assembled class",
@@ -628,7 +656,8 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     return monoid
 
 
-def _classify_form(fa, fb, fc, form_to_class):
+def _classify_form(form, form_to_class):
+    fa, fb, fc = form
     g = gcd(gcd(abs(fa), abs(fb)), abs(fc))
     f = (fa // g, fb // g, fc // g)
     red, _ = quadforms.reduce_form(f)
@@ -636,16 +665,30 @@ def _classify_form(fa, fb, fc, form_to_class):
 
 
 def _product_labels(classes):
-    """labels[i][j] = class_label of the product of the representatives of
-    classes[i] and classes[j]: the one place where class representatives are
-    multiplied pair by pair.  Ideal products commute, so each unordered pair
-    is multiplied once."""
+    """labels[i][j] = label of the class of the product of classes[i] and
+    classes[j]: the one place where classes are multiplied pair by pair.
+    Ideal products commute, so each unordered pair is multiplied once.
+
+    In a quadratic order two invertible classes are multiplied in form
+    space: their labels are primitive forms of the order's discriminant, and
+    the label of the product is that of their Dirichlet composition
+    (quadforms.compose).  Composition respects the plain class, which for
+    real fields joins a form and (-a, b, -c), because (-a, b, -c) is the
+    composition of the form with one fixed class.  Every other pair is
+    multiplied as lattices, class_label(ideal_product(...)); the tests keep
+    that lattice route for all pairs as the oracle of the form route."""
     n = len(classes)
+    forms = bool(classes) and classes[0].representative.order.degree == 2
     labels = [[None] * n for _ in range(n)]
     for i, ci in enumerate(classes):
         for j in range(i, n):
-            lab = class_label(ideal_product(ci.representative,
-                                            classes[j].representative))
+            cj = classes[j]
+            if forms and ci.invertible and cj.invertible:
+                lab = quadforms.class_label(quadforms.compose(ci.label,
+                                                              cj.label))
+            else:
+                lab = class_label(ideal_product(ci.representative,
+                                                cj.representative))
             labels[i][j] = labels[j][i] = lab
     return labels
 
@@ -677,8 +720,9 @@ def _check_monoid_laws(monoid: ClassMonoid):
 
 
 def verify_monoid_table(monoid: ClassMonoid):
-    """Recompute every table entry from the representatives with
-    _product_labels, then check the monoid and Picard group laws on the
+    """Recompute every table entry from the classes with _product_labels
+    (composition of forms for two invertible quadratic classes, lattice
+    products otherwise), then check the monoid and Picard group laws on the
     table; raises FactorizationViolation on any mismatch.
 
     This is the hook the fault-injection negative control goes through."""

@@ -5,13 +5,14 @@ from __future__ import annotations
 from math import isqrt
 
 _SPF = [0, 1]  # smallest prime factor table, grown on demand
+_SPF_CAP = 1 << 18  # factorize trial-divides from here on
 
 
 def _grow_spf(n):
     global _SPF
     if len(_SPF) > n:
         return
-    size = max(n + 1, 2 * len(_SPF), 1 << 12)
+    size = min(max(n + 1, 2 * len(_SPF), 1 << 12), _SPF_CAP)
     spf = list(range(size))
     for p in range(2, isqrt(size - 1) + 1):
         if spf[p] == p:
@@ -29,7 +30,7 @@ def factorize(n: int) -> dict:
     out = {}
     # The table costs about 40 bytes per entry and grows to n; above 2^18,
     # trial division (at most 2^10 odd divisors below 2^22) is cheaper.
-    if n < 1 << 18:
+    if n < _SPF_CAP:
         _grow_spf(n)
         while n > 1:
             p = _SPF[n]

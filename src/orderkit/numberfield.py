@@ -373,6 +373,24 @@ def make_field(coeffs) -> NumberField:
 RATIONAL_FIELD = NumberField([0, 1])
 
 
+def integral_norm(field, v) -> int:
+    """The norm of the element with integer coordinates v: the Bareiss
+    determinant of its multiplication matrix, built from the integer power
+    table of the field."""
+    table = field._pow_table
+    n = field.degree
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        for j, c in enumerate(v):
+            if c:
+                for k, e in enumerate(table[i + j]):
+                    if e:
+                        row[k] += c * e
+        rows.append(row)
+    return _det_bareiss(rows)
+
+
 class FieldElement:
     """Element of a NumberField in the power basis 1, x, ..., x^(g-1)."""
 
@@ -484,22 +502,10 @@ class FieldElement:
 
     def _norm_generic(self) -> Fraction:
         """Determinant of the multiplication matrix, by Bareiss on integers:
-        with v = den * self integral, N(self) = det(M_v) / den^g, and M_v is
-        built from the integer power table."""
-        table = self.field._pow_table
-        n = self.field.degree
+        with v = den * self integral, N(self) = integral_norm(v) / den^g."""
         den = lcm(*(c.denominator for c in self.coords))
         v = [c.numerator * (den // c.denominator) for c in self.coords]
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            for j, c in enumerate(v):
-                if c:
-                    for k, e in enumerate(table[i + j]):
-                        if e:
-                            row[k] += c * e
-            rows.append(row)
-        return Fraction(_det_bareiss(rows), den ** n)
+        return Fraction(integral_norm(self.field, v), den ** self.field.degree)
 
     def trace(self) -> Fraction:
         if self.field.degree == 2:

@@ -1,4 +1,4 @@
-"""Binary quadratic forms: reduction, cycles, class labels, Pell units.
+"""Binary quadratic forms: reduction, cycles, labels, composition, Pell units.
 
 This is the workhorse behind ideal-class identification in quadratic fields.
 A full-rank lattice in a quadratic field, with an oriented basis, yields a
@@ -15,6 +15,8 @@ basis rows: new_basis = U * old_basis.
 from __future__ import annotations
 
 from math import gcd, isqrt
+
+from .errors import MethodDisagreement
 
 
 def disc_of(form):
@@ -54,7 +56,8 @@ def reduce_definite(form):
     Canonical conditions: -a < b <= a <= c, and b >= 0 if a == c.
     """
     a, b, c = form
-    assert disc_of(form) < 0 and a > 0
+    if disc_of(form) >= 0 or a <= 0:
+        raise ValueError(f"not a positive definite form: {form}")
     u = _IDENT
     while True:
         if c < a:
@@ -122,7 +125,8 @@ def reduce_indefinite(form):
     """Iterate rho until reduced; returns (reduced, U)."""
     d = disc_of(form)
     s = isqrt(d)
-    assert d > 0 and s * s != d
+    if d <= 0 or s * s == d:
+        raise ValueError(f"not an indefinite form of non-square disc: {form}")
     u = _IDENT
     f = form
     guard = 0
@@ -131,7 +135,9 @@ def reduce_indefinite(form):
         u = _mat_mul(step, u)
         guard += 1
         if guard > 10_000:
-            raise AssertionError(f"indefinite reduction failed to converge: {form}")
+            raise MethodDisagreement(
+                f"indefinite reduction failed to converge: {form}",
+                operation="reduce_indefinite")
     return f, u
 
 
@@ -152,7 +158,8 @@ def cycle_of(form):
             return out, u  # u = full-period transform (the automorph)
         out.append((f, u))
         if len(out) > 100_000:
-            raise AssertionError("runaway cycle")
+            raise MethodDisagreement(f"runaway cycle of {form}",
+                                     operation="cycle_of")
 
 
 def reduce_form(form):
@@ -193,6 +200,39 @@ def class_label(form):
     return min(class_forms(form))
 
 
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def compose(f1, f2):
+    """Dirichlet composition of two primitive forms of one discriminant D.
+
+    The united-form formula (Cohen, GTM 138, Alg. 5.4.7): with
+    e = gcd(a1, a2, (b1 + b2)/2) = x*a1 + y*a2 + z*(b1 + b2)/2, the composite
+    is (A, B, (B^2 - D) / 4A) with A = a1*a2 / e^2 and
+    B = (x*a1*b2 + y*a2*b1 + z*(b1*b2 + D)/2) / e mod 2|A|.  The result is
+    primitive of discriminant D but not reduced.
+    """
+    a1, b1, _ = f1
+    a2, b2, _ = f2
+    d = disc_of(f1)
+    if disc_of(f2) != d:
+        raise ValueError(f"forms of different discriminants: {f1}, {f2}")
+    g, x, y = _xgcd(a1, a2)
+    e, u, z = _xgcd(g, (b1 + b2) // 2)
+    big_a = a1 * a2 // (e * e)
+    big_b = ((u * x * a1 * b2 + u * y * a2 * b1 + z * (b1 * b2 + d) // 2) // e
+             % (2 * abs(big_a)))
+    return (big_a, big_b, (big_b * big_b - d) // (4 * big_a))
+
+
 def reduced_reps_with_transforms(form):
     """(canonical form, U, sign) triples for aligning two equivalent lattices.
 
@@ -225,7 +265,8 @@ def reduced_reps_with_transforms(form):
 
 def reduced_definite_forms(d):
     """All reduced primitive positive definite forms of discriminant d < 0."""
-    assert d < 0 and d % 4 in (0, 1)
+    if d >= 0 or d % 4 not in (0, 1):
+        raise ValueError(f"not a negative discriminant: {d}")
     out = []
     a = 1
     while 3 * a * a <= -d:
@@ -248,7 +289,8 @@ def reduced_definite_forms(d):
 def reduced_indefinite_forms(d):
     """All reduced primitive forms of non-square discriminant d > 0."""
     s = isqrt(d)
-    assert d > 0 and d % 4 in (0, 1) and s * s != d
+    if d <= 0 or d % 4 not in (0, 1) or s * s == d:
+        raise ValueError(f"not a positive non-square discriminant: {d}")
     out = []
     for b in range(1, s + 1):
         if (d - b) % 2:
@@ -298,7 +340,8 @@ def fundamental_unit_xy(d):
     square-root extraction in case the cycle only reaches the square of the
     fundamental unit (norm -1 fields).
     """
-    assert d > 4 and isqrt(d) ** 2 != d and d % 4 in (0, 1)
+    if d <= 4 or isqrt(d) ** 2 == d or d % 4 not in (0, 1):
+        raise ValueError(f"not a real quadratic discriminant: {d}")
     f0, u0 = reduce_indefinite(principal_form(d))
     _, period_u = cycle_of(f0)
     # The period transform is an automorph of f0: it acts on the basis
@@ -325,14 +368,18 @@ def _unit_from_automorph(form, u, d):
     num_t = 2 * a * p + q * b
     num_v = q
     den = a
-    assert num_t % den == 0 and num_v % den == 0, "automorph unit not integral"
+    if num_t % den or num_v % den:
+        raise MethodDisagreement("automorph unit not integral",
+                                 operation="fundamental_unit_xy")
     t_, v_ = num_t // den, num_v // den
     if t_ < 0:
         t_, v_ = -t_, -v_
     if v_ < 0:
         # conjugate; take the one > 1
         v_ = -v_
-    assert t_ * t_ - d * v_ * v_ in (4, -4), "automorph did not give a unit"
+    if t_ * t_ - d * v_ * v_ not in (4, -4):
+        raise MethodDisagreement("automorph did not give a unit",
+                                 operation="fundamental_unit_xy")
     return t_, v_
 
 

@@ -20,9 +20,11 @@ from orderkit.orders import fundamental_unit, is_order, maximal_order
 from orderkit.ideals import (
     generated_ideal,
     FractionalIdeal,
+    IdealClass,
     class_label,
     class_monoid,
     colon_ideal,
+    ideal_form,
     ideal_product,
     intermediate_classes,
     is_equivalent,
@@ -74,6 +76,71 @@ def invertible_by_colon(i):
     """Oracle: I * (Gamma : I) = Gamma, by a colon ideal and a product."""
     inv = colon_ideal(unit_ideal(i.order), i)
     return ideal_product(i, inv).lattice == i.order.lattice
+
+
+def search_by_field_elements(i, j):
+    """Oracle: the box search of _search_equivalence with every candidate
+    built as x = x + b * c over the colon basis' FieldElements."""
+    ratio = j.norm_index() / i.norm_index()
+    basis = colon_ideal(j, i).elements()
+    g = i.order.degree
+    for radius in (4, 8, 16, 32, 64):
+        for combo in itertools.product(range(-radius, radius + 1), repeat=g):
+            x = i.order.field.zero()
+            for c, b in zip(combo, basis):
+                x = x + b * c
+            if x.is_zero() or abs(x.norm()) != ratio:
+                continue
+            if i.scale(x).lattice == j.lattice:
+                return x
+    return None
+
+
+def product_labels_by_lattices(classes):
+    """Oracle: every pair of class representatives multiplied as lattices."""
+    return [[class_label(ideal_product(ci.representative, cj.representative))
+             for cj in classes] for ci in classes]
+
+
+def picard_by_lattices(gamma):
+    """Oracle: the Picard classes with each census ideal built as a lattice,
+    its form taken by ideal_form, and invertibility by the colon route."""
+    d = gamma.disc()
+    found = {}
+    for a, b in _stable_ideal_pairs(gamma, math.isqrt(abs(d)) + 1):
+        ideal = _standard_ideal(gamma, a, b)
+        form = ideal_form(ideal)
+        if quadforms.disc_of(form) != d:
+            continue
+        lab = quadforms.class_label(form)
+        if lab not in found:
+            rep = ideal.primitive()
+            found[lab] = IdealClass(rep, invertible_by_colon(rep), lab)
+    return tuple(sorted(found.values(), key=lambda c: c.label))
+
+
+# imaginary and real, maximal and non-maximal quadratic orders
+COMPOSE_ORDERS = [
+    ([1, 0, 1], [[1, 0], [0, 2]]),      # Z[2i]
+    ([5, 0, 1], [[1, 0], [0, 1]]),      # Z[sqrt(-5)]
+    ([14, 0, 1], [[1, 0], [0, 1]]),     # Z[sqrt(-14)], Pic of order 4
+    ([-2, 0, 1], [[1, 0], [0, 3]]),     # Z[3 sqrt(2)]
+    ([-5, 0, 1], [[1, 0], [0, 1]]),     # Z[sqrt(5)]
+    ([-1, -1, 1], [[1, 0], [0, 3]]),    # Z[3 (1 + sqrt(5)) / 2]
+    ([-10, 0, 1], [[1, 0], [0, 1]]),    # Z[sqrt(10)], Pic of order 2
+    ([-79, 0, 1], [[1, 0], [0, 1]]),    # Z[sqrt(79)], Pic of order 3
+]
+_INVERTIBLE_CENSUS = {}
+
+
+def invertible_census(k):
+    """The invertible census ideals of index up to 40 of COMPOSE_ORDERS[k]."""
+    if k not in _INVERTIBLE_CENSUS:
+        gamma = is_order(make_field(COMPOSE_ORDERS[k][0]), COMPOSE_ORDERS[k][1])
+        ideals_k = [_standard_ideal(gamma, a, b)
+                    for a, b in _stable_ideal_pairs(gamma, 40)]
+        _INVERTIBLE_CENSUS[k] = [i for i in ideals_k if invertible_by_colon(i)]
+    return _INVERTIBLE_CENSUS[k]
 
 
 def ideal_from_rows(order, rows, den=1):
@@ -242,6 +309,19 @@ class TestEquivalence:
         with pytest.raises(SearchBudgetExceeded):
             is_equivalent(unit_ideal(gp), i_o)
 
+    @pytest.mark.parametrize("coeffs", [[-1, -1, 0, 1], [-2, 0, 0, 1],
+                                        [-3, 1, 0, 1]])
+    def test_integer_search_matches_element_search(self, coeffs):
+        f = make_field(coeffs)
+        gamma = is_order(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        g = unit_ideal(gamma)
+        for el in ([1, 1, 0], [2, -1, 1], [3, 0, 1]):
+            pr = principal_ideal(gamma, f.element(el))
+            for i, j in ((g, pr), (pr, g)):
+                x = ideals._search_equivalence(i, j)
+                assert x == search_by_field_elements(i, j)
+                assert i.scale(x).lattice == j.lattice
+
     def test_principal_classes_scalars(self, z_sqrt_minus5, field_minus5):
         rng = random.Random(99)
         i = ideal_from_rows(z_sqrt_minus5, [[2, 0], [1, 1]])
@@ -402,6 +482,11 @@ class TestPicard:
         brute = self.brute_class_count(om, isqrt(abs(om.disc())) + 1)
         assert pg.order == brute == expected_h
 
+    @pytest.mark.parametrize("coeffs,rows", COMPOSE_ORDERS)
+    def test_integer_census_matches_lattice_route(self, coeffs, rows):
+        gamma = is_order(make_field(coeffs), rows)
+        assert picard_group(gamma).classes == picard_by_lattices(gamma)
+
 
 class TestClassMonoid:
     def test_sizes(self, z_i, z_sqrt_minus3, z_sqrt_minus5, gaussian_field):
@@ -486,3 +571,31 @@ class TestClassMonoid:
         m = class_monoid(om)
         assert m.census_budget == math.isqrt(-d0) + 1
         assert len(m.picard_subset) == m.size == quadforms.form_class_count(d0)
+
+
+class TestComposition:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, len(COMPOSE_ORDERS) - 1), st.integers(0, 10 ** 6),
+           st.integers(0, 10 ** 6))
+    def test_compose_matches_lattice_product(self, k, i, j):
+        census = invertible_census(k)
+        a, b = census[i % len(census)], census[j % len(census)]
+        expected = class_label(ideal_product(a, b))
+        for fa, fb in ((ideal_form(a), ideal_form(b)),
+                       (class_label(a), class_label(b))):
+            assert quadforms.class_label(quadforms.compose(fa, fb)) == expected
+
+    @pytest.mark.parametrize("coeffs,rows", COMPOSE_ORDERS + [
+        ([1, 0, 1], [[1, 0], [0, 6]]),      # Z[6i]
+        ([71, 0, 1], [[1, 0], [0, 1]]),     # Z[sqrt(-71)], Pic of order 7
+    ])
+    def test_table_matches_lattice_products(self, coeffs, rows):
+        m = class_monoid(is_order(make_field(coeffs), rows))
+        expected = product_labels_by_lattices(m.classes)
+        assert ideals._product_labels(m.classes) == expected
+        for i, row in enumerate(m.table):
+            assert [m.classes[idx].label for idx in row] == expected[i]
+        for c in m.classes:
+            assert c.invertible == invertible_by_colon(c.representative)
+        assert any(not c.invertible for c in m.classes) == (
+            m.conductor_norm > 1)

@@ -287,6 +287,15 @@ def test_squarefree_part_keeps_factor_table_small():
     assert len(modular._SPF) <= 1 << 19
 
 
+def test_factor_table_capped_after_doubling(monkeypatch):
+    # a table length that is not a power of two must not double past 2^18
+    from orderkit import modular
+    monkeypatch.setattr(modular, "_SPF", [0, 1])
+    for n in (5000, 10002, 20004, 40008, 80016, 160032, 200000):
+        assert modular.factorize(n)
+    assert len(modular._SPF) <= 1 << 18
+
+
 # --- degree-2 closed forms against the generic route -------------------------
 
 def _quadratic_field(b0, b1):

@@ -2,6 +2,10 @@ import random
 from collections import deque
 from math import isqrt
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from orderkit import quadforms as qf
 
 
@@ -206,3 +210,45 @@ def test_fundamental_unit_with_large_coefficients():
     assert qf._unit_sqrt(t, u, 409) is None
     # eps^2 = ((t^2 + d u^2)/2 + t u sqrt(d))/2 gives eps back
     assert qf._unit_sqrt((t * t + 409 * u * u) // 2, t * u, 409) == (t, u)
+
+
+# --- composition -------------------------------------------------------------
+
+COMPOSE_DISCS = (-20, -23, -56, -84, -108, -120, -144, -255, -576,
+                 5, 40, 72, 136, 145, 180, 316, 405, 892)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(COMPOSE_DISCS), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6))
+def test_compose_keeps_disc_and_primitivity(d, i, j):
+    forms = (qf.reduced_definite_forms(d) if d < 0
+             else qf.reduced_indefinite_forms(d))
+    f, g = forms[i % len(forms)], forms[j % len(forms)]
+    h = qf.compose(f, g)
+    assert qf.disc_of(h) == d and qf.content(h) == 1
+    assert qf.class_label(h) == qf.class_label(qf.compose(g, f))
+    # the principal form is the identity, (a, -b, c) the inverse
+    one = qf.class_label(qf.principal_form(d))
+    assert qf.class_label(qf.compose(f, qf.principal_form(d))) \
+        == qf.class_label(f)
+    a, b, c = f
+    assert qf.class_label(qf.compose(f, (a, -b, c))) == one
+
+
+def test_compose_rejects_mixed_discriminants():
+    with pytest.raises(ValueError):
+        qf.compose((1, 0, 5), (1, 1, 6))
+
+
+def test_bad_input_raises_value_error():
+    with pytest.raises(ValueError):
+        qf.reduce_definite((1, 1, -1))
+    with pytest.raises(ValueError):
+        qf.reduce_indefinite((1, 0, -4))  # square discriminant 16
+    with pytest.raises(ValueError):
+        qf.reduced_definite_forms(5)
+    with pytest.raises(ValueError):
+        qf.reduced_indefinite_forms(-4)
+    with pytest.raises(ValueError):
+        qf.fundamental_unit_xy(16)
