@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedDegree,
 )
 from .intmat import Lattice, _det_bareiss, lattice_index, solve_square
-from .modular import factorize, kronecker, sqrts_mod
+from .modular import factorize, kronecker, sqrts_mod, table_primes
 from .numberfield import FieldElement, integral_norm
 from .orders import (
     Order,
@@ -399,8 +399,12 @@ def class_number_formula(gamma: Order) -> int:
         raise UnsupportedDegree("index formula needs a quadratic order",
                                 operation="class_number_formula")
     om = maximal_order(gamma.field)
+    return _index_formula(gamma, om, quadforms.form_class_count(om.disc()))
+
+
+def _index_formula(gamma: Order, om: Order, h0: int) -> int:
+    """class_number_formula of a quadratic order, given h0 = h(O_L)."""
     d0 = om.disc()
-    h0 = quadforms.form_class_count(d0)
     f_idx = lattice_index(om.lattice, gamma.lattice)
     num = h0
     for p, e in factorize(f_idx).items():
@@ -433,7 +437,10 @@ def picard_group(gamma: Order) -> PicardGroup:
     both its invertibility (content 1, i.e. its discriminant is that of
     Gamma) and its class label; only the first ideal of each class is built
     as a lattice, to represent it; (b) the index formula relating
-    |Pic(Gamma)| to the class number of the maximal order.  A mismatch is an
+    |Pic(Gamma)| to the class number h(O_L) of the maximal order, which is
+    counted once and also reported as h_maximal.  The maximal order, its
+    discriminant and the conductor are computed once and kept on the field
+    and the orders (see maximal_order and conductor).  A mismatch is an
     implementation bug, reported as MethodDisagreement.  No class products
     are formed here: the group laws (closure, inverses) are checked on the
     multiplication table of class_monoid, where each product is computed once.
@@ -456,12 +463,12 @@ def picard_group(gamma: Order) -> PicardGroup:
         if lab not in found:
             found[lab] = _make_class(_standard_ideal(gamma, a, b), lab)
     classes = sorted(found.values(), key=lambda c: c.label)
-    h_formula = class_number_formula(gamma)
+    h0 = quadforms.form_class_count(om.disc())
+    h_formula = _index_formula(gamma, om, h0)
     if len(classes) != h_formula:
         raise MethodDisagreement(
             f"picard enumeration found {len(classes)} classes, formula "
             f"says {h_formula}", operation="picard_group")
-    h0 = quadforms.form_class_count(om.disc())
     return PicardGroup(tuple(classes), len(classes), h_formula, h0, nf)
 
 
@@ -489,15 +496,26 @@ def _stable_ideal_pairs(gamma: Order, bound):
     stable sublattices of the order, with the b of each a ordered by
     (t + 2b) mod 2a, the least root y of y^2 = disc mod 4a that gives b.
 
-    The roots b of b^2 + t*b + n mod a come by CRT from its prime-power
-    factors p^k.  The roots mod each p^k are solved once per call, from
-    y^2 = disc mod p^k (mod 4 * 2^k when p = 2) with b = (y - t) / 2, and
-    kept; an a with a rootless prime-power factor is skipped at once.
+    An a with a prime factor p not dividing disc and with (disc / p) = -1
+    has no root mod p, so no b at all: the primes of the smallest-prime-
+    factor table up to min(bound, its size) sieve out their multiples, with
+    no factoring of them (a bytearray of that length).  Every other a is
+    factored.  The roots b of b^2 + t*b + n mod a come by CRT from its
+    prime-power factors p^k.  The roots mod each p^k are solved once per
+    call, from y^2 = disc mod p^k (mod 4 * 2^k when p = 2) with
+    b = (y - t) / 2, and kept; an a with a rootless prime-power factor is
+    skipped at once.
     """
     t, n = gamma.omega_data()
     d = t * t - 4 * n
+    top, primes = table_primes(bound)
+    keep = bytearray(b"\x01") * top  # keep[a - 1]: a may have roots
+    for p in primes:
+        if d % p and kronecker(d, p) == -1:
+            keep[p - 1::p] = bytes(top // p)
     roots = {}  # p^k -> roots b mod p^k of b^2 + t*b + n
-    for a in range(1, bound + 1):
+    for a in itertools.chain(itertools.compress(range(1, top + 1), keep),
+                             range(top + 1, bound + 1)):
         bs, m = [0], 1
         for p, k in factorize(a).items():
             pk = p ** k

@@ -48,6 +48,15 @@ def factorize(n: int) -> dict:
     return out
 
 
+def table_primes(n: int):
+    """(top, primes): top = min(n, the largest entry the smallest-prime-
+    factor table may hold), and the primes p <= top, read off that table."""
+    top = min(n, _SPF_CAP - 1)
+    _grow_spf(top)
+    spf = _SPF
+    return top, [p for p in range(2, top + 1) if spf[p] == p]
+
+
 def radical(n: int) -> int:
     out = 1
     for p in factorize(n):

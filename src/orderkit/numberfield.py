@@ -20,7 +20,7 @@ are interpolated by one Lagrange routine, and squarefree parts are read off
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import (
     DegreeMismatch,
@@ -228,6 +228,11 @@ def is_irreducible(p) -> bool:
         return True
     if p[0] == 0:
         return False
+    if n == 2:
+        # monic x^2 + b1 x + b0 has a rational root iff b1^2 - 4 b0 is a
+        # square, which isqrt decides without the divisors of b0
+        d = p[1] * p[1] - 4 * p[0]
+        return d < 0 or isqrt(d) ** 2 != d
     if integer_roots(p):
         return False
     if resultant(p, poly_derivative(p)) == 0:
@@ -280,7 +285,8 @@ def real_root_count(p) -> int:
 class NumberField:
     """Q[x]/(p) for a monic irreducible integer polynomial p."""
 
-    __slots__ = ("coeffs", "degree", "poly_disc", "signature", "_pow_table")
+    __slots__ = ("coeffs", "degree", "poly_disc", "signature", "_pow_table",
+                 "_maximal_order")
 
     def __init__(self, coeffs, _validated=False):
         coeffs = [int(c) for c in poly_trim(list(coeffs))]
@@ -311,6 +317,8 @@ class NumberField:
                     row = [row[i] - lead * coeffs[i] for i in range(n)]
             table.append(tuple(row))
         object.__setattr__(self, "_pow_table", tuple(table))
+        # set by orders.maximal_order on first use (degree <= 2)
+        object.__setattr__(self, "_maximal_order", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from . import quadforms
 from .errors import (
+    MethodDisagreement,
     NeedsUserInput,
     NotClosed,
     NotContained,
@@ -28,7 +29,7 @@ class Order:
     """A unital, multiplicatively closed, full-rank lattice in a number field."""
 
     __slots__ = ("field", "lattice", "assumed_maximal", "_elements",
-                 "_unital", "_omega_data")
+                 "_unital", "_omega_data", "_disc", "_conductor")
 
     def __init__(self, field: NumberField, lattice: Lattice,
                  assumed_maximal=False):
@@ -39,6 +40,8 @@ class Order:
         object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_unital", None)
         object.__setattr__(self, "_omega_data", None)
+        object.__setattr__(self, "_disc", None)
+        object.__setattr__(self, "_conductor", None)  # (maximal, ConductorData)
 
     def __setattr__(self, name, value):
         raise AttributeError("Order is immutable")
@@ -71,19 +74,26 @@ class Order:
         return self.lattice.contains_lattice(other.lattice)
 
     def disc(self) -> int:
-        """Discriminant: determinant of the trace pairing on a basis."""
+        """Discriminant: determinant of the trace pairing on a basis,
+        computed on first use and kept."""
+        if self._disc is None:
+            object.__setattr__(self, "_disc", self._compute_disc())
+        return self._disc
+
+    def _compute_disc(self):
+        from .intmat import _det_bareiss
         basis = self.basis_elements()
         g = self.degree
         rows = [[(basis[i] * basis[j]).trace() for j in range(g)] for i in range(g)]
         den = 1
-        from math import gcd
         for r in rows:
             for x in r:
                 den = den * x.denominator // gcd(den, x.denominator)
-        from .intmat import _det_bareiss
         d = Fraction(_det_bareiss([[int(x * den) for x in r] for r in rows]),
                      den ** g)
-        assert d.denominator == 1
+        if d.denominator != 1:
+            raise MethodDisagreement("order discriminant is not an integer",
+                                     operation="disc")
         return int(d)
 
     def unital_basis_elements(self):
@@ -106,7 +116,9 @@ class Order:
             coords = [sum(Fraction(u[i, k]) * rows[k][j] for k in range(g))
                       for j in range(g)]
             out.append(self.field.element(coords))
-        assert out[0] == self.field.one()
+        if out[0] != self.field.one():
+            raise MethodDisagreement("unital basis does not start with 1",
+                                     operation="unital_basis_elements")
         return tuple(out)
 
     def omega(self) -> FieldElement:
@@ -126,7 +138,9 @@ class Order:
         if self._omega_data is None:
             w = self.omega()
             t, n = w.trace(), w.norm()
-            assert t.denominator == 1 and n.denominator == 1
+            if t.denominator != 1 or n.denominator != 1:
+                raise MethodDisagreement("omega is not integral",
+                                         operation="omega_data")
             object.__setattr__(self, "_omega_data", (int(t), int(n)))
         return self._omega_data
 
@@ -177,22 +191,20 @@ def _as_lattice(field, basis_rows, den=1):
 
 
 def maximal_order(field: NumberField, candidate=None) -> Order:
-    """The ring of integers for degree <= 2; verified candidate otherwise."""
+    """The ring of integers for degree <= 2; verified candidate otherwise.
+
+    For degree <= 2 the order is built once per field object and kept on
+    it, so every call on the same field returns the same Order, with the
+    data it has computed (basis elements, discriminant, omega); an equal
+    field made apart gets its own.
+    """
     g = field.degree
-    if g == 1:
-        return Order(field, Lattice.from_rows([[1]], 1))
-    if g == 2:
-        b1, b0 = field.coeffs[1], field.coeffs[0]
-        dp = b1 * b1 - 4 * b0
-        m, s = squarefree_part(dp)
-        # sqrt(m) = (2*theta + b1) / s in power-basis coordinates
-        sqrt_m = (Fraction(b1, s), Fraction(2, s))
-        if m % 4 == 1:
-            w = (Fraction(1, 2) + Fraction(sqrt_m[0], 2), Fraction(sqrt_m[1], 2))
-        else:
-            w = sqrt_m
-        lat = Lattice.from_rows([[1, 0], list(w)], 2)
-        return Order(field, lat)
+    if g <= 2:
+        om = field._maximal_order
+        if om is None:
+            om = _ring_of_integers(field)
+            object.__setattr__(field, "_maximal_order", om)
+        return om
     if candidate is None:
         raise NeedsUserInput(
             "maximal orders of degree >= 3 fields must be supplied and are "
@@ -217,6 +229,21 @@ def maximal_order(field: NumberField, candidate=None) -> Order:
     return Order(field, cand.lattice, assumed_maximal=True)
 
 
+def _ring_of_integers(field: NumberField) -> Order:
+    if field.degree == 1:
+        return Order(field, Lattice.from_rows([[1]], 1))
+    b1, b0 = field.coeffs[1], field.coeffs[0]
+    dp = b1 * b1 - 4 * b0
+    m, s = squarefree_part(dp)
+    # sqrt(m) = (2*theta + b1) / s in power-basis coordinates
+    sqrt_m = (Fraction(b1, s), Fraction(2, s))
+    if m % 4 == 1:
+        w = (Fraction(1, 2) + Fraction(sqrt_m[0], 2), Fraction(sqrt_m[1], 2))
+    else:
+        w = sqrt_m
+    return Order(field, Lattice.from_rows([[1, 0], list(w)], 2))
+
+
 @dataclass(frozen=True)
 class ConductorData:
     """Conductor ideal of an order, as a lattice, with its norm N(f)."""
@@ -226,14 +253,22 @@ class ConductorData:
 
 
 def conductor(gamma: Order, maximal: Order) -> ConductorData:
-    """{x in O_L : x*O_L <= Gamma} via lattice intersections."""
+    """{x in O_L : x*O_L <= Gamma} via lattice intersections.
+
+    Computed once per order and kept on it with ``maximal``; a later call
+    with an equal maximal order returns the kept data."""
+    cached = gamma._conductor
+    if cached is not None and cached[0] == maximal:
+        return cached[1]
     if gamma.field != maximal.field:
         raise NotContained("orders of different fields", operation="conductor")
     if not maximal.contains_order(gamma):
         raise NotContained("order is not contained in the maximal order",
                            operation="conductor")
     lat = colon_lattice(gamma.lattice, maximal.basis_elements(), gamma.field)
-    return ConductorData(lat, lattice_index(maximal.lattice, lat))
+    data = ConductorData(lat, lattice_index(maximal.lattice, lat))
+    object.__setattr__(gamma, "_conductor", (maximal, data))
+    return data
 
 
 def colon_lattice(lat: Lattice, elements, field) -> Lattice:
@@ -362,7 +397,9 @@ def fundamental_unit(gamma: Order) -> FieldElement:
     t0, _ = om.omega_data()
     sqrt_d0 = w0 * 2 - field.from_rational(t0)
     eps = (field.from_rational(t) + sqrt_d0 * u) * Fraction(1, 2)
-    assert abs(eps.norm()) == 1
+    if abs(eps.norm()) != 1:
+        raise MethodDisagreement("fundamental unit has norm other than +-1",
+                                 operation="fundamental_unit")
     idx = lattice_index(om.lattice, gamma.lattice)
     budget = idx * _POWER_BUDGET_FACTOR
     power = eps
@@ -370,8 +407,9 @@ def fundamental_unit(gamma: Order) -> FieldElement:
         if gamma.contains(power):
             return power
         power = power * eps
-    raise AssertionError("no power of the fundamental unit fell in the order "
-                         "within budget; this contradicts finite index")
+    raise MethodDisagreement("no power of the fundamental unit fell in the "
+                             "order within budget; this contradicts finite "
+                             "index", operation="fundamental_unit")
 
 
 def unit_square_quotient(gamma: Order) -> UnitGroupData:

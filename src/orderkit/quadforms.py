@@ -53,44 +53,37 @@ _IDENT = ((1, 0), (0, 1))
 def reduce_definite(form):
     """Reduce a positive definite form; returns (reduced, U) with U in SL2.
 
-    Canonical conditions: -a < b <= a <= c, and b >= 0 if a == c.
+    Canonical conditions: -a < b <= a <= c, and b >= 0 if a == c.  U is
+    carried as its four entries p, q, r, s, each step applied in place.
     """
     a, b, c = form
     if disc_of(form) >= 0 or a <= 0:
         raise ValueError(f"not a positive definite form: {form}")
-    u = _IDENT
+    p, q, r, s = 1, 0, 0, 1
     while True:
-        if c < a:
+        if c < a or (a == c and -a < b < 0):
             # swap roles: basis (beta, -alpha) keeps det = +1
-            step = ((0, 1), (-1, 0))
             a, b, c = c, -b, a
-            u = _mat_mul(step, u)
-            continue
-        if b > a or b <= -a:
+            p, q, r, s = r, s, -p, -q
+        elif b > a or b <= -a:
             # translate: beta += k*alpha, with the unique k giving -a < b+2ka <= a
             k = (a - b) // (2 * a)
-            step = ((1, 0), (k, 1))
-            b2 = b + 2 * k * a
-            c2 = a * k * k + b * k + c
-            b, c = b2, c2
-            u = _mat_mul(step, u)
-            continue
-        if a == c and b < 0:
-            step = ((0, 1), (-1, 0))
-            a, b, c = c, -b, a
-            u = _mat_mul(step, u)
-            continue
-        return (a, b, c), u
+            b, c = b + 2 * k * a, a * k * k + b * k + c
+            r, s = r + k * p, s + k * q
+        else:
+            return (a, b, c), ((p, q), (r, s))
 
 
 # --- indefinite reduction ------------------------------------------------------
 
 def is_reduced_indefinite(form, s=None):
     """|sqrt(D) - 2|a|| < b < sqrt(D), checked with exact integer arithmetic."""
-    a, b, c = form
     d = disc_of(form)
-    if s is None:
-        s = isqrt(d)
+    return _is_reduced(form[0], form[1], d, isqrt(d) if s is None else s)
+
+
+def _is_reduced(a, b, d, s):
+    """is_reduced_indefinite of (a, b, .) of discriminant d, s = isqrt(d)."""
     if b <= 0 or b > s:  # b < sqrt(D) <=> b <= s, D non-square
         return False
     t = 2 * abs(a)
@@ -101,12 +94,10 @@ def is_reduced_indefinite(form, s=None):
     return True
 
 
-def rho_step(form, s=None):
-    """One reduction step (a,b,c) -> (c, b', c'); returns (form', U_step)."""
-    a, b, c = form
-    d = disc_of(form)
-    if s is None:
-        s = isqrt(d)
+def _rho(a, b, c, d, s):
+    """One reduction step (a, b, c) -> (c, b', c') of a form of discriminant
+    d, s = isqrt(d); returns (c, b', c', k) for the basis change
+    (alpha, beta) -> (beta, -alpha + k*beta)."""
     ac = abs(c)
     if ac > s:
         # choose b' = -b + 2 c k in (-|c|, |c|]
@@ -115,30 +106,27 @@ def rho_step(form, s=None):
         # choose b' = -b + 2 c k in (sqrt(D) - 2|c|, sqrt(D))
         k = (b + s) // (2 * ac) if c > 0 else -((b + s) // (2 * ac))
     b2 = -b + 2 * c * k
-    c2 = (b2 * b2 - d) // (4 * c)
-    # basis change: (alpha, beta) -> (beta, -alpha + k*beta)
-    step = ((0, 1), (-1, k))
-    return (c, b2, c2), step
+    return c, b2, (b2 * b2 - d) // (4 * c), k
 
 
 def reduce_indefinite(form):
     """Iterate rho until reduced; returns (reduced, U)."""
     d = disc_of(form)
-    s = isqrt(d)
-    if d <= 0 or s * s == d:
+    root = isqrt(d)
+    if d <= 0 or root * root == d:
         raise ValueError(f"not an indefinite form of non-square disc: {form}")
-    u = _IDENT
-    f = form
+    a, b, c = form
+    p, q, r, s = 1, 0, 0, 1
     guard = 0
-    while not is_reduced_indefinite(f, s):
-        f, step = rho_step(f, s)
-        u = _mat_mul(step, u)
+    while not _is_reduced(a, b, d, root):
+        a, b, c, k = _rho(a, b, c, d, root)
+        p, q, r, s = r, s, k * r - p, k * s - q
         guard += 1
         if guard > 10_000:
             raise MethodDisagreement(
                 f"indefinite reduction failed to converge: {form}",
                 operation="reduce_indefinite")
-    return f, u
+    return (a, b, c), ((p, q), (r, s))
 
 
 def cycle_of(form):
@@ -148,15 +136,17 @@ def cycle_of(form):
     the basis at that cycle position.  The input must already be reduced.
     """
     d = disc_of(form)
-    s = isqrt(d)
+    root = isqrt(d)
+    a0, b0, c0 = a, b, c = form
+    p, q, r, s = 1, 0, 0, 1
     out = [(form, _IDENT)]
-    f, u = form, _IDENT
     while True:
-        f, step = rho_step(f, s)
-        u = _mat_mul(step, u)
-        if f == form:
+        a, b, c, k = _rho(a, b, c, d, root)
+        p, q, r, s = r, s, k * r - p, k * s - q
+        u = ((p, q), (r, s))
+        if a == a0 and b == b0 and c == c0:
             return out, u  # u = full-period transform (the automorph)
-        out.append((f, u))
+        out.append(((a, b, c), u))
         if len(out) > 100_000:
             raise MethodDisagreement(f"runaway cycle of {form}",
                                      operation="cycle_of")

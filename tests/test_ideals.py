@@ -441,6 +441,18 @@ class TestStablePairs:
         assert (list(_stable_ideal_pairs(gamma, bound))
                 == list(stable_pairs_per_modulus(gamma, bound)))
 
+    @pytest.mark.parametrize("t,n", [(0, 36), (-1, -241), (1, 5),
+                                     (0, -79), (1, -19)])
+    def test_sieve_crosses_small_factor_table(self, t, n, monkeypatch):
+        # with a table of 64 entries, a bound of 2,000 sieves a <= 63 and
+        # takes the per-a route above it
+        monkeypatch.setattr(modular, "_SPF_CAP", 64)
+        monkeypatch.setattr(modular, "_SPF", [0, 1])
+        gamma = is_order(make_field([n, -t, 1]), [[1, 0], [0, 1]])
+        assert (list(_stable_ideal_pairs(gamma, 2000))
+                == list(stable_pairs_per_modulus(gamma, 2000)))
+        assert len(modular._SPF) <= 64
+
     def test_census_keeps_factor_table_small(self, gaussian_field,
                                              monkeypatch):
         # a census of bound 82,944 = 72^2 * 16 factors every a up to it and

@@ -10,6 +10,7 @@ from orderkit.errors import DegreeMismatch, NotMonic, Reducible
 from orderkit.numberfield import (
     RATIONAL_FIELD,
     embedding_count,
+    integer_roots,
     is_irreducible,
     make_field,
     normal_closure_degree,
@@ -77,6 +78,26 @@ class TestIrreducibility:
             a = [rng.randint(-4, 4) for _ in range(d1)] + [1]
             b = [rng.randint(-4, 4) for _ in range(d2)] + [1]
             assert not is_irreducible(poly_mul(a, b))
+
+
+class TestQuadraticIrreducibility:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-3, 3))
+    def test_square_discriminant_matches_root_route(self, r, s, delta):
+        # (x - r)(x - s) + delta: reducible at delta = 0 and near it
+        # otherwise.  A monic integer quadratic factors over Q iff it has an
+        # integer root; integer_roots finds one from the divisors of b0
+        p = [r * s + delta, -(r + s), 1]
+        assert is_irreducible(p) == (p[0] != 0 and not integer_roots(p))
+
+    def test_large_constant_term_is_fast(self):
+        import time
+        t0 = time.perf_counter()
+        field = make_field([-(10 ** 15 + 37), 0, 1])
+        assert time.perf_counter() - t0 < 1.0
+        assert field.signature == (2, 0)
+        with pytest.raises(Reducible):
+            make_field([-(10 ** 15 + 37) ** 2, 0, 1])
 
 
 class TestSturm:

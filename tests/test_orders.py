@@ -15,6 +15,7 @@ from orderkit.errors import (
     UnsupportedDegree,
 )
 from orderkit.intmat import lattice_index
+from orderkit.orders import colon_lattice
 from orderkit.numberfield import RATIONAL_FIELD, make_field
 from orderkit.orders import (
     Order,
@@ -247,3 +248,28 @@ class TestDerivedDataCache:
         assert fresh.omega_data() == data
         t, n = data
         assert t * t - 4 * n == gamma.disc()
+
+
+class TestMaximalOrderAndConductorCache:
+    def test_maximal_order_built_once_per_field(self):
+        field = make_field([-7, 0, 1])
+        om = maximal_order(field)
+        assert maximal_order(field) is om
+        assert om.disc() is om.disc() and om.disc() == 28
+        # an equal field made apart gets its own, equal, maximal order
+        other = maximal_order(make_field([-7, 0, 1]))
+        assert other is not om and other == om
+
+    @pytest.mark.parametrize("coeffs,f", [([1, 0, 1], 6), ([3, 0, 1], 4),
+                                          ([-5, 0, 1], 3), ([-2, 0, 1], 5)])
+    def test_cached_conductor_equals_fresh(self, coeffs, f):
+        om = maximal_order(make_field(coeffs))
+        gamma = scaled_subring(om, f)
+        data = conductor(gamma, om)
+        assert conductor(gamma, om) is data
+        fresh = colon_lattice(gamma.lattice, om.basis_elements(), gamma.field)
+        assert data.lattice == fresh
+        assert data.norm == lattice_index(om.lattice, fresh) == f * f
+        # an equal maximal order made apart reads the same data
+        om2 = maximal_order(make_field(coeffs))
+        assert conductor(gamma, om2) == data

@@ -3,7 +3,7 @@ from collections import deque
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orderkit import quadforms as qf
@@ -252,3 +252,128 @@ def test_bad_input_raises_value_error():
         qf.reduced_indefinite_forms(-4)
     with pytest.raises(ValueError):
         qf.fundamental_unit_xy(16)
+
+
+# --- reduction against the matrix-product route --------------------------------
+# The reduction as it was written before transforms were carried as four
+# integers: every step multiplies out a 2x2 matrix.  Kept as the oracle.
+
+def _mat_mul(m1, m2):
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+_IDENT = ((1, 0), (0, 1))
+
+
+def reduce_definite_by_matrices(form):
+    a, b, c = form
+    u = _IDENT
+    while True:
+        if c < a:
+            step = ((0, 1), (-1, 0))
+            a, b, c = c, -b, a
+            u = _mat_mul(step, u)
+            continue
+        if b > a or b <= -a:
+            k = (a - b) // (2 * a)
+            step = ((1, 0), (k, 1))
+            b2 = b + 2 * k * a
+            c2 = a * k * k + b * k + c
+            b, c = b2, c2
+            u = _mat_mul(step, u)
+            continue
+        if a == c and b < 0:
+            step = ((0, 1), (-1, 0))
+            a, b, c = c, -b, a
+            u = _mat_mul(step, u)
+            continue
+        return (a, b, c), u
+
+
+def rho_step_by_matrices(form, s):
+    a, b, c = form
+    d = qf.disc_of(form)
+    ac = abs(c)
+    if ac > s:
+        k = (b + ac) // (2 * ac) if c > 0 else -((b + ac) // (2 * ac))
+    else:
+        k = (b + s) // (2 * ac) if c > 0 else -((b + s) // (2 * ac))
+    b2 = -b + 2 * c * k
+    c2 = (b2 * b2 - d) // (4 * c)
+    return (c, b2, c2), ((0, 1), (-1, k))
+
+
+def is_reduced_by_matrices(form, s):
+    a, b, c = form
+    d = qf.disc_of(form)
+    if b <= 0 or b > s:
+        return False
+    t = 2 * abs(a)
+    if (t + b) ** 2 <= d:
+        return False
+    if t > b and (t - b) ** 2 >= d:
+        return False
+    return True
+
+
+def reduce_indefinite_by_matrices(form):
+    s = isqrt(qf.disc_of(form))
+    u = _IDENT
+    f = form
+    while not is_reduced_by_matrices(f, s):
+        f, step = rho_step_by_matrices(f, s)
+        u = _mat_mul(step, u)
+    return f, u
+
+
+def cycle_by_matrices(form):
+    s = isqrt(qf.disc_of(form))
+    out = [(form, _IDENT)]
+    f, u = form, _IDENT
+    while True:
+        f, step = rho_step_by_matrices(f, s)
+        u = _mat_mul(step, u)
+        if f == form:
+            return out, u
+        out.append((f, u))
+
+
+def _indefinite(a, b, c):
+    d = b * b - 4 * a * c
+    return d > 0 and isqrt(d) ** 2 != d
+
+
+COEFF = st.integers(-10 ** 6, 10 ** 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 6), COEFF, st.integers(1, 10 ** 6))
+def test_definite_reduction_matches_matrix_route(a, b, c):
+    assume(b * b < 4 * a * c)
+    assert qf.reduce_definite((a, b, c)) \
+        == reduce_definite_by_matrices((a, b, c))
+    assert qf.reduce_form((a, b, c)) == qf.reduce_form((-a, -b, -c)) \
+        == reduce_definite_by_matrices((a, b, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(COEFF, COEFF, COEFF)
+def test_indefinite_reduction_matches_matrix_route(a, b, c):
+    assume(_indefinite(a, b, c))
+    assert qf.reduce_indefinite((a, b, c)) \
+        == reduce_indefinite_by_matrices((a, b, c))
+    assert qf.reduce_form((a, b, c)) \
+        == reduce_indefinite_by_matrices((a, b, c))
+
+
+# Cycle lengths grow like the square root of the discriminant, so the cycle
+# comparison takes coefficients up to 10^3 (discriminants up to ~5 * 10^6).
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-10 ** 3, 10 ** 3), st.integers(-10 ** 3, 10 ** 3),
+       st.integers(-10 ** 3, 10 ** 3))
+def test_cycle_matches_matrix_route(a, b, c):
+    assume(_indefinite(a, b, c))
+    red, _ = reduce_indefinite_by_matrices((a, b, c))
+    assert qf.cycle_of(red) == cycle_by_matrices(red)
