@@ -13,7 +13,7 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import NotPrime
+from .errors import MethodDisagreement, NotPrime
 from .modular import is_prime, radical
 
 EXACT_DIGIT_THRESHOLD = 10_000_000
@@ -64,10 +64,15 @@ class BigBound:
             blo, bhi = _log10_interval(base)
             lo = _CTX_FLOOR.add(lo, _CTX_FLOOR.multiply(blo, Decimal(exp)))
             hi = _CTX_CEIL.add(hi, _CTX_CEIL.multiply(bhi, Decimal(exp)))
-        assert hi - lo < Decimal("1e-6"), "log interval too wide to certify"
+        if hi - lo >= Decimal("1e-6"):
+            raise MethodDisagreement("log interval too wide to certify",
+                                     operation="BigBound")
         flo, fhi = int(lo.to_integral_value(decimal.ROUND_FLOOR)), \
             int(hi.to_integral_value(decimal.ROUND_FLOOR))
-        assert flo == fhi, "digit count is ambiguous; raise precision"
+        if flo != fhi:
+            raise MethodDisagreement(
+                "digit count is ambiguous; raise precision",
+                operation="BigBound")
         digits = flo + 1
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
@@ -184,7 +189,9 @@ def thm_main_count(g: int, n_u: SIntegerSpec, pic_o: int, max_level):
     headline = BigBound([(pic_o, 1), (max_level, 1), (2 * n, e)])
     sharper = BigBound([(pic_o, 1), (max_level, 1),
                         (4 * g, (8 * g) ** 7), (n, (12 * g) ** 5)])
-    assert sharper.certified_le(headline), "sharper bound is not sharper"
+    if not sharper.certified_le(headline):
+        raise MethodDisagreement("sharper bound is not sharper",
+                                 operation="thm_main_count")
     return headline, sharper
 
 

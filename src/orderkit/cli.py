@@ -11,6 +11,7 @@ formatting) or a plain table.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -373,16 +374,24 @@ def _merge_negative_values(argv):
     return out
 
 
-def main(argv=None):
+@functools.cache
+def _parser_and_actions():
+    """The parser and its dest -> action map, built once per process:
+    parsing does not change them."""
     parser = build_parser()
+    actions = {a.dest: a for a in parser._actions}
+    for sp in (parser._subparsers._group_actions[0].choices or {}).values():
+        actions.update({a.dest: a for a in sp._actions})
+    return parser, actions
+
+
+def main(argv=None):
+    parser, actions = _parser_and_actions()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
     try:
         args = parser.parse_args(argv)
-        actions = {a.dest: a for a in parser._actions}
-        for sp in (parser._subparsers._group_actions[0].choices or {}).values():
-            actions.update({a.dest: a for a in sp._actions})
         merged = _merge_config(args, actions, args.config)
         if args.command == "verify-suite":
             return _cmd_verify_suite(args)

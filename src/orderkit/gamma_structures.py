@@ -329,7 +329,8 @@ def _inverse_embedding(k: NumberField, l: NumberField,
     for r in roots_in_field(list(l.coeffs), k):
         if _apply_embedding(phi_gen, r) == l.gen():
             return r
-    raise AssertionError("embedding is not invertible; bug for n = 1")
+    raise MethodDisagreement("embedding is not invertible; bug for n = 1",
+                             operation="_inverse_embedding")
 
 
 def structure_to_ideal(rho: RingMorphism) -> FractionalIdeal:
@@ -455,11 +456,15 @@ def quotient_size(target: MatrixOrder, d: int) -> int:
     prod = 1
     for i in range(m):
         prod *= diag[i, i]
-    assert prod == out
+    if prod != out:
+        raise MethodDisagreement(f"Smith form gives |R/dR| = {prod}, not {out}",
+                                 operation="quotient_size")
     # and as a lattice index, through the generic machinery
     std = Lattice.from_rows([[1 if i == j else 0 for j in range(m)]
                              for i in range(m)])
-    assert lattice_index(std, std.scale(d)) == out
+    if lattice_index(std, std.scale(d)) != out:
+        raise MethodDisagreement(f"lattice index of d R is not {out}",
+                                 operation="quotient_size")
     return out
 
 
@@ -613,7 +618,10 @@ def conjugating_unimodular(m1, m2):
     kern = left_kernel(IntMatrix(rows).transpose())
     if kern.rows < 2:
         return None
-    assert kern.rows == 2, "solution space of a conjugacy system must be rank 2"
+    if kern.rows != 2:
+        raise MethodDisagreement(
+            "solution space of a conjugacy system must be rank 2",
+            operation="conjugating_unimodular")
     u1, u2 = kern.row(0), kern.row(1)
 
     def as_mat(v):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 
-from . import quadforms
+from . import modular, quadforms
 from .errors import (
     FactorizationViolation,
     IndexTooLarge,
@@ -27,7 +27,13 @@ from .errors import (
     UnsupportedDegree,
 )
 from .intmat import Lattice, _det_bareiss, lattice_index, solve_square
-from .modular import factorize, kronecker, sqrts_mod, table_primes
+from .modular import (
+    _tonelli_shanks,
+    factorize,
+    kronecker,
+    sqrts_mod,
+    table_primes,
+)
 from .numberfield import FieldElement, integral_norm
 from .orders import (
     Order,
@@ -435,8 +441,9 @@ def picard_group(gamma: Order) -> PicardGroup:
     form norm bound, grouped by class: the form of each census pair (a, b)
     is read off its integers as the census of class_monoid does, and gives
     both its invertibility (content 1, i.e. its discriminant is that of
-    Gamma) and its class label; only the first ideal of each class is built
-    as a lattice, to represent it; (b) the index formula relating
+    Gamma) and, unless its reduced form is a canonical form of a class
+    already found, its class label; only the first ideal of each class is
+    built as a lattice, to represent it; (b) the index formula relating
     |Pic(Gamma)| to the class number h(O_L) of the maximal order, which is
     counted once and also reported as h_maximal.  The maximal order, its
     discriminant and the conductor are computed once and kept on the field
@@ -456,11 +463,15 @@ def picard_group(gamma: Order) -> PicardGroup:
     nf = conductor(gamma, om).norm
     bound = isqrt(abs(d)) + 1
     found = {}
+    seen = set()  # the canonical forms of the classes found so far
     for a, b, form in _census_forms(gamma, bound):
         if quadforms.content(form) != 1:  # not invertible, see is_invertible
             continue
+        if quadforms.reduced(form) in seen:
+            continue
         lab = quadforms.class_label(form)
         if lab not in found:
+            seen |= quadforms.class_forms(lab)
             found[lab] = _make_class(_standard_ideal(gamma, a, b), lab)
     classes = sorted(found.values(), key=lambda c: c.label)
     h0 = quadforms.form_class_count(om.disc())
@@ -499,16 +510,18 @@ def _stable_ideal_pairs(gamma: Order, bound):
     An a with a prime factor p not dividing disc and with (disc / p) = -1
     has no root mod p, so no b at all: the primes of the smallest-prime-
     factor table up to min(bound, its size) sieve out their multiples, with
-    no factoring of them (a bytearray of that length).  Every other a is
-    factored.  The roots b of b^2 + t*b + n mod a come by CRT from its
-    prime-power factors p^k.  The roots mod each p^k are solved once per
-    call, from y^2 = disc mod p^k (mod 4 * 2^k when p = 2) with
+    no factoring of them (a bytearray of that length).  Every other a up to
+    that size is split into its prime powers p^k by walking the table; an a
+    above it is factored.  The roots b of b^2 + t*b + n mod a come by CRT
+    from its prime-power factors p^k.  The roots mod each p^k are solved
+    once per call, from y^2 = disc mod p^k (mod 4 * 2^k when p = 2) with
     b = (y - t) / 2, and kept; an a with a rootless prime-power factor is
     skipped at once.
     """
     t, n = gamma.omega_data()
     d = t * t - 4 * n
     top, primes = table_primes(bound)
+    spf = modular._SPF  # read after table_primes, which may rebind it
     keep = bytearray(b"\x01") * top  # keep[a - 1]: a may have roots
     for p in primes:
         if d % p and kronecker(d, p) == -1:
@@ -516,20 +529,35 @@ def _stable_ideal_pairs(gamma: Order, bound):
     roots = {}  # p^k -> roots b mod p^k of b^2 + t*b + n
     for a in itertools.chain(itertools.compress(range(1, top + 1), keep),
                              range(top + 1, bound + 1)):
+        if a <= top:
+            powers = []
+            rest = a
+            while rest > 1:
+                p = pk = spf[rest]
+                rest //= p
+                while spf[rest] == p:  # spf[1] = 1 ends the run
+                    pk *= p
+                    rest //= p
+                powers.append((p, pk))
+        else:
+            powers = [(p, p ** k) for p, k in factorize(a).items()]
         bs, m = [0], 1
-        for p, k in factorize(a).items():
-            pk = p ** k
+        for p, pk in powers:
             rs = roots.get(pk)
             if rs is None:
                 rs = roots[pk] = _quadratic_roots(t, d, p, pk)
             if not rs:
                 break
-            inv = pow(m, -1, pk)
-            bs = [b + m * ((r - b) * inv % pk) for b in bs for r in rs]
+            if m == 1:  # the first prime power: its roots need no CRT
+                bs = rs
+            else:
+                inv = pow(m, -1, pk)
+                bs = [b + m * ((r - b) * inv % pk) for b in bs for r in rs]
             m *= pk
         else:
-            two_a = 2 * a
-            bs.sort(key=lambda b: (t + 2 * b) % two_a)
+            if len(bs) > 1:
+                two_a = 2 * a
+                bs = sorted(bs, key=lambda b: (t + 2 * b) % two_a)
             for b in bs:
                 yield a, b
 
@@ -540,6 +568,9 @@ def _quadratic_roots(t, d, p, pk):
         return sorted({(y - t) // 2 % pk for y in sqrts_mod(d, 4 * pk)
                        if (y - t) % 2 == 0})
     half = (pk + 1) // 2  # the inverse of 2 mod p^k
+    if pk == p and d % p:  # p unramified: the roots +-y of d mod p, or none
+        y = _tonelli_shanks(d, p)
+        return [] if y is None else [(y - t) * half % p, (-y - t) * half % p]
     return [(y - t) * half % pk for y in sqrts_mod(d, pk)]
 
 
@@ -651,16 +682,7 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     # every class has a reduced form with leading coefficient at most
     # isqrt(|disc|), so the budget never stops below that
     budget = max(nf * nf * _CENSUS_BUDGET_FACTOR, isqrt(abs(t * t - 4 * n)) + 1)
-    hit = set()
-    checked = 0
-    for a, b, form in _census_forms(gamma, budget):
-        checked += 1
-        idx = _classify_form(form, form_to_class)
-        if idx is None:
-            raise FactorizationViolation(
-                f"census ideal [{a}, {b} + w] is in no assembled class",
-                operation="class_monoid")
-        hit.add(idx)
+    checked, hit = _census_audit(gamma, budget, form_to_class)
     if hit != set(range(len(classes))):
         missing = sorted(set(range(len(classes))) - hit)
         raise FactorizationViolation(
@@ -674,12 +696,27 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     return monoid
 
 
-def _classify_form(form, form_to_class):
-    fa, fb, fc = form
-    g = gcd(gcd(abs(fa), abs(fb)), abs(fc))
-    f = (fa // g, fb // g, fc // g)
-    red, _ = quadforms.reduce_form(f)
-    return form_to_class.get(red)
+def _census_audit(gamma: Order, budget, form_to_class):
+    """(ideals checked, class indices hit) of the census up to budget.
+
+    Each census form is divided by its content and reduced without its
+    transform (quadforms.reduced); its class is the one whose canonical
+    forms hold the reduced form.  The first ideal in no class raises
+    FactorizationViolation.
+    """
+    hit = set()
+    checked = 0
+    reduced, class_of = quadforms.reduced, form_to_class.get
+    for a, b, (fa, fb, fc) in _census_forms(gamma, budget):
+        checked += 1
+        g = gcd(gcd(fa, fb), fc)
+        idx = class_of(reduced((fa // g, fb // g, fc // g)))
+        if idx is None:
+            raise FactorizationViolation(
+                f"census ideal [{a}, {b} + w] is in no assembled class",
+                operation="class_monoid")
+        hit.add(idx)
+    return checked, hit
 
 
 def _product_labels(classes):

@@ -19,7 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import IndexTooLarge, NotSublattice, RankDeficient
+from .errors import (
+    IndexTooLarge,
+    MethodDisagreement,
+    NotSublattice,
+    RankDeficient,
+)
 
 
 class IntMatrix:
@@ -523,9 +528,13 @@ def complete_unimodular(c) -> IntMatrix:
         raise ValueError("vector is not primitive")
     col = IntMatrix([[x] for x in c])
     h, w = hnf(col)
-    assert h[0, 0] == 1
+    if h[0, 0] != 1:
+        raise MethodDisagreement("HNF of a primitive column is not e1",
+                                 operation="complete_unimodular")
     winv_t = inverse_unimodular(w).transpose()
-    assert winv_t.row(0) == tuple(c)
+    if winv_t.row(0) != tuple(c):
+        raise MethodDisagreement("completed matrix does not start with c",
+                                 operation="complete_unimodular")
     return winv_t
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
+
+from .errors import MethodDisagreement, SearchBudgetExceeded
 
 _SPF = [0, 1]  # smallest prime factor table, grown on demand
-_SPF_CAP = 1 << 18  # factorize trial-divides from here on
+_SPF_CAP = 1 << 18  # factorize leaves the table from here on
 
 
 def _grow_spf(n):
@@ -23,13 +25,20 @@ def _grow_spf(n):
 
 
 def factorize(n: int) -> dict:
-    """Prime factorization of n >= 1 as {p: e}."""
+    """Prime factorization of n >= 1 as {p: e}, keys ascending.
+
+    Below 2^18 the smallest-prime-factor table splits n.  Above it, the
+    primes below 2^10 are divided out, and each cofactor is either prime
+    (is_prime) or split by Pollard-Brent rho (Cohen, GTM 138, Alg. 8.5.2).
+    A rho search that has not split a composite after _RHO_BUDGET steps
+    raises SearchBudgetExceeded.
+    """
     n = abs(int(n))
     if n <= 1:
         return {}
     out = {}
-    # The table costs about 40 bytes per entry and grows to n; above 2^18,
-    # trial division (at most 2^10 odd divisors below 2^22) is cheaper.
+    # The table costs about 40 bytes per entry and grows to n; above 2^18
+    # trial division by the small primes and rho are cheaper.
     if n < _SPF_CAP:
         _grow_spf(n)
         while n > 1:
@@ -37,15 +46,64 @@ def factorize(n: int) -> dict:
             out[p] = out.get(p, 0) + 1
             n //= p
         return out
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for p in table_primes(_TRIAL_TOP)[1]:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    budget = [_RHO_BUDGET]
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_TOP * _TRIAL_TOP or is_prime(m):
+            # no prime below _TRIAL_TOP is left, so m < _TRIAL_TOP^2 is prime
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _brent_factor(m, budget)
+            stack += (f, m // f)
+    return dict(sorted(out.items()))
+
+
+# factorize trial-divides by the primes below this before rho
+_TRIAL_TOP = 1 << 10
+# rho steps one factorize call may take in all
+_RHO_BUDGET = 1 << 21
+
+
+def _brent_factor(n, budget):
+    """A proper factor of the odd composite n, by Brent's cycle search on
+    x -> x^2 + c mod n, with products of 128 differences per gcd; budget[0]
+    counts down the steps left."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            budget[0] -= 2 * r
+            if budget[0] < 0:
+                raise SearchBudgetExceeded(
+                    f"no factor of {n} within {_RHO_BUDGET} rho steps",
+                    operation="factorize")
+            r *= 2
+        if g == n:  # the batch overshot: step back one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise MethodDisagreement(f"rho found no factor of {n}",
+                             operation="factorize")
 
 
 def table_primes(n: int):

@@ -564,7 +564,8 @@ class FieldElement:
                                [powers[d].coords])
             if sol is not None:
                 return poly_trim([-c for c in sol[0]] + [Fraction(1)])
-        raise AssertionError("minimal polynomial must exist")
+        raise MethodDisagreement("minimal polynomial must exist",
+                                 operation="min_poly")
 
 
 # --- embeddings and closures -------------------------------------------------
@@ -637,7 +638,8 @@ def embedding_count(k: NumberField, l: NumberField) -> int:
         r = _tensor_resultant(k.coeffs, l.coeffs, s)
         if resultant(r, poly_derivative(r)) != 0:
             return _count_factors_of_degree(r, l.degree)
-    raise AssertionError("no squarefree shift found")
+    raise MethodDisagreement("no squarefree shift found",
+                             operation="embedding_count")
 
 
 def _tensor_resultant(pk, pl, s):
@@ -709,7 +711,8 @@ def _count_factors_of_degree(r, g):
         if lead == -1:
             r = poly_neg(r)
         else:
-            raise AssertionError("expected monic resultant")
+            raise MethodDisagreement("expected monic resultant",
+                                     operation="embedding_count")
     if g == 1:
         return len([t for t in integer_roots(r)])
     count = 0

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .errors import MethodDisagreement
+from .errors import MethodDisagreement, SearchBudgetExceeded
+
+# Longest rho-cycle that cycle_of walks before giving up.
+_MAX_CYCLE = 100_000
 
 
 def disc_of(form):
@@ -147,9 +150,40 @@ def cycle_of(form):
         if a == a0 and b == b0 and c == c0:
             return out, u  # u = full-period transform (the automorph)
         out.append(((a, b, c), u))
-        if len(out) > 100_000:
-            raise MethodDisagreement(f"runaway cycle of {form}",
-                                     operation="cycle_of")
+        if len(out) > _MAX_CYCLE:
+            raise SearchBudgetExceeded(
+                f"cycle of {form} longer than {_MAX_CYCLE} forms",
+                operation="cycle_of")
+
+
+def reduced(form):
+    """reduce_form(form)[0] without the transform: the same steps on the
+    three coefficients alone, for callers that only classify a form."""
+    a, b, c = form
+    d = b * b - 4 * a * c
+    if d < 0:
+        if a < 0:
+            a, b, c = -a, -b, -c
+        while True:
+            if c < a or (a == c and -a < b < 0):
+                a, b, c = c, -b, a
+            elif b > a or b <= -a:
+                k = (a - b) // (2 * a)
+                b, c = b + 2 * k * a, a * k * k + b * k + c
+            else:
+                return a, b, c
+    root = isqrt(d)
+    if d == 0 or root * root == d:
+        raise ValueError(f"not an indefinite form of non-square disc: {form}")
+    guard = 0
+    while not _is_reduced(a, b, d, root):
+        a, b, c, _ = _rho(a, b, c, d, root)
+        guard += 1
+        if guard > 10_000:
+            raise MethodDisagreement(
+                f"indefinite reduction failed to converge: {form}",
+                operation="reduce_indefinite")
+    return a, b, c
 
 
 def reduce_form(form):

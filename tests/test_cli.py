@@ -222,3 +222,26 @@ class TestVerifySuiteSmall:
                              "--inject-fault")
         assert rc == 2
         assert "FAIL" in out
+
+
+class TestParserBuiltOnce:
+    def test_cached_parser_matches_fresh(self, capsys, tmp_path):
+        from orderkit import cli
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("nu = 6\n")
+        requests = [
+            ("bound", "--formula", "no-such"),
+            ("class-monoid", "--field", "3,0,1", "--order-basis", "1,0;0,1"),
+            ("bound", "--formula", "thm-main-height", "--g", "2"),
+            ("bound", "--formula", "thm-a-height", "--config", str(cfg)),
+        ]
+        cli._parser_and_actions.cache_clear()
+        in_one_process = [run_cli(capsys, *argv) for argv in requests]
+        assert cli._parser_and_actions.cache_info().misses == 1
+        fresh = []
+        for argv in requests:
+            cli._parser_and_actions.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert in_one_process == fresh
+        assert [rc for rc, _, _ in fresh] == [1, 0, 0, 0]
+        assert json.loads(fresh[3][1])["inputs"]["nu"] == 6

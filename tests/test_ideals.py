@@ -72,6 +72,23 @@ def stable_pairs_per_modulus(gamma, bound):
             yield a, b
 
 
+def census_by_reduce_form(gamma, budget, form_to_class):
+    """Oracle: the census audit with each primitive form reduced by
+    reduce_form, its transform computed and dropped; returns (ideals
+    checked, class indices hit, first (a, b) in no class or None)."""
+    hit = set()
+    checked = 0
+    for a, b, form in ideals._census_forms(gamma, budget):
+        checked += 1
+        g = quadforms.content(form)
+        red, _ = quadforms.reduce_form(tuple(x // g for x in form))
+        idx = form_to_class.get(red)
+        if idx is None:
+            return checked, hit, (a, b)
+        hit.add(idx)
+    return checked, hit, None
+
+
 def invertible_by_colon(i):
     """Oracle: I * (Gamma : I) = Gamma, by a colon ideal and a product."""
     inv = colon_ideal(unit_ideal(i.order), i)
@@ -433,7 +450,7 @@ class TestStablePairs:
     @given(st.integers(-30, 30), st.integers(-300, 300),
            st.integers(1, 2000))
     @example(0, 36, 2000)     # Z[6i]: many roots mod powers of 2 and 3
-    @example(-1, -240, 2000)  # real, odd trace
+    @example(-1, -241, 2000)  # real, odd trace: disc 965
     def test_sieve_matches_per_modulus_route(self, t, n, bound):
         d = t * t - 4 * n
         assume(d < 0 or math.isqrt(d) ** 2 != d)
@@ -461,6 +478,47 @@ class TestStablePairs:
         z72i = is_order(gaussian_field, [[1, 0], [0, 72]])
         assert sum(1 for _ in _stable_ideal_pairs(z72i, 82_944)) > 0
         assert len(modular._SPF) <= 1 << 18
+
+
+# (coefficients, basis rows, census budget or None for class_monoid's)
+CENSUS_ORDERS = [
+    ([5, 0, 1], [[1, 0], [0, 1]], None),     # Z[sqrt(-5)], maximal
+    ([3, 0, 1], [[1, 0], [0, 1]], None),     # Z[sqrt(-3)], conductor 2
+    ([1, 0, 1], [[1, 0], [0, 3]], None),     # Z[3i]
+    ([-10, 0, 1], [[1, 0], [0, 1]], None),   # Z[sqrt(10)], real, maximal
+    ([-2, 0, 1], [[1, 0], [0, 3]], None),    # Z[3 sqrt(2)], real
+    ([-1, -1, 1], [[1, 0], [0, 3]], None),   # Z[3 (1 + sqrt(5)) / 2]
+    ([1, 0, 1], [[1, 0], [0, 72]], 82_944),  # Z[72i] at 72^2 * 16
+]
+
+
+class TestCensusAudit:
+    @pytest.mark.parametrize("coeffs,rows,budget", CENSUS_ORDERS)
+    def test_matches_reduce_form_route(self, coeffs, rows, budget):
+        gamma = is_order(make_field(coeffs), rows)
+        if budget is None:
+            m = class_monoid(gamma)
+            budget, labels = m.census_budget, [c.label for c in m.classes]
+        else:  # class_monoid of Z[72i] is out of reach: label the census
+            labels = sorted({
+                quadforms.class_label(tuple(x // quadforms.content(form)
+                                            for x in form))
+                for _, _, form in ideals._census_forms(gamma, budget)})
+        form_to_class = {f: i for i, lab in enumerate(labels)
+                         for f in quadforms.class_forms(lab)}
+        checked, hit = ideals._census_audit(gamma, budget, form_to_class)
+        assert (checked, hit, None) == census_by_reduce_form(
+            gamma, budget, form_to_class)
+        assert hit == set(range(len(labels)))
+        if budget is None:
+            assert checked == m.census_checked
+        # drop one class: both routes stop at the same first ideal
+        dropped = {f: i for f, i in form_to_class.items()
+                   if i != len(labels) // 2}
+        _, _, first = census_by_reduce_form(gamma, budget, dropped)
+        with pytest.raises(FactorizationViolation,
+                           match=rf"\[{first[0]}, {first[1]} \+ w\]"):
+            ideals._census_audit(gamma, budget, dropped)
 
 
 class TestPicard:

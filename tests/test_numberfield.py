@@ -317,6 +317,43 @@ def test_factor_table_capped_after_doubling(monkeypatch):
     assert len(modular._SPF) <= 1 << 18
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1 << 18, 1 << 62))
+def test_factorize_above_table(n):
+    from orderkit import modular
+    f = modular.factorize(n)
+    assert math.prod(p ** e for p, e in f.items()) == n
+    assert all(modular.is_prime(p) for p in f)
+    assert list(f) == sorted(f)
+
+
+@pytest.mark.parametrize("n,expected", [
+    ((2 ** 61 - 1) * (2 ** 31 - 1), {2 ** 31 - 1: 1, 2 ** 61 - 1: 1}),
+    (2 ** 64 + 1, {274177: 1, 67280421310721: 1}),
+    (7 * 999983 ** 2, {7: 1, 999983: 2}),
+])
+def test_factorize_splits_large_composites(n, expected):
+    from orderkit import modular
+    assert modular.factorize(n) == expected
+
+
+def test_rho_budget_is_a_budget_error(monkeypatch):
+    from orderkit import modular
+    from orderkit.errors import SearchBudgetExceeded
+    monkeypatch.setattr(modular, "_RHO_BUDGET", 4)
+    with pytest.raises(SearchBudgetExceeded):
+        modular.factorize(1000003 * 1000033)
+
+
+def test_maximal_order_of_large_discriminant_is_fast():
+    import time
+    from orderkit.orders import maximal_order
+    start = time.perf_counter()
+    om = maximal_order(make_field([-(10 ** 15 + 37), 0, 1]))
+    assert time.perf_counter() - start < 1.0
+    assert om.disc() == 10 ** 15 + 37  # square-free and 1 mod 4
+
+
 # --- degree-2 closed forms against the generic route -------------------------
 
 def _quadratic_field(b0, b1):

@@ -377,3 +377,31 @@ def test_cycle_matches_matrix_route(a, b, c):
     assume(_indefinite(a, b, c))
     red, _ = reduce_indefinite_by_matrices((a, b, c))
     assert qf.cycle_of(red) == cycle_by_matrices(red)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COEFF, COEFF, COEFF, st.integers(1, 12))
+def test_reduced_matches_reduce_form(a, b, c, k):
+    # both signs of a definite form, indefinite forms, and multiples by k of
+    # each: reduced keeps the content and drops only the transform
+    d = b * b - 4 * a * c
+    assume(d < 0 or _indefinite(a, b, c))
+    for form in ((a, b, c), (-a, -b, -c), (k * a, k * b, k * c)):
+        assert qf.reduced(form) == qf.reduce_form(form)[0]
+
+
+@pytest.mark.parametrize("form", [(0, 1, 0), (1, 2, 1), (2, 5, 2)])
+def test_reduced_rejects_square_discriminants(form):
+    with pytest.raises(ValueError):
+        qf.reduced(form)
+
+
+def test_cycle_guard_is_a_budget_error(monkeypatch):
+    from orderkit.cli import main
+    from orderkit.errors import SearchBudgetExceeded
+    # the principal cycle of discriminant 4 * 94 has more than 3 forms
+    monkeypatch.setattr(qf, "_MAX_CYCLE", 3)
+    red, _ = qf.reduce_indefinite(qf.principal_form(4 * 94))
+    with pytest.raises(SearchBudgetExceeded, match="longer than 3 forms"):
+        qf.cycle_of(red)
+    assert main(["order-info", "--field=-94,0,1"]) == 3
