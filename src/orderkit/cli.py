@@ -408,7 +408,12 @@ def main(argv=None):
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except OrderkitError as err:
-        origin = f"{err.module}.{err.operation}" if err.operation else err.module
+        tb = err.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        # the module of the frame that raised err, without the package name
+        module = tb.tb_frame.f_globals["__name__"].rpartition(".")[2]
+        origin = f"{module}.{err.operation}" if err.operation else module
         print(f"error [{origin}] {type(err).__name__}: {err}", file=sys.stderr)
         return 3 if err.budget else 2
 

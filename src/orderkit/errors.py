@@ -1,15 +1,14 @@
 """Exception hierarchy.
 
-Every error carries the module and operation it came from so the CLI can
-report a precise origin and map the failure to an exit code.  Budget
-exhaustion (``budget = True``) is distinguished from domain errors because
-"gave up searching" must never be confused with a negative mathematical
-answer.
+Every error carries the operation it came from; the CLI reads the module
+off the frame that raised it, reports both as the origin and maps the
+failure to an exit code.  Budget exhaustion (``budget = True``) is
+distinguished from domain errors because "gave up searching" must never be
+confused with a negative mathematical answer.
 """
 
 
 class OrderkitError(Exception):
-    module = "orderkit"
     operation = ""
     budget = False
 
@@ -19,99 +18,95 @@ class OrderkitError(Exception):
             self.operation = operation
 
 
-# --- intmat ---------------------------------------------------------------
-
-class NotSublattice(OrderkitError):
-    module = "intmat"
-
-
-class RankDeficient(OrderkitError):
-    module = "intmat"
-
-
-class IndexTooLarge(OrderkitError):
-    module = "intmat"
-    budget = True
-
-
-# --- numberfield ----------------------------------------------------------
-
-class NotMonic(OrderkitError):
-    module = "numberfield"
-
-
-class Reducible(OrderkitError):
-    module = "numberfield"
-
-
-class DegreeMismatch(OrderkitError):
-    module = "numberfield"
-
-
-# --- orders ---------------------------------------------------------------
-
-class NotUnital(OrderkitError):
-    module = "orders"
-
-
-class NotClosed(OrderkitError):
-    module = "orders"
-
-
-class NotFullRank(OrderkitError):
-    module = "orders"
-
-
-class NeedsUserInput(OrderkitError):
-    module = "orders"
-
-
-class NotContained(OrderkitError):
-    module = "orders"
-
-
-class UnsupportedDegree(OrderkitError):
-    module = "orders"
-
-
-# --- ideals ---------------------------------------------------------------
-
-class OrderMismatch(OrderkitError):
-    module = "ideals"
-
+# --- raised anywhere --------------------------------------------------------
 
 class SearchBudgetExceeded(OrderkitError):
-    module = "ideals"
     budget = True
 
 
 class MethodDisagreement(OrderkitError):
     """Two independent routes to the same quantity disagree: a bug, not bad input."""
 
-    module = "ideals"
+
+# --- intmat ---------------------------------------------------------------
+
+class NotSublattice(OrderkitError):
+    pass
+
+
+class RankDeficient(OrderkitError):
+    pass
+
+
+class IndexTooLarge(OrderkitError):
+    budget = True
+
+
+# --- numberfield ----------------------------------------------------------
+
+class NotMonic(OrderkitError):
+    pass
+
+
+class Reducible(OrderkitError):
+    pass
+
+
+class DegreeMismatch(OrderkitError):
+    pass
+
+
+# --- orders ---------------------------------------------------------------
+
+class NotUnital(OrderkitError):
+    pass
+
+
+class NotClosed(OrderkitError):
+    pass
+
+
+class NotFullRank(OrderkitError):
+    pass
+
+
+class NeedsUserInput(OrderkitError):
+    pass
+
+
+class NotContained(OrderkitError):
+    pass
+
+
+class UnsupportedDegree(OrderkitError):
+    pass
+
+
+# --- ideals ---------------------------------------------------------------
+
+class OrderMismatch(OrderkitError):
+    pass
 
 
 class FactorizationViolation(OrderkitError):
     """The class census found a class outside Pic * intermediate set: a bug."""
 
-    module = "ideals"
-
 
 # --- gamma_structures -------------------------------------------------------
 
 class NotFreeModule(OrderkitError):
-    module = "gamma_structures"
+    pass
 
 
 class BoundViolation(OrderkitError):
-    module = "gamma_structures"
+    pass
 
 
 class HypothesisViolated(OrderkitError):
-    module = "gamma_structures"
+    pass
 
 
 # --- bounds ---------------------------------------------------------------
 
 class NotPrime(OrderkitError):
-    module = "bounds"
+    pass

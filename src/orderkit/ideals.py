@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 
-from . import modular, quadforms
+from . import quadforms
 from .errors import (
     FactorizationViolation,
     IndexTooLarge,
@@ -27,13 +27,7 @@ from .errors import (
     UnsupportedDegree,
 )
 from .intmat import Lattice, _det_bareiss, lattice_index, solve_square
-from .modular import (
-    _tonelli_shanks,
-    factorize,
-    kronecker,
-    sqrts_mod,
-    table_primes,
-)
+from .modular import factorize, kronecker, quadratic_roots_mod, table_primes
 from .numberfield import FieldElement, integral_norm
 from .orders import (
     Order,
@@ -42,6 +36,7 @@ from .orders import (
     conductor,
     escaping_product,
     fundamental_unit,
+    least_power_in,
     maximal_order,
     torsion_units,
 )
@@ -424,13 +419,7 @@ def _index_formula(gamma: Order, om: Order, h0: int) -> int:
 
 def _unit_index(gamma: Order, om: Order) -> int:
     if gamma.field.signature == (2, 0):
-        eps = fundamental_unit(om)
-        power = eps
-        k = 1
-        while not gamma.contains(power):
-            power = power * eps
-            k += 1
-        return k
+        return least_power_in(gamma, fundamental_unit(om))[0]
     return len(torsion_units(om)) // len(torsion_units(gamma))
 
 
@@ -510,68 +499,27 @@ def _stable_ideal_pairs(gamma: Order, bound):
     An a with a prime factor p not dividing disc and with (disc / p) = -1
     has no root mod p, so no b at all: the primes of the smallest-prime-
     factor table up to min(bound, its size) sieve out their multiples, with
-    no factoring of them (a bytearray of that length).  Every other a up to
-    that size is split into its prime powers p^k by walking the table; an a
-    above it is factored.  The roots b of b^2 + t*b + n mod a come by CRT
-    from its prime-power factors p^k.  The roots mod each p^k are solved
-    once per call, from y^2 = disc mod p^k (mod 4 * 2^k when p = 2) with
-    b = (y - t) / 2, and kept; an a with a rootless prime-power factor is
-    skipped at once.
+    no factoring of them (a bytearray of that length).  The b of every other
+    a are the roots of b^2 + t*b + n mod a from modular.quadratic_roots_mod,
+    with one memo for the call, so the roots mod each prime power are lifted
+    once and every a only splits and joins them by CRT.
     """
     t, n = gamma.omega_data()
     d = t * t - 4 * n
     top, primes = table_primes(bound)
-    spf = modular._SPF  # read after table_primes, which may rebind it
     keep = bytearray(b"\x01") * top  # keep[a - 1]: a may have roots
     for p in primes:
         if d % p and kronecker(d, p) == -1:
             keep[p - 1::p] = bytes(top // p)
-    roots = {}  # p^k -> roots b mod p^k of b^2 + t*b + n
+    known = {}  # p^k -> roots b mod p^k of b^2 + t*b + n
     for a in itertools.chain(itertools.compress(range(1, top + 1), keep),
                              range(top + 1, bound + 1)):
-        if a <= top:
-            powers = []
-            rest = a
-            while rest > 1:
-                p = pk = spf[rest]
-                rest //= p
-                while spf[rest] == p:  # spf[1] = 1 ends the run
-                    pk *= p
-                    rest //= p
-                powers.append((p, pk))
-        else:
-            powers = [(p, p ** k) for p, k in factorize(a).items()]
-        bs, m = [0], 1
-        for p, pk in powers:
-            rs = roots.get(pk)
-            if rs is None:
-                rs = roots[pk] = _quadratic_roots(t, d, p, pk)
-            if not rs:
-                break
-            if m == 1:  # the first prime power: its roots need no CRT
-                bs = rs
-            else:
-                inv = pow(m, -1, pk)
-                bs = [b + m * ((r - b) * inv % pk) for b in bs for r in rs]
-            m *= pk
-        else:
-            if len(bs) > 1:
-                two_a = 2 * a
-                bs = sorted(bs, key=lambda b: (t + 2 * b) % two_a)
-            for b in bs:
-                yield a, b
-
-
-def _quadratic_roots(t, d, p, pk):
-    """The roots b mod p^k of b^2 + t*b + n, where d = t^2 - 4n."""
-    if p == 2:
-        return sorted({(y - t) // 2 % pk for y in sqrts_mod(d, 4 * pk)
-                       if (y - t) % 2 == 0})
-    half = (pk + 1) // 2  # the inverse of 2 mod p^k
-    if pk == p and d % p:  # p unramified: the roots +-y of d mod p, or none
-        y = _tonelli_shanks(d, p)
-        return [] if y is None else [(y - t) * half % p, (-y - t) * half % p]
-    return [(y - t) * half % pk for y in sqrts_mod(d, pk)]
+        bs = quadratic_roots_mod(t, n, a, known)
+        if len(bs) > 1:
+            two_a = 2 * a
+            bs = sorted(bs, key=lambda b: (t + 2 * b) % two_a)
+        for b in bs:
+            yield a, b
 
 
 # --- the class monoid -----------------------------------------------------------
@@ -633,7 +581,7 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     # check its budget before the Picard group is built.
     if nf > _MAX_INDEX:
         raise IndexTooLarge(f"quotient order {nf} exceeds budget {_MAX_INDEX}",
-                            operation="enumerate_intermediate_lattices")
+                            operation="class_monoid")
     pic = picard_group(gamma)
     inter = intermediate_classes(gamma, om)
 

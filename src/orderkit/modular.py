@@ -1,5 +1,10 @@
-"""Modular arithmetic utilities: factorization, square roots mod m, symbols."""
+"""Factoring and congruences, for every other module.
 
+factorize and prime_powers split integers (a smallest-prime-factor table
+below 2^18, Pollard-Brent rho above); quadratic_roots Hensel-lifts the roots
+of b^2 + t*b + n mod p^k and quadratic_roots_mod joins them by CRT.  Other
+modules call these and read none of the tables.
+"""
 from __future__ import annotations
 
 from math import gcd, isqrt
@@ -181,10 +186,8 @@ def kronecker(a: int, n: int) -> int:
 
 
 def _tonelli_shanks(a, p):
-    """Square root of a mod odd prime p, assuming it exists; None otherwise."""
+    """A square root of a mod the odd prime p not dividing a, or None."""
     a %= p
-    if a == 0:
-        return 0
     if kronecker(a, p) != 1:
         return None
     if p % 4 == 3:
@@ -208,112 +211,86 @@ def _tonelli_shanks(a, p):
     return r
 
 
-def _sqrts_mod_odd_prime_power(a, p, k):
-    """All y mod p^k with y^2 = a, p odd."""
-    m = p ** k
-    a %= m
-    if a == 0:
-        step = p ** ((k + 1) // 2)
-        return list(range(0, m, step))
-    v = 0
-    aa = a
-    while aa % p == 0:
-        aa //= p
-        v += 1
-    if v % 2:
-        return []
-    half = p ** (v // 2)
-    base = _sqrts_mod_odd_prime_power_unit(aa, p, k - v)
-    if not base:
-        return []
+def prime_powers(n: int):
+    """[(p, p^k)] for the prime powers exactly dividing n >= 1, p ascending.
+
+    Below _SPF_CAP the smallest-prime-factor table splits n, with no dict;
+    from the cap on, factorize does.
+    """
+    if n >= _SPF_CAP:
+        return [(p, p ** k) for p, k in factorize(n).items()]
+    if len(_SPF) <= n:  # skips a call per a in the census
+        _grow_spf(n)
+    spf = _SPF  # read after _grow_spf, which may rebind it
     out = []
-    stepmod = p ** (k - v)
-    for z0 in base:
-        for s in range(half):
-            out.append(half * (z0 + stepmod * s) % m)
-    return sorted(set(out))
+    while n > 1:
+        p = pk = spf[n]
+        n //= p
+        while spf[n] == p:  # spf[1] = 1 ends the run
+            pk *= p
+            n //= p
+        out.append((p, pk))
+    return out
 
 
-def _sqrts_mod_odd_prime_power_unit(a, p, k):
-    """y^2 = a mod p^k for p odd, p not dividing a."""
-    r = _tonelli_shanks(a, p)
-    if r is None:
-        return []
-    pk = p
-    while pk < p ** k:
-        # Hensel: r' = r - (r^2 - a) / (2r) mod pk*p
-        pk_next = pk * p
-        num = (r * r - a) // pk % p
-        den = (2 * r) % p
-        r = (r - num * pow(den, -1, p) % p * pk) % pk_next
-        pk = pk_next
-    m = p ** k
-    r %= m
-    return sorted({r, m - r})
+def quadratic_roots(t, n, p, pk, known):
+    """The roots b in [0, p^k) of f(b) = b^2 + t*b + n mod pk = p^k, p prime.
+
+    known is the caller's memo {p^k: roots} for this f.  The roots mod p^k
+    are lifted from those mod p^(k-1) (Hensel; Cohen, GTM 138, 1.5).  With
+    d = t^2 - 4n, mod p they are (-t +- y) / 2 for y^2 = d (Tonelli-Shanks)
+    if p is odd and prime to d, -t/2 if p | d, and tested if p = 2.  Above p,
+    a p prime to d makes f'(r) = 2r + t a unit: r lifts to r - f(r) / f'(r).
+    A p dividing d divides f'(r) too, so f(r + j*p^(k-1)) = f(r) mod p^k:
+    all p lifts of r are roots if p^k | f(r), none otherwise.
+    """
+    rs = known.get(pk)
+    if rs is not None:
+        return rs
+    d = t * t - 4 * n
+    if pk == p:
+        half = (p + 1) // 2  # the inverse of 2 mod an odd p
+        if p == 2:
+            rs = [b for b in (0, 1) if (b * b + t * b + n) % 2 == 0]
+        elif d % p:
+            y = _tonelli_shanks(d, p)
+            rs = [] if y is None else [(y - t) * half % p, (-y - t) * half % p]
+        else:
+            rs = [-t * half % p]
+    else:
+        q = pk // p
+        below = quadratic_roots(t, n, p, q, known)
+        if d % p:
+            rs = [(r - (r * r + t * r + n) * pow(2 * r + t, -1, pk)) % pk
+                  for r in below]
+        else:
+            rs = [r + j * q for r in below if (r * r + t * r + n) % pk == 0
+                  for j in range(p)]
+    known[pk] = rs
+    return rs
 
 
-def _sqrts_mod_two_power(a, k):
-    """All y mod 2^k with y^2 = a."""
-    m = 1 << k
-    a %= m
-    if k <= 9:
-        return [y for y in range(m) if (y * y - a) % m == 0]
-    if a == 0:
-        step = 1 << ((k + 1) // 2)
-        return list(range(0, m, step))
-    v = 0
-    aa = a
-    while aa % 2 == 0:
-        aa //= 2
-        v += 1
-    if v % 2:
-        return []
-    half = 1 << (v // 2)
-    base = _sqrts_mod_two_power_unit(aa, k - v)
-    if not base:
-        return []
-    out = set()
-    stepmod = 1 << (k - v)
-    for z0 in base:
-        for s in range(half):
-            out.add(half * (z0 + stepmod * s) % m)
-    return sorted(out)
+def quadratic_roots_mod(t, n, m, known):
+    """The roots b in [0, m) of b^2 + t*b + n mod m >= 1, unsorted.
 
-
-def _sqrts_mod_two_power_unit(a, k):
-    """y^2 = a mod 2^k for odd a."""
-    if k == 1:
-        return [1]
-    if k == 2:
-        return [1, 3] if a % 4 == 1 else []
-    if a % 8 != 1:
-        return []
-    # lift from mod 8 upward; solutions mod 2^k (k >= 3) form 4 classes
-    r = 1
-    for j in range(3, k):
-        if (r * r - a) % (1 << (j + 1)):
-            r += 1 << (j - 1)
-    m = 1 << k
-    return sorted({r % m, (m - r) % m, (r + (m >> 1)) % m, (m - r + (m >> 1)) % m})
+    The roots mod each prime power p^k of m (quadratic_roots, with the memo
+    known) are joined by CRT; a p^k with no root ends the work at once.
+    """
+    bs, m0 = [0], 1
+    for p, pk in prime_powers(m):
+        rs = quadratic_roots(t, n, p, pk, known)
+        if not rs:
+            return []
+        if m0 == 1:  # the first prime power: its roots need no CRT
+            bs = rs
+        else:
+            inv = pow(m0, -1, pk)
+            bs = [b + m0 * ((r - b) * inv % pk) for b in bs for r in rs]
+        m0 *= pk
+    return bs
 
 
 def sqrts_mod(a: int, m: int):
-    """All y in [0, m) with y^2 = a (mod m)."""
-    if m == 1:
-        return [0]
-    out = [(0, 1)]  # (residue, modulus) accumulated via CRT
-    for p, k in factorize(m).items():
-        sols = (_sqrts_mod_two_power(a, k) if p == 2
-                else _sqrts_mod_odd_prime_power(a, p, k))
-        if not sols:
-            return []
-        pk = p ** k
-        nxt = []
-        for r0, m0 in out:
-            for s in sols:
-                # CRT combine r0 mod m0 with s mod pk (coprime moduli)
-                inv = pow(m0, -1, pk)
-                r = (r0 + m0 * ((s - r0) * inv % pk)) % (m0 * pk)
-                nxt.append((r, m0 * pk))
-        out = nxt
-    return sorted(r for r, _ in out)
+    """All y in [0, m) with y^2 = a (mod m), ascending: the roots of
+    y^2 - a mod m, from quadratic_roots_mod."""
+    return sorted(quadratic_roots_mod(0, -a, m, {}))

@@ -13,14 +13,16 @@ multiplication matrix, an exact solve through ``intmat.solve_square``), which
 the tests also use as the oracle for the closed forms.
 
 Minimal polynomials also solve through ``intmat.solve_square``; polynomials
-are interpolated by one Lagrange routine, and squarefree parts are read off
+are interpolated by one Lagrange routine, and squarefree parts and the
+divisor lists of the root and factor searches are read off
 ``modular.factorize``.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .errors import (
     DegreeMismatch,
@@ -131,18 +133,13 @@ def squarefree_part(n: int):
     return m, s
 
 
-def _signed_divisors(n):
-    """The divisors of n, each followed by its negative, in increasing size."""
-    n = abs(n)
-    small, big = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                big.append(n // d)
-        d += 1
-    return [x for d in small + big[::-1] for x in (d, -d)]
+def _signed_divisors(factors):
+    """The divisors of the number with prime factorization ``factors`` (a
+    factorize dict), each followed by its negative, in increasing size."""
+    divs = [1]
+    for p, e in factors.items():
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return [x for d in sorted(divs) for x in (d, -d)]
 
 
 def _monic_factor_candidates(p, deg, budget=400_000):
@@ -151,20 +148,22 @@ def _monic_factor_candidates(p, deg, budget=400_000):
     Interpolation through small integer points: a factor q satisfies
     q(k) | p(k), so candidates come from divisor tuples.  Only needed up to
     degree 4 (embedding-count resultants cap at degree 4*4 = 16 overall).
+    The candidate count is read off the exponents of the factored values and
+    checked against the budget before any divisor list is built.
     """
     pts = [0, 1, -1, 2, -2][:deg]
     vals = [poly_eval(p, t) for t in pts]
     if any(v == 0 for v in vals):
         return  # linear factor at one of the sample points; handled by roots
-    divlists = [_signed_divisors(v) for v in vals]
+    factored = [factorize(v) for v in vals]
     total = 1
-    for dl in divlists:
-        total *= len(dl)
+    for f in factored:
+        total *= 2 * prod(e + 1 for e in f.values())
     if total > budget:
         raise SearchBudgetExceeded(
             f"factor candidate space {total} exceeds budget {budget}",
             operation="factor_search")
-    import itertools
+    divlists = [_signed_divisors(f) for f in factored]
     seen = set()
     for combo in itertools.product(*divlists):
         q = _interpolate_monic(pts, combo, deg)
@@ -212,7 +211,7 @@ def integer_roots(p):
         roots.append(0)
         while p and p[0] == 0:
             p = p[1:]
-    for d in _signed_divisors(p[0]) if p else []:
+    for d in _signed_divisors(factorize(p[0])) if p else []:
         if poly_eval(p, d) == 0:
             roots.append(d)
     return sorted(set(roots))

@@ -381,8 +381,8 @@ def fundamental_unit(gamma: Order) -> FieldElement:
     """Fundamental unit of a real quadratic order, > 1 in the first embedding.
 
     The unit of the maximal order comes from the continued-fraction cycle of
-    the principal form; for a non-maximal order the smallest power landing in
-    the order is taken, with a search budget of [O_L : Gamma] * 6.
+    the principal form; for a non-maximal order, its least power in the
+    order (least_power_in).
     """
     field = gamma.field
     if field.degree != 2 or field.signature != (2, 0):
@@ -400,12 +400,18 @@ def fundamental_unit(gamma: Order) -> FieldElement:
     if abs(eps.norm()) != 1:
         raise MethodDisagreement("fundamental unit has norm other than +-1",
                                  operation="fundamental_unit")
-    idx = lattice_index(om.lattice, gamma.lattice)
-    budget = idx * _POWER_BUDGET_FACTOR
+    return least_power_in(gamma, eps)[1]
+
+
+def least_power_in(gamma: Order, eps: FieldElement):
+    """(k, eps^k) for the least k >= 1 with eps^k in gamma, for a unit eps
+    of the maximal order, trying at most [O_L : Gamma] * 6 powers."""
+    om = maximal_order(gamma.field)
+    budget = lattice_index(om.lattice, gamma.lattice) * _POWER_BUDGET_FACTOR
     power = eps
-    for _ in range(budget):
+    for k in range(1, budget + 1):
         if gamma.contains(power):
-            return power
+            return k, power
         power = power * eps
     raise MethodDisagreement("no power of the fundamental unit fell in the "
                              "order within budget; this contradicts finite "

@@ -32,16 +32,6 @@ def content(form):
     return gcd(gcd(abs(a), abs(b)), abs(c))
 
 
-def apply_baschange(form, m):
-    """Form of the basis (p*alpha + q*beta, r*alpha + s*beta), m = [[p,q],[r,s]]."""
-    a, b, c = form
-    (p, q), (r, s) = m
-    a2 = a * p * p + b * p * q + c * q * q
-    c2 = a * r * r + b * r * s + c * s * s
-    b2 = 2 * a * p * r + b * (p * s + q * r) + 2 * c * q * s
-    return (a2, b2, c2)
-
-
 def _mat_mul(m1, m2):
     (a, b), (c, d) = m1
     (e, f), (g, h) = m2

@@ -121,6 +121,32 @@ class TestOrderCommands:
         assert "IndexTooLarge" in err
 
 
+class TestErrorOrigin:
+    """The origin in an error line is the module whose frame raised it."""
+
+    def test_cycle_budget_names_quadforms(self, capsys, monkeypatch):
+        from orderkit import quadforms
+        monkeypatch.setattr(quadforms, "_MAX_CYCLE", 10)
+        rc, _, err = run_cli(capsys, "order-info",
+                             "--field=-1000000000000037,0,1")
+        assert rc == 3
+        assert "[quadforms.cycle_of] SearchBudgetExceeded" in err
+
+    def test_rho_budget_names_modular(self, capsys, monkeypatch):
+        from orderkit import modular
+        monkeypatch.setattr(modular, "_RHO_BUDGET", 4)
+        rc, _, err = run_cli(capsys, "order-info",
+                             f"--field={-1000003 * 1000033},0,1")
+        assert rc == 3
+        assert "[modular.factorize] SearchBudgetExceeded" in err
+
+    def test_index_budget_names_class_monoid(self, capsys):
+        rc, _, err = run_cli(capsys, "class-monoid", "--field", "1,0,1",
+                             "--order-basis", "1,0;0,400")
+        assert rc == 3
+        assert "[ideals.class_monoid] IndexTooLarge" in err
+
+
 class TestGammaCount:
     def test_sqrt_minus5(self, capsys):
         rc, out, _ = run_cli(capsys, "gamma-count", "--gamma-field", "5,0,1",

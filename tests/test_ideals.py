@@ -552,6 +552,22 @@ class TestPicard:
         brute = self.brute_class_count(om, isqrt(abs(om.disc())) + 1)
         assert pg.order == brute == expected_h
 
+    # [O_L^x : Gamma^x] of the real orders of the verify corpus that is not
+    # 1, by discriminant; every other real corpus order has index 1
+    UNIT_INDEX = {20: 3, 32: 2, 45: 4, 48: 2, 52: 3, 72: 4, 80: 6, 84: 3,
+                  108: 3, 112: 2, 116: 3, 117: 2, 125: 5, 128: 4, 153: 4,
+                  160: 2, 176: 2, 180: 12, 189: 3, 192: 2, 200: 3}
+
+    def test_unit_index_on_the_corpus(self):
+        from orderkit.verify import build_corpus
+        real = [e for e in build_corpus()
+                if e.order.field.signature == (2, 0)]
+        assert len(real) == 86
+        for e in real:
+            om = maximal_order(e.order.field)
+            assert (ideals._unit_index(e.order, om)
+                    == self.UNIT_INDEX.get(e.disc, 1)), e.disc
+
     @pytest.mark.parametrize("coeffs,rows", COMPOSE_ORDERS)
     def test_integer_census_matches_lattice_route(self, coeffs, rows):
         gamma = is_order(make_field(coeffs), rows)

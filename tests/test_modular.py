@@ -1,0 +1,93 @@
+"""Congruences and prime powers in orderkit.modular, each against a brute
+scan of the residues; and the source check that the factor table and
+Tonelli-Shanks stay private to modular."""
+
+import re
+import time
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from orderkit import modular
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "orderkit"
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31)
+
+
+@st.composite
+def quadratic_cases(draw):
+    """(t, n, p, pk): b^2 + t*b + n mod p^k <= 4096, with d = t^2 - 4n of
+    either sign, divisible by p^j for j up to 12, and t of either parity."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    k = draw(st.integers(1, max(k for k in range(1, 13) if p ** k <= 4096)))
+    t = draw(st.integers(-60, 60))
+    j = draw(st.integers(0, 12 if (p != 2 or t % 2 == 0) else 0))
+    u = draw(st.integers(0, 500))
+    d = draw(st.sampled_from((1, -1))) * p ** j
+    if t % 2 == 0:
+        d *= 4 * u
+    else:  # d = t^2 = 1 mod 4, with p odd when j > 0
+        d *= 2 * u + 1
+        if d % 4 == 3:
+            d = -d
+    return t, (t * t - d) // 4, p, p ** k
+
+
+@settings(max_examples=400, deadline=None)
+@given(quadratic_cases())
+@example((0, 0, 2, 4096))          # b^2 mod 2^12: 64 roots
+@example((0, -3 ** 6, 3, 3 ** 7))  # b^2 = 3^6 mod 3^7
+@example((1, 1, 2, 1024))          # odd t, no root mod 2
+@example((0, -5 * 31, 31, 31 ** 2))  # p | d, f(r) not 0 mod p^2
+def test_quadratic_roots_match_scan(case):
+    t, n, p, pk = case
+    known = {}
+    rs = modular.quadratic_roots(t, n, p, pk, known)
+    assert sorted(rs) == [b for b in range(pk) if (b * b + t * b + n) % pk == 0]
+    assert known[pk] is rs
+    q = pk
+    while q > 1:  # every lower power was lifted through and kept
+        assert sorted(known[q]) == [b for b in range(q)
+                                    if (b * b + t * b + n) % q == 0]
+        q //= p
+
+
+high_powers = st.builds(lambda q, j, u, s: s * q ** j * u,
+                        st.sampled_from(SMALL_PRIMES), st.integers(1, 14),
+                        st.integers(1, 50), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10 ** 6, 10 ** 6), high_powers),
+       st.integers(1, 4096))
+@example(0, 4096)
+@example(2 ** 10, 4096)
+@example(3 ** 6 * 5, 3 ** 7)
+@example(-1, 4050)
+def test_sqrts_mod_matches_scan(a, m):
+    assert modular.sqrts_mod(a, m) == [y for y in range(m)
+                                       if (y * y - a) % m == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1 << 40))
+def test_prime_powers_match_factorize(n):
+    assert modular.prime_powers(n) == [(p, p ** k) for p, k
+                                       in modular.factorize(n).items()]
+
+
+def test_ramified_lift_is_not_a_scan():
+    # roots mod p of y^2 = 5p: {0}; 5p is not 0 mod p^2, so no lift is a
+    # root, and none may be tried one by one
+    p = 1_000_003
+    start = time.perf_counter()
+    assert modular.sqrts_mod(5 * p, p * p) == []
+    assert time.perf_counter() - start < 0.1
+
+
+def test_factor_table_and_tonelli_shanks_stay_in_modular():
+    names = re.compile(r"\b(_SPF|_tonelli_shanks)\b")
+    users = sorted(path.name for path in SRC.glob("*.py")
+                   if names.search(path.read_text()))
+    assert users == ["modular.py"]

@@ -442,3 +442,42 @@ class TestIntegerGenericRoutes:
         for p in (p_low + [1], poly_mul(q, p_low + [1])):
             _, rem = poly_divmod(p, q)
             assert _divides_monic(p, q) == (not rem)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 36, 97, 720, 2 ** 10 * 3 ** 4,
+                               -360, 1000003 * 1000033])
+def test_signed_divisors_from_factorization(n):
+    from orderkit.modular import factorize
+    from orderkit.numberfield import _signed_divisors
+    small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+    divs = sorted(set(small) | {abs(n) // d for d in small})
+    assert _signed_divisors(factorize(n)) == [x for d in divs for x in (d, -d)]
+
+
+def test_cubic_with_large_constant_is_fast():
+    import time
+    start = time.perf_counter()
+    field = make_field([-(10 ** 15 + 37), 0, 0, 1])
+    assert time.perf_counter() - start < 1.0
+    assert field.degree == 3
+
+
+def test_unsplit_constant_is_a_budget_error(monkeypatch):
+    from orderkit import modular
+    from orderkit.errors import SearchBudgetExceeded
+    monkeypatch.setattr(modular, "_RHO_BUDGET", 4)
+    with pytest.raises(SearchBudgetExceeded):
+        make_field([-1000003 * 1000033, 0, 0, 1])
+
+
+def test_candidate_budget_checked_before_divisor_lists(monkeypatch):
+    from orderkit import numberfield
+    from orderkit.errors import SearchBudgetExceeded
+
+    def no_lists(factors):
+        raise AssertionError("a divisor list was built over budget")
+    monkeypatch.setattr(numberfield, "_signed_divisors", no_lists)
+    # x^4 + 720720: 240 divisors at 0 alone, 480 signed, past a budget of 100
+    with pytest.raises(SearchBudgetExceeded, match="exceeds budget 100"):
+        list(numberfield._monic_factor_candidates([720720, 0, 0, 0, 1], 2,
+                                                   budget=100))
