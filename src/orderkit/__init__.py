@@ -11,6 +11,7 @@ from .errors import (
     FactorizationViolation,
     HypothesisViolated,
     IndexTooLarge,
+    InvalidInput,
     MethodDisagreement,
     NeedsUserInput,
     NotClosed,

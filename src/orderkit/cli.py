@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .errors import OrderkitError
+from .errors import InvalidInput, OrderkitError
 from .gamma_structures import MatrixOrder, count_structures, structures_from_ideal_classes
 from .ideals import class_monoid
 from .numberfield import make_field
@@ -140,8 +140,24 @@ FORMULAS = ("thm-a-height", "thm-main-height", "thm-main-count", "thm-b",
             "pol-degree")
 
 
+# integer inputs of the bound formulas; each is a positive integer
+_BOUND_INTEGERS = ("g", "nu", "n", "pic", "max_level", "n_f", "h", "l",
+                   "d_override")
+
+
 def _cmd_bound(args):
-    spec = bounds_mod.SIntegerSpec.from_string(args.excluded_primes)
+    for name in _BOUND_INTEGERS:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise InvalidInput(f"--{name.replace('_', '-')} must be a "
+                               f"positive integer, got {value}",
+                               operation="bound")
+    try:
+        spec = bounds_mod.SIntegerSpec.from_string(args.excluded_primes)
+    except ValueError:
+        raise InvalidInput(f"bad --excluded-primes {args.excluded_primes!r}: "
+                           f"expected comma-separated integers",
+                           operation="bound") from None
     fid = args.formula
     inputs = {"formula": fid, "g": args.g, "excluded_primes":
               sorted(spec.excluded_primes)}
@@ -197,15 +213,21 @@ def _cmd_bound(args):
     raise UsageError(f"unknown formula {fid!r}")
 
 
-def _order_from_args(args, field):
-    if args.order_basis:
-        return is_order(field, parse_basis(args.order_basis))
-    return maximal_order(field)
+def _order_from_args(field, basis_text):
+    """The order spanned by --order-basis rows, or the maximal order."""
+    if not basis_text:
+        return maximal_order(field)
+    rows = parse_basis(basis_text)
+    if any(len(row) != field.degree for row in rows):
+        raise InvalidInput(f"bad order basis {basis_text!r}: each row needs "
+                           f"one entry per degree of the field "
+                           f"({field.degree})", operation="order_basis")
+    return is_order(field, rows)
 
 
 def _cmd_order_info(args):
     field = make_field(parse_poly(args.field))
-    order = _order_from_args(args, field)
+    order = _order_from_args(field, args.order_basis)
     om = maximal_order(field)
     cond = conductor(order, om)
     out = {
@@ -232,7 +254,7 @@ def _cmd_order_info(args):
 
 def _cmd_class_monoid(args):
     field = make_field(parse_poly(args.field))
-    order = _order_from_args(args, field)
+    order = _order_from_args(field, args.order_basis)
     monoid = class_monoid(order)
     classes = []
     for idx, c in enumerate(monoid.classes):
@@ -255,11 +277,11 @@ def _cmd_class_monoid(args):
 
 
 def _cmd_gamma_count(args):
+    if args.target_n < 1:
+        raise InvalidInput(f"--target-n must be a positive integer, got "
+                           f"{args.target_n}", operation="gamma_count")
     field = make_field(parse_poly(args.gamma_field))
-    if args.gamma_basis:
-        gamma = is_order(field, parse_basis(args.gamma_basis))
-    else:
-        gamma = maximal_order(field)
+    gamma = _order_from_args(field, args.gamma_basis)
     if args.target_field:
         k = make_field(parse_poly(args.target_field))
     else:

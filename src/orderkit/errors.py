@@ -110,3 +110,9 @@ class HypothesisViolated(OrderkitError):
 
 class NotPrime(OrderkitError):
     pass
+
+
+# --- cli --------------------------------------------------------------------
+
+class InvalidInput(OrderkitError):
+    """A command-line value outside the domain of the operation it feeds."""

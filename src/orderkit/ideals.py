@@ -6,14 +6,18 @@ order}, then audited by a brute-force census of stable sublattices.  Class
 identity for quadratic orders is decided through oriented binary quadratic
 forms (see quadforms); a generic norm-constrained element search remains as
 the fallback and as the oracle route in the tests.
+
+class_monoid carries a quadratic class as the pair (a, b) of its
+representative [a, b + omega] and multiplies, labels and tests pairs in
+integers; the lattice route is their oracle (tests, verify_monoid_table).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import quadforms
@@ -45,6 +49,8 @@ from .orders import (
 _MAX_INDEX = 100_000
 # The census audits stable sublattices up to index N(f)^2 times this factor.
 _CENSUS_BUDGET_FACTOR = 16
+# Largest census index, checked before any census starts.
+_MAX_CENSUS = 100_000
 # Coefficient budget of the generic equivalence search (degree >= 3).
 _EQUIVALENCE_BUDGET = 4000
 
@@ -315,25 +321,77 @@ class IdealClass:
     representative: FractionalIdeal
     invertible: bool
     label: tuple
+    pair: tuple = _field(default=None, compare=False)
 
     def __repr__(self):
         return f"IdealClass(label={self.label}, invertible={self.invertible})"
 
 
-def _make_class(rep: FractionalIdeal, label: tuple) -> IdealClass:
-    """The class labelled ``label`` (the caller's class_label of ``rep``),
-    represented by the primitive scaling of ``rep``.
+def _pair_forms(gamma: Order, pairs):
+    """(a, b, form) for each stable pair of ``pairs``: form = (a, s*(2b + t),
+    (b^2 + t*b + n) / a) is the oriented form of Z*a + Z*(b + omega) times
+    its content, with s = -1 for real fields (anti-oriented bases), else 1."""
+    t, n = gamma.omega_data()
+    s = -1 if gamma.field.signature[0] == 2 else 1
+    for a, b in pairs:
+        yield a, b, (a, s * (2 * b + t), (b * b + t * b + n) // a)
 
-    For a quadratic order the label is a primitive form of the class, so
-    invertibility is is_invertible's own test read off it: the label's
-    discriminant is that of the order.  Other degrees call is_invertible.
-    """
-    rep = rep.primitive()
-    if rep.order.degree == 2:
-        t, n = rep.order.omega_data()
-        return IdealClass(rep, quadforms.disc_of(label) == t * t - 4 * n,
-                          label)
-    return IdealClass(rep, is_invertible(rep), label)
+
+def _pair_label(gamma: Order, a, b):
+    """class_label of the stable lattice [a, b + omega], in integers."""
+    (_, _, form), = _pair_forms(gamma, [(a, b)])
+    g = quadforms.content(form)
+    return quadforms.class_label(tuple(x // g for x in form))
+
+
+def _pair_class(gamma: Order, a, b, label) -> IdealClass:
+    """The class labelled ``label`` represented by [a, b + omega]; invertible
+    when the label has the order's discriminant, as in is_invertible."""
+    t, n = gamma.omega_data()
+    return IdealClass(_standard_ideal(gamma, a, b),
+                      quadforms.disc_of(label) == t * t - 4 * n, label, (a, b))
+
+
+def _pair_of_rows(rows, t, n):
+    """(z, a, b) with span(rows) = z*[a, b + omega] for integer rows in
+    (1, omega) coordinates (omega^2 = t*omega - n), or None if not stable:
+    with HNF rows (x, 0), (y, z) (xgcd on the omega column), it is stable
+    iff z | x, z | y and a = x/z divides N(b + omega) for b = y/z mod a."""
+    x = y = z = 0
+    for r0, r1 in rows:
+        if r1:
+            g, u, v = quadforms._xgcd(z, r1)
+            x = gcd(x, (r1 * y - z * r0) // g)
+            y, z = u * y + v * r0, g
+        else:
+            x = gcd(x, r0)
+    if x % z or y % z:
+        return None
+    a, b = x // z, y // z
+    return None if (b * b + t * b + n) % a else (z, a, b % a)
+
+
+def _lattice_reader(gamma: Order):
+    """lat -> (z, a, b) with lat in Q*[a, b + omega], or None if unstable:
+    for omega = (p0 + p1*theta)/q, p1*(c0 + c1*theta) is
+    (c0*p1 - c1*p0) + c1*q*omega."""
+    t, n = gamma.omega_data()
+    w0, w1 = gamma.omega().coords
+    q = lcm(w0.denominator, w1.denominator)
+    p0, p1 = int(w0 * q), int(w1 * q)
+    return lambda lat: _pair_of_rows([(c0 * p1 - c1 * p0, c1 * q)
+                                      for c0, c1 in lat.basis.entries], t, n)
+
+
+def _pair_product(gamma: Order, p, q):
+    """(a, b, label) with [a1, b1 + omega][a2, b2 + omega] in Q*[a, b + omega]
+    for p = (a1, b1), q = (a2, b2), read off the product's generators a1*a2,
+    a1*(b2 + omega), a2*(b1 + omega), (b1*b2 - n) + (b1 + b2 + t)*omega."""
+    t, n = gamma.omega_data()
+    (a1, b1), (a2, b2) = p, q
+    _, a, b = _pair_of_rows(((a1 * a2, 0), (a1 * b2, a1), (a2 * b1, a2),
+                             (b1 * b2 - n, b1 + b2 + t)), t, n)
+    return a, b, _pair_label(gamma, a, b)
 
 
 def intermediate_classes(gamma: Order, maximal: Order | None = None,
@@ -343,7 +401,8 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
     ``lower_ideal`` optionally replaces the conductor by a smaller ideal of
     the maximal order contained in the order; the resulting class set only
     grows, and the product decomposition still holds.  The conductor is the
-    minimal choice and the default.
+    minimal choice and the default.  Lattices are read as integer pairs
+    (_lattice_reader; oracle in the tests: escaping_product, class_label).
     """
     if maximal is None:
         maximal = maximal_order(gamma.field)
@@ -362,15 +421,13 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
                                 "maximal order", operation="intermediate_classes")
     lattices = enumerate_intermediate_lattices(maximal.lattice, lower,
                                                max_index=max_index)
+    if gamma.degree == 1:  # every fractional ideal of Z is principal
+        return [IdealClass(unit_ideal(gamma), True, (1,))]
     classes = {}
-    for lat in lattices:
-        if escaping_product(gamma.basis_elements(), lat,
-                            gamma.field) is not None:
-            continue
-        ideal = FractionalIdeal(gamma, lat, check=False)
-        lab = class_label(ideal)
+    for _, a, b in filter(None, map(_lattice_reader(gamma), lattices)):
+        lab = _pair_label(gamma, a, b)
         if lab not in classes:
-            classes[lab] = _make_class(ideal, lab)
+            classes[lab] = _pair_class(gamma, a, b, lab)
     out = sorted(classes.values(), key=lambda c: c.label)
     if lower_ideal is None and len(out) > f.norm ** gamma.degree:
         raise FactorizationViolation("intermediate class count exceeded N(f)^g",
@@ -432,18 +489,15 @@ def picard_group(gamma: Order) -> PicardGroup:
     both its invertibility (content 1, i.e. its discriminant is that of
     Gamma) and, unless its reduced form is a canonical form of a class
     already found, its class label; only the first ideal of each class is
-    built as a lattice, to represent it; (b) the index formula relating
-    |Pic(Gamma)| to the class number h(O_L) of the maximal order, which is
-    counted once and also reported as h_maximal.  The maximal order, its
-    discriminant and the conductor are computed once and kept on the field
-    and the orders (see maximal_order and conductor).  A mismatch is an
-    implementation bug, reported as MethodDisagreement.  No class products
-    are formed here: the group laws (closure, inverses) are checked on the
-    multiplication table of class_monoid, where each product is computed once.
+    built as a lattice, to represent it, and carries its pair (a, b); a bound
+    over _MAX_CENSUS raises IndexTooLarge first; (b) the index formula
+    relating |Pic(Gamma)| to h(O_L), also reported as h_maximal.  A mismatch
+    is an implementation bug, reported as MethodDisagreement.  The group
+    laws are checked on the multiplication table of class_monoid.
     """
     if gamma.degree == 1:
-        unit = unit_ideal(gamma)
-        return PicardGroup((_make_class(unit, class_label(unit)),), 1, 1, 1, 1)
+        return PicardGroup((IdealClass(unit_ideal(gamma), True, (1,)),),
+                           1, 1, 1, 1)
     if gamma.degree != 2:
         raise UnsupportedDegree("picard_group implemented for degree <= 2",
                                 operation="picard_group")
@@ -451,6 +505,7 @@ def picard_group(gamma: Order) -> PicardGroup:
     d = gamma.disc()
     nf = conductor(gamma, om).norm
     bound = isqrt(abs(d)) + 1
+    _check_census(bound, "picard_group")
     found = {}
     seen = set()  # the canonical forms of the classes found so far
     for a, b, form in _census_forms(gamma, bound):
@@ -461,7 +516,7 @@ def picard_group(gamma: Order) -> PicardGroup:
         lab = quadforms.class_label(form)
         if lab not in found:
             seen |= quadforms.class_forms(lab)
-            found[lab] = _make_class(_standard_ideal(gamma, a, b), lab)
+            found[lab] = _pair_class(gamma, a, b, lab)
     classes = sorted(found.values(), key=lambda c: c.label)
     h0 = quadforms.form_class_count(om.disc())
     h_formula = _index_formula(gamma, om, h0)
@@ -473,21 +528,21 @@ def picard_group(gamma: Order) -> PicardGroup:
 
 
 def _census_forms(gamma: Order, bound):
-    """(a, b, form) for each pair of _stable_ideal_pairs(gamma, bound), with
-    form the oriented form of Z*a + Z*(b + omega) times its content, read
-    off the integers: (a, s*(2b + t), (b^2 + t*b + n) / a).  Census bases
-    are anti-oriented for real fields, so s = -1 there and 1 otherwise."""
-    t, n = gamma.omega_data()
-    s = -1 if gamma.field.signature[0] == 2 else 1
-    for a, b in _stable_ideal_pairs(gamma, bound):
-        yield a, b, (a, s * (2 * b + t), (b * b + t * b + n) // a)
+    """_pair_forms of the pairs of _stable_ideal_pairs(gamma, bound)."""
+    return _pair_forms(gamma, _stable_ideal_pairs(gamma, bound))
+
+
+def _check_census(budget, operation):
+    """IndexTooLarge when a census up to index ``budget`` is over budget."""
+    if budget > _MAX_CENSUS:
+        raise IndexTooLarge(f"census up to index {budget} exceeds budget "
+                            f"{_MAX_CENSUS}", operation=operation)
 
 
 def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
     """The stable lattice Z*a + Z*(b + omega) as a fractional ideal."""
-    w = gamma.omega()
-    one = gamma.field.one()
-    rows = [list((one * a).coords), list((one * b + w).coords)]
+    w0, w1 = gamma.omega().coords
+    rows = [[a, 0], [b + w0, w1]]
     return FractionalIdeal(gamma, Lattice.from_rows(rows, 2), check=False)
 
 
@@ -554,23 +609,21 @@ class ClassMonoid:
 def class_monoid(gamma: Order) -> ClassMonoid:
     """C = Pic * {intermediate classes}, audited by a stable-sublattice census.
 
-    The multiplication table comes from _product_labels, which multiplies
-    each pair of classes once (two Picard classes by composing their forms);
-    a product outside the assembled classes is a FactorizationViolation,
-    and the monoid laws and the group laws of the Picard subset (closure,
-    inverses) are checked on the table.  A Picard class times the
-    intermediate class represented by the order itself is that Picard class,
-    so no ideal product is formed for it.
+    Classes carry the pairs (a, b) of their representatives [a, b + omega]
+    and are multiplied as pairs (_pair_product), two Picard classes in the
+    table by composing forms (_product_labels); verify_monoid_table redoes
+    the table as lattices.  A product outside the assembled classes is a
+    FactorizationViolation; the monoid laws and the group laws of the Picard
+    subset are checked on the table.  P times the order itself is P.
     The census enumerates every primitive stable sublattice of index up to
     max(N(f)^2 * 16, isqrt(|disc|) + 1) and verifies each lands in an
     assembled class, and that every assembled class is hit: the executable
     form of the product decomposition, with FactorizationViolation as the
-    fatal signal.  An index N(f) above 100,000 raises IndexTooLarge before
-    any class is built.
+    fatal signal.  An index N(f) above _MAX_INDEX, or a census index above
+    _MAX_CENSUS, raises IndexTooLarge before any class is built.
     """
     if gamma.degree == 1:
-        unit = unit_ideal(gamma)
-        cls = _make_class(unit, class_label(unit))
+        cls = IdealClass(unit_ideal(gamma), True, (1,))
         return ClassMonoid(gamma, (cls,), ((0,),), (0,), (0,), 1, 1, 1, 1)
     if gamma.degree != 2:
         raise UnsupportedDegree("class_monoid implemented for degree <= 2",
@@ -578,25 +631,26 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     om = maximal_order(gamma.field)
     nf = conductor(gamma, om).norm
     # N(f) = [O_L : f] is the quotient that intermediate_classes enumerates;
-    # check its budget before the Picard group is built.
+    # every class has a reduced form whose a is at most isqrt(|disc|)
     if nf > _MAX_INDEX:
         raise IndexTooLarge(f"quotient order {nf} exceeds budget {_MAX_INDEX}",
                             operation="class_monoid")
+    budget = max(nf * nf * _CENSUS_BUDGET_FACTOR, isqrt(abs(gamma.disc())) + 1)
+    _check_census(budget, "class_monoid")
     pic = picard_group(gamma)
     inter = intermediate_classes(gamma, om)
 
     assembled = {}
-    identity_label = class_label(unit_ideal(gamma))
+    identity_label = _pair_label(gamma, 1, 0)
     for p in pic.classes:
         for i in inter:
-            if i.representative.lattice == gamma.lattice:
+            if i.pair == (1, 0):
                 # P * Gamma = P: the Picard class itself
                 assembled.setdefault(p.label, p)
                 continue
-            prod = ideal_product(p.representative, i.representative)
-            lab = class_label(prod)
+            a, b, lab = _pair_product(gamma, p.pair, i.pair)
             if lab not in assembled:
-                assembled[lab] = _make_class(prod, lab)
+                assembled[lab] = _pair_class(gamma, a, b, lab)
     # identity first, rest ordered by label
     rest = sorted((lab for lab in assembled if lab != identity_label))
     ordering = [identity_label] + rest
@@ -605,7 +659,7 @@ def class_monoid(gamma: Order) -> ClassMonoid:
 
     # multiplication table; any product escaping the set is a violation
     table = []
-    for row in _product_labels(classes):
+    for row in _product_labels(classes, pairs=True):
         if not all(lab in index_of for lab in row):
             raise FactorizationViolation(
                 "product of classes left the assembled monoid",
@@ -626,10 +680,6 @@ def class_monoid(gamma: Order) -> ClassMonoid:
                 raise MethodDisagreement(
                     "two distinct classes share a canonical form",
                     operation="class_monoid")
-    t, n = gamma.omega_data()
-    # every class has a reduced form with leading coefficient at most
-    # isqrt(|disc|), so the budget never stops below that
-    budget = max(nf * nf * _CENSUS_BUDGET_FACTOR, isqrt(abs(t * t - 4 * n)) + 1)
     checked, hit = _census_audit(gamma, budget, form_to_class)
     if hit != set(range(len(classes))):
         missing = sorted(set(range(len(classes))) - hit)
@@ -667,7 +717,7 @@ def _census_audit(gamma: Order, budget, form_to_class):
     return checked, hit
 
 
-def _product_labels(classes):
+def _product_labels(classes, pairs=False):
     """labels[i][j] = label of the class of the product of classes[i] and
     classes[j]: the one place where classes are multiplied pair by pair.
     Ideal products commute, so each unordered pair is multiplied once.
@@ -677,9 +727,9 @@ def _product_labels(classes):
     the label of the product is that of their Dirichlet composition
     (quadforms.compose).  Composition respects the plain class, which for
     real fields joins a form and (-a, b, -c), because (-a, b, -c) is the
-    composition of the form with one fixed class.  Every other pair is
-    multiplied as lattices, class_label(ideal_product(...)); the tests keep
-    that lattice route for all pairs as the oracle of the form route."""
+    composition of the form with one fixed class.  Any other pair goes by
+    _pair_product if ``pairs`` is set, else as lattices: the tests keep
+    class_label(ideal_product(...)) for all pairs as the oracle."""
     n = len(classes)
     forms = bool(classes) and classes[0].representative.order.degree == 2
     labels = [[None] * n for _ in range(n)]
@@ -689,6 +739,9 @@ def _product_labels(classes):
             if forms and ci.invertible and cj.invertible:
                 lab = quadforms.class_label(quadforms.compose(ci.label,
                                                               cj.label))
+            elif forms and pairs:
+                lab = _pair_product(ci.representative.order, ci.pair,
+                                    cj.pair)[2]
             else:
                 lab = class_label(ideal_product(ci.representative,
                                                 cj.representative))
@@ -723,10 +776,10 @@ def _check_monoid_laws(monoid: ClassMonoid):
 
 
 def verify_monoid_table(monoid: ClassMonoid):
-    """Recompute every table entry from the classes with _product_labels
-    (composition of forms for two invertible quadratic classes, lattice
-    products otherwise), then check the monoid and Picard group laws on the
-    table; raises FactorizationViolation on any mismatch.
+    """Recompute every table entry with _product_labels (forms composed for
+    two invertible quadratic classes, else lattice products, independent of
+    class_monoid's pair products), then check the monoid and Picard group
+    laws on the table; raises FactorizationViolation on any mismatch.
 
     This is the hook the fault-injection negative control goes through."""
     labels = _product_labels(monoid.classes)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 pass/fail lines as they complete.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -69,6 +70,34 @@ def test_criterion_1_lenstra_factorization():
         assert monoid.census_checked > 0
         assert monoid.census_budget == monoid.conductor_norm ** 2 * 16
     _report(1, "lenstra factorization census", time.time() - t0, 60)
+
+
+# sha256 of monoid_digest over the 183 corpus monoids, taken from the
+# lattice-product implementation of class_monoid that preceded the integer
+# pair route
+CORPUS_MONOID_SHA256 = (
+    "ae675f237096469638b5afb2a922cc1b2fb6b88d7341b018ba3da44591d20e35")
+
+
+def monoid_digest(monoids):
+    """sha256 of each monoid's labels, invertible flags, representative
+    HNFs, table, Picard and intermediate subsets and census count."""
+    h = hashlib.sha256()
+    for m in monoids:
+        h.update(repr((
+            [c.label for c in m.classes],
+            [c.invertible for c in m.classes],
+            [(c.representative.lattice.den,
+              c.representative.lattice.basis.entries) for c in m.classes],
+            m.table, m.picard_subset, m.intermediate_subset,
+            m.census_checked)).encode())
+    return h.hexdigest()
+
+
+def test_corpus_monoids_pinned():
+    monoids = _monoids()
+    assert len(monoids) == 183
+    assert monoid_digest(monoids) == CORPUS_MONOID_SHA256
 
 
 def test_criterion_2_class_bounds():

@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,71 @@ class TestErrorOrigin:
                              "--order-basis", "1,0;0,400")
         assert rc == 3
         assert "[ideals.class_monoid] IndexTooLarge" in err
+
+
+class TestCensusBudget:
+    # each census would run to about its index; the budget is checked first
+    @pytest.mark.parametrize("argv,index", [
+        (("class-monoid", "--field=1000000000000037,0,1"), 63245554),
+        (("class-monoid", "--field=1,0,1", "--order-basis=1,0;0,40"),
+         40960000),
+        (("class-monoid", "--field=-1000000000000037,5,1"), 63245554),
+        (("gamma-count", "--gamma-field=-1000000000000037,5,1",
+          "--target-n=4"), 63245554),
+    ])
+    def test_over_budget_ends_at_once(self, capsys, argv, index):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3 and out == ""
+        assert (f"[ideals.class_monoid] IndexTooLarge: census up to index "
+                f"{index} exceeds budget 100000") in err
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("argv,named", [
+        (("class-monoid", "--field=5,1", "--order-basis=1,7;7"),
+         "[cli.order_basis] InvalidInput: bad order basis"),
+        (("bound", "--formula", "thm-b", "--n=7", "--pic=-5", "--kind",
+          "p1_n"), "[cli.bound] InvalidInput: --pic must be a positive"),
+        (("bound", "--formula", "thm-b", "--excluded-primes=x"),
+         "[cli.bound] InvalidInput: bad --excluded-primes 'x'"),
+        (("gamma-count", "--gamma-field=5,0,1", "--target-n=0"),
+         "[cli.gamma_count] InvalidInput: --target-n must be a positive"),
+    ])
+    def test_rejected_as_domain_error(self, capsys, argv, named):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert named in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenOutputs:
+    # written by the lattice-product implementation of class_monoid that
+    # preceded the integer pair route (see CHANGES.md)
+    @pytest.mark.parametrize("name,argv", [
+        ("class_monoid_z6i.json",
+         ("class-monoid", "--field=1,0,1", "--order-basis=1,0;0,6")),
+        ("class_monoid_z3sqrt2.json",
+         ("class-monoid", "--field=-2,0,1", "--order-basis=1,0;0,3")),
+        ("class_monoid_zsqrtm71.json",
+         ("class-monoid", "--field=71,0,1", "--order-basis=1,0;0,1")),
+        ("gamma_count_z6i.json",
+         ("gamma-count", "--gamma-field=1,0,1", "--gamma-basis=1,0;0,6",
+          "--target-n=2")),
+        ("gamma_count_z3sqrt2.json",
+         ("gamma-count", "--gamma-field=-2,0,1", "--gamma-basis=1,0;0,3",
+          "--target-n=2")),
+        ("gamma_count_zsqrtm71.json",
+         ("gamma-count", "--gamma-field=71,0,1", "--gamma-basis=1,0;0,1",
+          "--target-n=2")),
+    ])
+    def test_matches_golden(self, capsys, name, argv):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert out == (GOLDEN / name).read_text()
 
 
 class TestGammaCount:

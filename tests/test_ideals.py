@@ -14,9 +14,15 @@ from orderkit.errors import (
     OrderMismatch,
     SearchBudgetExceeded,
 )
-from orderkit.intmat import Lattice
+from orderkit.intmat import Lattice, enumerate_intermediate_lattices
 from orderkit.numberfield import make_field
-from orderkit.orders import fundamental_unit, is_order, maximal_order
+from orderkit.orders import (
+    conductor,
+    escaping_product,
+    fundamental_unit,
+    is_order,
+    maximal_order,
+)
 from orderkit.ideals import (
     generated_ideal,
     FractionalIdeal,
@@ -438,11 +444,113 @@ class TestIntermediateClasses:
         classes = intermediate_classes(z_2i)
         assert len(classes) <= 16  # N(f)^g = 4^2
 
+    def test_rational_order(self):
+        from orderkit.numberfield import RATIONAL_FIELD
+        z = maximal_order(RATIONAL_FIELD)
+        for lower in (None, z.lattice.scale(6)):
+            classes = intermediate_classes(z, lower_ideal=lower)
+            assert [(c.label, c.invertible) for c in classes] == [((1,), True)]
+
     def test_smaller_lower_ideal_only_grows(self, z_sqrt_minus3, o_minus3):
         base = intermediate_classes(z_sqrt_minus3)
         smaller = o_minus3.lattice.scale(4)  # 4 O_L inside f = 2 O_L
         wider = intermediate_classes(z_sqrt_minus3, lower_ideal=smaller)
         assert {c.label for c in base} <= {c.label for c in wider}
+
+
+# squarefree m of both signs: Q(sqrt(m)) is imaginary or real
+PAIR_FIELDS = [-23, -15, -14, -11, -7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 13,
+               21]
+_PAIR_CENSUS = {}
+
+
+def order_with_census(m, f):
+    """Z + f*O_L in Q(sqrt(m)), and its census pairs of index up to 40."""
+    if (m, f) not in _PAIR_CENSUS:
+        field = make_field([-m, 0, 1])
+        w = maximal_order(field).omega() * f
+        gamma = is_order(field, [list(field.one().coords), list(w.coords)])
+        _PAIR_CENSUS[m, f] = gamma, list(_stable_ideal_pairs(gamma, 40))
+    return _PAIR_CENSUS[m, f]
+
+
+def intermediate_by_lattices(gamma, lower):
+    """Oracle: the intermediate classes above ``lower`` with each lattice
+    tested by escaping_product, labelled by class_label and represented by
+    its primitive() scaling."""
+    om = maximal_order(gamma.field)
+    found = {}
+    for lat in enumerate_intermediate_lattices(om.lattice, lower):
+        if escaping_product(gamma.basis_elements(), lat,
+                            gamma.field) is not None:
+            continue
+        ideal = FractionalIdeal(gamma, lat, check=False)
+        lab = class_label(ideal)
+        if lab not in found:
+            rep = ideal.primitive()
+            found[lab] = (lab, invertible_by_colon(rep), rep.lattice)
+    return sorted(found.values())
+
+
+class TestIntegerPairs:
+    """The integer pair route of class_monoid against the lattice route."""
+
+    def check_product(self, gamma, p, q):
+        prod = ideal_product(_standard_ideal(gamma, *p),
+                             _standard_ideal(gamma, *q))
+        a, b, lab = ideals._pair_product(gamma, p, q)
+        assert 0 <= b < a
+        assert lab == class_label(prod)
+        rep = _standard_ideal(gamma, a, b)
+        assert rep.lattice == prod.primitive().lattice
+        assert ideals._pair_label(gamma, a, b) == class_label(rep)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PAIR_FIELDS), st.integers(1, 6),
+           st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+    @example(-1, 6, 1, 2)   # Z[6i]: [2, w] * [3, w], neither invertible
+    @example(2, 3, 2, 2)    # Z[3 sqrt(2)]: [3, w]^2, not invertible
+    def test_product_matches_lattice_route(self, m, f, i, j):
+        gamma, census = order_with_census(m, f)
+        self.check_product(gamma, census[i % len(census)],
+                           census[j % len(census)])
+
+    @pytest.mark.parametrize("m,f", [(-1, 6), (2, 3), (5, 2)])
+    def test_all_small_products(self, m, f):
+        gamma, census = order_with_census(m, f)
+        pairs = [(a, b) for a, b in census if a <= 12]
+        flags = {is_invertible(_standard_ideal(gamma, a, b)) for a, b in pairs}
+        assert flags == {True, False}
+        for i, p in enumerate(pairs):
+            for q in pairs[i:]:
+                self.check_product(gamma, p, q)
+
+    @pytest.mark.parametrize("m,f,k", [(-3, 2, 2), (-1, 3, 2), (2, 3, 2),
+                                       (5, 2, 3), (-1, 6, 2), (3, 2, 4)])
+    def test_reader_matches_escaping_product(self, m, f, k):
+        gamma, _ = order_with_census(m, f)
+        om = maximal_order(gamma.field)
+        lower = conductor(gamma, om).lattice.scale(k)
+        read = ideals._lattice_reader(gamma)
+        seen = {True: 0, False: 0}
+        for lat in enumerate_intermediate_lattices(om.lattice, lower):
+            pair = read(lat)
+            escapes = escaping_product(gamma.basis_elements(), lat,
+                                       gamma.field) is not None
+            assert (pair is None) == escapes
+            seen[escapes] += 1
+            if pair is not None:
+                ideal = FractionalIdeal(gamma, lat, check=False)
+                _, a, b = pair
+                assert (_standard_ideal(gamma, a, b).lattice
+                        == ideal.primitive().lattice)
+                assert ideals._pair_label(gamma, a, b) == class_label(ideal)
+        assert seen[True] and seen[False]
+        classes = intermediate_classes(gamma, om, lower_ideal=lower)
+        assert [(c.label, c.invertible, c.representative.lattice)
+                for c in classes] == intermediate_by_lattices(gamma, lower)
+        assert all(_standard_ideal(gamma, *c.pair) == c.representative
+                   for c in classes)
 
 
 class TestStablePairs:
@@ -637,6 +745,23 @@ class TestClassMonoid:
         with pytest.raises(IndexTooLarge, match="quotient order 160000"):
             class_monoid(z400i)
 
+    def test_census_budget_checked_before_picard(self, gaussian_field,
+                                                 monkeypatch):
+        def fail(*_args):
+            raise AssertionError("work ran past the census budget")
+
+        monkeypatch.setattr(ideals, "picard_group", fail)
+        z40i = is_order(gaussian_field, [[1, 0], [0, 40]])
+        with pytest.raises(IndexTooLarge,
+                           match="census up to index 40960000 exceeds"):
+            class_monoid(z40i)
+        monkeypatch.undo()
+        monkeypatch.setattr(ideals, "_census_forms", fail)
+        big = maximal_order(make_field([10 ** 15 + 37, 0, 1]))
+        with pytest.raises(IndexTooLarge,
+                           match="census up to index 63245554 exceeds"):
+            picard_group(big)
+
     def test_picard_subset_must_be_closed(self):
         from dataclasses import replace
         # Z/4 with picard_subset (0, 1, 3): each element has an inverse in
@@ -674,11 +799,13 @@ class TestComposition:
     @pytest.mark.parametrize("coeffs,rows", COMPOSE_ORDERS + [
         ([1, 0, 1], [[1, 0], [0, 6]]),      # Z[6i]
         ([71, 0, 1], [[1, 0], [0, 1]]),     # Z[sqrt(-71)], Pic of order 7
+        ([-2, 0, 1], [[1, 0], [0, 6]]),     # Z[6 sqrt(2)], real, conductor 6
     ])
     def test_table_matches_lattice_products(self, coeffs, rows):
         m = class_monoid(is_order(make_field(coeffs), rows))
         expected = product_labels_by_lattices(m.classes)
         assert ideals._product_labels(m.classes) == expected
+        assert ideals._product_labels(m.classes, pairs=True) == expected
         for i, row in enumerate(m.table):
             assert [m.classes[idx].label for idx in row] == expected[i]
         for c in m.classes:
