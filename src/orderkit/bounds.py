@@ -10,8 +10,10 @@ conventions in play can never be mixed up silently.
 from __future__ import annotations
 
 import decimal
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from math import prod
 
 from .errors import MethodDisagreement, NotPrime
 from .modular import is_prime, radical
@@ -241,22 +243,51 @@ def cor_p1n(g: int, n: int, n_s: SIntegerSpec, pic_o: int):
     return height, count
 
 
-def level_structure_bounds(kind: str, n: int | None = None,
-                           g: int | None = None) -> int:
-    """Level-count bounds: n^(4g) for principal level, n^(2g) for exact-order
-    torsion level, 24 for the cubic-equation family."""
+def plain_or_big(factors, formula_id, inputs):
+    """The product of the (base, exp) factors as a plain integer when it has
+    at most EXACT_DIGIT_THRESHOLD digits and Python can print it (at most
+    sys.get_int_max_str_digits()), else BigBound(factors).to_json_dict.
+    The digit count is read off the certified upper log10 bound, before any
+    power is formed."""
+    limit = min(EXACT_DIGIT_THRESHOLD,
+                sys.get_int_max_str_digits() or EXACT_DIGIT_THRESHOLD)
+    hi = Decimal(0)
+    for base, exp in factors:
+        if base > 1:
+            hi = _CTX_CEIL.add(hi, _CTX_CEIL.multiply(_log10_interval(base)[1],
+                                                      Decimal(exp)))
+    if hi < limit:  # so log10 < limit: at most limit digits
+        return prod(base ** exp for base, exp in factors)
+    return BigBound(factors).to_json_dict(formula_id, inputs)
+
+
+def level_structure_factors(kind: str, n: int | None = None,
+                            g: int | None = None):
+    """[(base, exp)] of the level-count bound: n^(4g) for principal level,
+    n^(2g) for exact-order torsion level, 24 for the cubic-equation family."""
     if kind == "principal_n":
-        return n ** (4 * g)
+        return [(n, 4 * g)]
     if kind == "p1_n":
-        return n ** (2 * g)
+        return [(n, 2 * g)]
     if kind == "mordell_a":
-        return 24
+        return [(24, 1)]
     raise ValueError(f"unknown level-structure kind: {kind}")
 
 
-def pol_degree_bound(g: int) -> int:
+def level_structure_bounds(kind: str, n: int | None = None,
+                           g: int | None = None) -> int:
+    """The level-count bound of level_structure_factors as an integer."""
+    return prod(b ** e for b, e in level_structure_factors(kind, n, g))
+
+
+def pol_degree_factors(g: int):
     """At most 2^g polarization classes over the base schemes in play."""
-    return 2 ** g
+    return [(2, g)]
+
+
+def pol_degree_bound(g: int) -> int:
+    """The polarization bound of pol_degree_factors as an integer."""
+    return prod(b ** e for b, e in pol_degree_factors(g))
 
 
 def forget_chain_bound(level_bound: int, g: int, iota_bound: BigBound) -> BigBound:

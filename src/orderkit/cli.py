@@ -205,12 +205,13 @@ def _cmd_bound(args):
     if fid == "level-structure":
         inputs["kind"] = args.kind
         inputs["n"] = args.n
-        value = bounds_mod.level_structure_bounds(args.kind, args.n, args.g)
-        return {"bound": value, "inputs": inputs}
-    if fid == "pol-degree":
-        return {"bound": bounds_mod.pol_degree_bound(args.g),
-                "inputs": inputs}
-    raise UsageError(f"unknown formula {fid!r}")
+        factors = bounds_mod.level_structure_factors(args.kind, args.n, args.g)
+    elif fid == "pol-degree":
+        factors = bounds_mod.pol_degree_factors(args.g)
+    else:
+        raise UsageError(f"unknown formula {fid!r}")
+    return {"bound": bounds_mod.plain_or_big(factors, fid, inputs),
+            "inputs": inputs}
 
 
 def _order_from_args(field, basis_text):

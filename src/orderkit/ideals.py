@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 
 from . import quadforms
@@ -30,19 +30,17 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedDegree,
 )
-from .intmat import Lattice, _det_bareiss, lattice_index, solve_square
-from .modular import factorize, kronecker, quadratic_roots_mod, table_primes
+from .intmat import IntMatrix, Lattice, _det_bareiss, solve_square
+from .modular import factorize, kronecker, quadratic_roots_upto
 from .numberfield import FieldElement, integral_norm
 from .orders import (
+    _POWER_BUDGET_FACTOR,
     Order,
     _lattice_times_element,
     colon_lattice,
     conductor,
     escaping_product,
-    fundamental_unit,
-    least_power_in,
     maximal_order,
-    torsion_units,
 )
 
 # Largest quotient N(f) = [O_L : f] whose intermediate lattices are enumerated.
@@ -376,9 +374,7 @@ def _lattice_reader(gamma: Order):
     for omega = (p0 + p1*theta)/q, p1*(c0 + c1*theta) is
     (c0*p1 - c1*p0) + c1*q*omega."""
     t, n = gamma.omega_data()
-    w0, w1 = gamma.omega().coords
-    q = lcm(w0.denominator, w1.denominator)
-    p0, p1 = int(w0 * q), int(w1 * q)
+    p0, p1, q = gamma.omega_coords()
     return lambda lat: _pair_of_rows([(c0 * p1 - c1 * p0, c1 * q)
                                       for c0, c1 in lat.basis.entries], t, n)
 
@@ -401,8 +397,10 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
     ``lower_ideal`` optionally replaces the conductor by a smaller ideal of
     the maximal order contained in the order; the resulting class set only
     grows, and the product decomposition still holds.  The conductor is the
-    minimal choice and the default.  Lattices are read as integer pairs
-    (_lattice_reader; oracle in the tests: escaping_product, class_label).
+    minimal choice and the default; for a quadratic order it is f*O_L.  The
+    lattices between (enumerate_intermediate_lattices, a direct HNF listing)
+    are read as integer pairs (_lattice_reader; oracle in the tests:
+    escaping_product, class_label).
     """
     if maximal is None:
         maximal = maximal_order(gamma.field)
@@ -463,7 +461,7 @@ def class_number_formula(gamma: Order) -> int:
 def _index_formula(gamma: Order, om: Order, h0: int) -> int:
     """class_number_formula of a quadratic order, given h0 = h(O_L)."""
     d0 = om.disc()
-    f_idx = lattice_index(om.lattice, gamma.lattice)
+    f_idx = isqrt(conductor(gamma, om).norm)
     num = h0
     for p, e in factorize(f_idx).items():
         num *= p ** (e - 1) * (p - kronecker(d0, p))
@@ -475,9 +473,22 @@ def _index_formula(gamma: Order, om: Order, h0: int) -> int:
 
 
 def _unit_index(gamma: Order, om: Order) -> int:
-    if gamma.field.signature == (2, 0):
-        return least_power_in(gamma, fundamental_unit(om))[0]
-    return len(torsion_units(om)) // len(torsion_units(gamma))
+    """[O_L^x : Gamma^x] in integers, for Gamma = Z + f*O_L.  Imaginary: the
+    roots of unity of O_L (6 for d0 = -3, 4 for d0 = -4, else 2) over the
+    +-1 left in Gamma when f > 1.  Real: the least k <= 6f with f | u_k for
+    eps^k = (t_k + u_k*sqrt(d0)) / 2, eps the fundamental unit of O_L."""
+    d0 = om.disc()
+    f = isqrt(conductor(gamma, om).norm)
+    if d0 < 0:
+        return {-3: 3, -4: 2}.get(d0, 1) if f > 1 else 1
+    t, u = quadforms.fundamental_unit_xy(d0)
+    tk, uk = t, u
+    for k in range(1, f * _POWER_BUDGET_FACTOR + 1):
+        if uk % f == 0:
+            return k
+        tk, uk = (tk * t + d0 * uk * u) // 2, (tk * u + uk * t) // 2
+    raise MethodDisagreement("no power of the fundamental unit fell in the "
+                             "order within budget", operation="fundamental_unit")
 
 
 def picard_group(gamma: Order) -> PicardGroup:
@@ -540,40 +551,24 @@ def _check_census(budget, operation):
 
 
 def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
-    """The stable lattice Z*a + Z*(b + omega) as a fractional ideal."""
-    w0, w1 = gamma.omega().coords
-    rows = [[a, 0], [b + w0, w1]]
-    return FractionalIdeal(gamma, Lattice.from_rows(rows, 2), check=False)
+    """The stable lattice Z*a + Z*(b + omega) as a fractional ideal, from
+    the integer rows (a*q, 0), (b*q + p0, p1) over q, omega = (p0, p1) / q."""
+    p0, p1, q = gamma.omega_coords()
+    rows = IntMatrix([[a * q, 0], [b * q + p0, p1]])
+    return FractionalIdeal(gamma, Lattice(2, rows, q), check=False)
 
 
 def _stable_ideal_pairs(gamma: Order, bound):
     """(a, b) with 0 <= b < a <= bound and a | N(b + omega): the primitive
-    stable sublattices of the order, with the b of each a ordered by
-    (t + 2b) mod 2a, the least root y of y^2 = disc mod 4a that gives b.
-
-    An a with a prime factor p not dividing disc and with (disc / p) = -1
-    has no root mod p, so no b at all: the primes of the smallest-prime-
-    factor table up to min(bound, its size) sieve out their multiples, with
-    no factoring of them (a bytearray of that length).  The b of every other
-    a are the roots of b^2 + t*b + n mod a from modular.quadratic_roots_mod,
-    with one memo for the call, so the roots mod each prime power are lifted
-    once and every a only splits and joins them by CRT.
+    stable sublattices of the order, a ascending, with the b of each a
+    ordered by (t + 2b) mod 2a, the least root y of y^2 = disc mod 4a that
+    gives b.  This is the sorted view of the census walk
+    (modular.quadratic_roots_upto), which _census_audit streams unsorted.
     """
     t, n = gamma.omega_data()
-    d = t * t - 4 * n
-    top, primes = table_primes(bound)
-    keep = bytearray(b"\x01") * top  # keep[a - 1]: a may have roots
-    for p in primes:
-        if d % p and kronecker(d, p) == -1:
-            keep[p - 1::p] = bytes(top // p)
-    known = {}  # p^k -> roots b mod p^k of b^2 + t*b + n
-    for a in itertools.chain(itertools.compress(range(1, top + 1), keep),
-                             range(top + 1, bound + 1)):
-        bs = quadratic_roots_mod(t, n, a, known)
-        if len(bs) > 1:
-            two_a = 2 * a
-            bs = sorted(bs, key=lambda b: (t + 2 * b) % two_a)
-        for b in bs:
+    for a, bs in sorted(quadratic_roots_upto(t, n, bound)):
+        two_a = 2 * a
+        for b in sorted(bs, key=lambda b: (t + 2 * b) % two_a):
             yield a, b
 
 
@@ -697,23 +692,31 @@ def class_monoid(gamma: Order) -> ClassMonoid:
 def _census_audit(gamma: Order, budget, form_to_class):
     """(ideals checked, class indices hit) of the census up to budget.
 
-    Each census form is divided by its content and reduced without its
-    transform (quadforms.reduced); its class is the one whose canonical
-    forms hold the reduced form.  The first ideal in no class raises
-    FactorizationViolation.
+    The census walk (modular.quadratic_roots_upto) is streamed unsorted and
+    never held whole.  Each census form is divided by its content and
+    reduced without its transform (quadforms.reduced); its class is the one
+    whose canonical forms hold the reduced form.  Ideals in no class raise
+    FactorizationViolation naming the first of them in the order of
+    _stable_ideal_pairs: the least key (a, (t + 2b) mod 2a).
     """
-    hit = set()
-    checked = 0
+    t, n = gamma.omega_data()
+    hit, checked, missed = set(), 0, []
     reduced, class_of = quadforms.reduced, form_to_class.get
-    for a, b, (fa, fb, fc) in _census_forms(gamma, budget):
+    walk = quadratic_roots_upto(t, n, budget)
+    for a, b, (fa, fb, fc) in _pair_forms(gamma, ((a, b) for a, bs in walk
+                                                  for b in bs)):
         checked += 1
         g = gcd(gcd(fa, fb), fc)
         idx = class_of(reduced((fa // g, fb // g, fc // g)))
         if idx is None:
-            raise FactorizationViolation(
-                f"census ideal [{a}, {b} + w] is in no assembled class",
-                operation="class_monoid")
-        hit.add(idx)
+            missed.append((a, (t + 2 * b) % (2 * a), b))
+        else:
+            hit.add(idx)
+    if missed:
+        a, _, b = min(missed)
+        raise FactorizationViolation(
+            f"census ideal [{a}, {b} + w] is in no assembled class",
+            operation="class_monoid")
     return checked, hit
 
 

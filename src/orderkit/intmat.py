@@ -16,6 +16,7 @@ reduced into [0, pivot).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -555,36 +556,32 @@ def inverse_unimodular(u: IntMatrix) -> IntMatrix:
 def _subgroup_lattices_of_quotient(diag, max_subgroups):
     """All lattices M with diag(d_i) Z^g <= M <= Z^g, as HNF row matrices.
 
-    BFS closure: extend each known subgroup by each quotient element; dedup
-    by HNF.  The quotient here is presented by its SNF diagonal.
+    Such an M is full rank, so its HNF h is upper triangular, and d_i e_i in
+    M makes h_ii divide d_i; above each pivot, h_ij lies in [0, h_jj).  The
+    candidates are enumerated directly, bottom row first: a row i is kept
+    when d_i e_i lies in the span of rows i.., the only rows it can use.
     """
     g = len(diag)
-    base = IntMatrix([[diag[i] if i == j else 0 for j in range(g)]
-                      for i in range(g)])
-    base = hnf_basis(base)
-    import itertools
-    elems = [list(v) for v in itertools.product(*[range(d) for d in diag])
-             if any(v)]
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            hrows = [list(r) for r in h.entries]
-            piv = _pivots_of(hrows)
-            for v in elems:
-                if not any(_reduce_int_vector(v, hrows, piv)):
-                    continue
-                h2 = hnf_basis(h.stack(IntMatrix([v])))
-                if h2 not in seen:
-                    seen.add(h2)
-                    if len(seen) > max_subgroups:
-                        raise IndexTooLarge(
-                            f"more than {max_subgroups} subgroups",
-                            operation="enumerate_intermediate_lattices")
-                    nxt.append(h2)
-        frontier = nxt
-    return seen
+    tails = [[]]  # the HNF rows i.. of the subgroups found so far
+    for i in range(g - 1, -1, -1):
+        d, grown = diag[i], []
+        for rows in tails:
+            pivots = [r[j] for j, r in enumerate(rows, i + 1)]
+            for h in (h for h in range(1, d + 1) if d % h == 0):
+                for above in itertools.product(*map(range, pivots)):
+                    w = [-(d // h) * x for x in above]  # d e_i - (d/h) row_i
+                    for j, r in enumerate(rows):
+                        q, rem = divmod(w[j], r[i + 1 + j])
+                        if rem:
+                            break
+                        w = [x - q * y for x, y in zip(w, r[i + 1:])]
+                    else:
+                        grown.append([[0] * i + [h, *above]] + rows)
+        if len(grown) > max_subgroups:
+            raise IndexTooLarge(f"more than {max_subgroups} subgroups",
+                                operation="enumerate_intermediate_lattices")
+        tails = grown
+    return [IntMatrix(rows) for rows in tails]
 
 
 def enumerate_intermediate_lattices(outer: Lattice, inner: Lattice,

@@ -2,7 +2,8 @@
 
 factorize and prime_powers split integers (a smallest-prime-factor table
 below 2^18, Pollard-Brent rho above); quadratic_roots Hensel-lifts the roots
-of b^2 + t*b + n mod p^k and quadratic_roots_mod joins them by CRT.  Other
+of b^2 + t*b + n mod p^k, quadratic_roots_mod joins them by CRT for one
+modulus and quadratic_roots_upto for every modulus up to a bound.  Other
 modules call these and read none of the tables.
 """
 from __future__ import annotations
@@ -294,3 +295,38 @@ def sqrts_mod(a: int, m: int):
     """All y in [0, m) with y^2 = a (mod m), ascending: the roots of
     y^2 - a mod m, from quadratic_roots_mod."""
     return sorted(quadratic_roots_mod(0, -a, m, {}))
+
+
+def quadratic_roots_upto(t, n, bound):
+    """(a, the roots b in [0, a) of b^2 + t*b + n mod a) for every
+    1 <= a <= bound with a root, unordered and with no a factored: a
+    depth-first walk over products of prime powers, primes ascending, each
+    child a * p^k taking its roots from a's by one CRT step with those mod
+    p^k (quadratic_roots, one memo).  A p^k with no root ends the powers of
+    p; primes with (d / p) = -1, d = t^2 - 4n, are never entered.  Primes
+    come from the smallest-prime-factor table, above it from is_prime."""
+    top, primes = table_primes(bound)
+    primes += filter(is_prime, range(top + 1, bound + 1))
+    d = t * t - 4 * n
+    primes = [p for p in primes if kronecker(d, p) != -1] + [bound + 1]
+    known = {}  # p^k -> roots mod p^k
+    yield 1, [0]
+    stack = [(1, [0], 0)]  # (a, roots mod a, index of a's least new prime)
+    while stack:
+        a, bs, i = stack.pop()
+        lim = bound // a
+        p = primes[i]
+        while p <= lim:  # the sentinel bound + 1 ends every walk
+            i += 1
+            pk = p
+            while pk <= lim:
+                rs = quadratic_roots(t, n, p, pk, known)
+                if not rs:
+                    break
+                inv = pow(a, -1, pk)
+                rs = [b + a * ((r - b) * inv % pk) for b in bs for r in rs]
+                yield a * pk, rs
+                if primes[i] <= lim // pk:  # a * p^k has children
+                    stack.append((a * pk, rs, i))
+                pk *= p
+            p = primes[i]

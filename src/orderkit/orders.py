@@ -29,7 +29,7 @@ class Order:
     """A unital, multiplicatively closed, full-rank lattice in a number field."""
 
     __slots__ = ("field", "lattice", "assumed_maximal", "_elements",
-                 "_unital", "_omega_data", "_disc", "_conductor")
+                 "_unital", "_omega", "_omega_data", "_disc", "_conductor")
 
     def __init__(self, field: NumberField, lattice: Lattice,
                  assumed_maximal=False):
@@ -39,6 +39,7 @@ class Order:
         # derived data, computed on first use (the order is immutable)
         object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_unital", None)
+        object.__setattr__(self, "_omega", None)  # ((p0, p1, q), omega)
         object.__setattr__(self, "_omega_data", None)
         object.__setattr__(self, "_disc", None)
         object.__setattr__(self, "_conductor", None)  # (maximal, ConductorData)
@@ -81,6 +82,9 @@ class Order:
         return self._disc
 
     def _compute_disc(self):
+        if self.degree == 2:  # the disc of the basis (1, omega)
+            t, n = self.omega_data()
+            return t * t - 4 * n
         from .intmat import _det_bareiss
         basis = self.basis_elements()
         g = self.degree
@@ -124,24 +128,37 @@ class Order:
     def omega(self) -> FieldElement:
         """Canonical second generator of a quadratic order: Gamma = Z + Z*omega,
         normalized so the generator coordinate is positive and the rational
-        part lies in [0, 1)."""
-        if self.degree != 2:
-            raise UnsupportedDegree("quadratic orders only", operation="omega")
-        w = self.unital_basis_elements()[1]
-        if w.coords[1] < 0:
-            w = -w
-        shift = Fraction(w.coords[0]).__floor__()
-        return w - self.field.from_rational(shift)
+        part lies in [0, 1); kept on the order with omega_coords."""
+        self.omega_coords()
+        return self._omega[1]
+
+    def omega_coords(self):
+        """(p0, p1, q) with omega = (p0 + p1*theta) / q, read once off the HNF
+        rows (x0, x1), (0, y1) over q: for g = gcd(x1, y1) = u*x1 + v*y1,
+        omega is (u*x0 mod q, g) / q, as 1 = (q, 0) / q lies in the order."""
+        if self._omega is None:
+            if self.degree != 2:
+                raise UnsupportedDegree("quadratic orders only",
+                                        operation="omega")
+            (x0, x1), (_, y1) = self.lattice.basis.entries
+            q = self.lattice.den
+            g, u, _ = quadforms._xgcd(x1, y1)
+            p0 = u * x0 % q
+            w = self.field.element([Fraction(p0, q), Fraction(g, q)])
+            object.__setattr__(self, "_omega", ((p0, g, q), w))
+        return self._omega[0]
 
     def omega_data(self):
-        """(trace, norm) of the canonical generator omega of a quadratic order."""
+        """(trace, norm) of omega of a quadratic order, from omega_coords."""
         if self._omega_data is None:
-            w = self.omega()
-            t, n = w.trace(), w.norm()
-            if t.denominator != 1 or n.denominator != 1:
+            p0, p1, q = self.omega_coords()
+            b0, b1, _ = self.field.coeffs
+            t, rt = divmod(2 * p0 - b1 * p1, q)
+            n, rn = divmod(p0 * p0 - b1 * p0 * p1 + b0 * p1 * p1, q * q)
+            if rt or rn:
                 raise MethodDisagreement("omega is not integral",
                                          operation="omega_data")
-            object.__setattr__(self, "_omega_data", (int(t), int(n)))
+            object.__setattr__(self, "_omega_data", (t, n))
         return self._omega_data
 
 
@@ -253,10 +270,11 @@ class ConductorData:
 
 
 def conductor(gamma: Order, maximal: Order) -> ConductorData:
-    """{x in O_L : x*O_L <= Gamma} via lattice intersections.
-
-    Computed once per order and kept on it with ``maximal``; a later call
-    with an equal maximal order returns the kept data."""
+    """{x in O_L : x*O_L <= Gamma}: f*O_L for a quadratic order Gamma =
+    Z + f*O_L, f = isqrt(disc Gamma / disc O_L) (Cohen, GTM 138, 5.2), and
+    else by lattice intersections (colon_lattice).  Computed once per order
+    and kept on it with ``maximal``; a later call with an equal maximal
+    order returns the kept data."""
     cached = gamma._conductor
     if cached is not None and cached[0] == maximal:
         return cached[1]
@@ -265,8 +283,13 @@ def conductor(gamma: Order, maximal: Order) -> ConductorData:
     if not maximal.contains_order(gamma):
         raise NotContained("order is not contained in the maximal order",
                            operation="conductor")
-    lat = colon_lattice(gamma.lattice, maximal.basis_elements(), gamma.field)
-    data = ConductorData(lat, lattice_index(maximal.lattice, lat))
+    if gamma.degree == 2:
+        f = isqrt(gamma.disc() // maximal.disc())
+        data = ConductorData(maximal.lattice.scale(f), f * f)
+    else:
+        lat = colon_lattice(gamma.lattice, maximal.basis_elements(),
+                            gamma.field)
+        data = ConductorData(lat, lattice_index(maximal.lattice, lat))
     object.__setattr__(gamma, "_conductor", (maximal, data))
     return data
 

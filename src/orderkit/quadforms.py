@@ -146,6 +146,19 @@ def cycle_of(form):
                 operation="cycle_of")
 
 
+def _cycle_length(form, d, root):
+    """The length of the rho-cycle of a reduced indefinite form, walked on
+    its three coefficients alone, with cycle_of's budget and error."""
+    a, b, c = form
+    for steps in range(1, _MAX_CYCLE + 1):
+        a, b, c, _ = _rho(a, b, c, d, root)
+        if (a, b, c) == form:
+            return steps
+    raise SearchBudgetExceeded(
+        f"cycle of {form} longer than {_MAX_CYCLE} forms",
+        operation="cycle_of")
+
+
 def reduced(form):
     """reduce_form(form)[0] without the transform: the same steps on the
     three coefficients alone, for callers that only classify a form."""
@@ -356,8 +369,16 @@ def fundamental_unit_xy(d):
     """
     if d <= 4 or isqrt(d) ** 2 == d or d % 4 not in (0, 1):
         raise ValueError(f"not a real quadratic discriminant: {d}")
-    f0, u0 = reduce_indefinite(principal_form(d))
-    _, period_u = cycle_of(f0)
+    f0, _ = reduce_indefinite(principal_form(d))
+    # The first pass walks the cycle on the coefficients alone, under
+    # cycle_of's budget; the transform is carried once the cycle closes.
+    root = isqrt(d)
+    a, b, c = f0
+    p, q, r, s = 1, 0, 0, 1
+    for _ in range(_cycle_length(f0, d, root)):
+        a, b, c, k = _rho(a, b, c, d, root)
+        p, q, r, s = r, s, k * r - p, k * s - q
+    period_u = ((p, q), (r, s))
     # The period transform is an automorph of f0: it acts on the basis
     # (1, tau) of the principal lattice as multiplication by a unit.
     t_, u_ = _unit_from_automorph(f0, period_u, d)

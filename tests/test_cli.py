@@ -71,6 +71,43 @@ class TestBoundCommand:
                              "--kind", "principal_n", "--n", "3", "--g", "1")
         assert json.loads(out)["bound"] == 81
 
+    def test_huge_level_structure_from_digit_count(self, capsys):
+        # n^(2g) with 12,000,039 digits: decided from its certified log10,
+        # never formed, and given as the BigBound dict
+        t0 = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "bound", "--formula", "level-structure",
+                             "--g=1000003", "--n=1000003", "--d-override=1")
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 0
+        bound = json.loads(out)["bound"]
+        assert bound["digit_count"] == 12_000_039
+        assert not bound["exact_flag"] and "exact_value" not in bound
+
+    @pytest.mark.parametrize("g,plain", [(14284, True), (14285, False)])
+    def test_pol_degree_at_the_str_limit(self, capsys, g, plain):
+        # 2^14284 has 4,300 digits, the most Python prints; 2^14285 has
+        # 4,301 and comes back as its factor list
+        rc, out, _ = run_cli(capsys, "bound", "--formula", "pol-degree",
+                             f"--g={g}")
+        assert rc == 0
+        bound = json.loads(out)["bound"]
+        if plain:
+            assert bound == 2 ** g
+        else:
+            assert bound["digit_count"] == 4301 and bound["exact_flag"]
+            assert bound["exact_value"] == [[2, g]]
+
+    def test_small_level_structure_unchanged(self, capsys):
+        # a plain integer, byte for byte as before, including a power of 10
+        # whose log10 is an integer
+        for argv, value in ((("--kind", "principal_n", "--n", "5"), 5 ** 8),
+                            (("--kind", "principal_n", "--n", "10"), 10 ** 8),
+                            (("--kind", "mordell_a"), 24)):
+            rc, out, _ = run_cli(capsys, "bound", "--formula",
+                                 "level-structure", "--g", "2", *argv)
+            assert rc == 0
+            assert f'"bound": {value},' in out
+
     def test_bad_primes_domain_error(self, capsys):
         rc, _, err = run_cli(capsys, "bound", "--formula", "thm-b",
                              "--excluded-primes", "4")
@@ -147,6 +184,20 @@ class TestErrorOrigin:
                              "--order-basis", "1,0;0,400")
         assert rc == 3
         assert "[ideals.class_monoid] IndexTooLarge" in err
+
+
+class TestFundamentalUnitBudget:
+    def test_long_cycle_ends_at_once(self, capsys):
+        # the principal cycle is walked on the form coefficients alone up to
+        # the 100,000 budget; no transform is carried for a cycle that does
+        # not close
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, "order-info",
+                               "--field=-1000000000000037,0,1")
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3 and out == ""
+        assert ("[quadforms.cycle_of] SearchBudgetExceeded: cycle of "
+                "(1, 31622775, -25324853) longer than 100000 forms") in err
 
 
 class TestCensusBudget:

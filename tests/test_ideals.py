@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from orderkit import ideals, modular, quadforms
+from orderkit import ideals, modular, orders, quadforms
 from orderkit.errors import (
     FactorizationViolation,
     IndexTooLarge,
@@ -578,6 +579,30 @@ class TestStablePairs:
                 == list(stable_pairs_per_modulus(gamma, 2000)))
         assert len(modular._SPF) <= 64
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-30, 30), st.integers(-300, 300),
+           st.integers(1, 3000), st.sampled_from((None, 64, 700)))
+    @example(0, 36, 3000, None)   # Z[6i]: many roots mod powers of 2 and 3
+    @example(-1, -241, 2000, 64)  # real, odd trace, across a 64-entry table
+    @example(1, -19, 3000, 700)   # real, odd trace: disc 77
+    @example(0, -79, 2500, None)  # real, even trace
+    def test_walk_matches_per_modulus_route(self, t, n, bound, cap):
+        # the census walk, as a multiset, against one sqrts_mod per a; with
+        # a table cap, the walk takes its primes above it from is_prime
+        d = t * t - 4 * n
+        assume(d < 0 or math.isqrt(d) ** 2 != d)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(modular, "_SPF_CAP", cap)
+                mp.setattr(modular, "_SPF", [0, 1])
+            walk = list(modular.quadratic_roots_upto(t, n, bound))
+            assert cap is None or len(modular._SPF) <= cap
+        assert all(bs for _, bs in walk)
+        assert len({a for a, _ in walk}) == len(walk)
+        gamma = is_order(make_field([n, -t, 1]), [[1, 0], [0, 1]])
+        assert (Counter((a, b) for a, bs in walk for b in bs)
+                == Counter(stable_pairs_per_modulus(gamma, bound)))
+
     def test_census_keeps_factor_table_small(self, gaussian_field,
                                              monkeypatch):
         # a census of bound 82,944 = 72^2 * 16 factors every a up to it and
@@ -761,6 +786,26 @@ class TestClassMonoid:
         with pytest.raises(IndexTooLarge,
                            match="census up to index 63245554 exceeds"):
             picard_group(big)
+
+    def test_integer_route_calls_no_factoring_or_colon(self, monkeypatch):
+        # a count, not a time: class_monoid of a fresh Z[6i] splits no
+        # census modulus and intersects no lattices for its conductor
+        calls = []
+
+        def refuse(name):
+            def fn(*_args):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return fn
+
+        monkeypatch.setattr(modular, "prime_powers", refuse("prime_powers"))
+        for module in (orders, ideals):
+            monkeypatch.setattr(module, "colon_lattice",
+                                refuse("colon_lattice"))
+        z6i = is_order(make_field([1, 0, 1]), [[1, 0], [0, 6]])
+        m = class_monoid(z6i)
+        assert calls == []
+        assert m.conductor_norm == 36 and m.census_checked > 0
 
     def test_picard_subset_must_be_closed(self):
         from dataclasses import replace

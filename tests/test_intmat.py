@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderkit import intmat
 from orderkit.errors import IndexTooLarge, NotSublattice, RankDeficient
 from orderkit.intmat import (
     IntMatrix,
     Lattice,
+    _subgroup_lattices_of_quotient,
     complete_unimodular,
     enumerate_intermediate_lattices,
     hnf,
@@ -218,6 +220,62 @@ def test_intermediate_lattice_counts(diag, expected):
         assert lat.contains_lattice(inner)
     # exactly once: Lattice equality is normal-form equality
     assert len(set(found)) == len(found)
+
+
+def subgroups_by_closure(diag):
+    """Oracle: every lattice between diag(d_i) Z^g and Z^g, by BFS closure:
+    extend each known subgroup by each quotient element, dedup by HNF."""
+    g = len(diag)
+    base = hnf_basis(IntMatrix([[diag[i] if i == j else 0 for j in range(g)]
+                                for i in range(g)]))
+    elems = [list(v) for v in itertools.product(*map(range, diag)) if any(v)]
+    seen, frontier = {base}, [base]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for v in elems:
+                h2 = hnf_basis(h.stack(IntMatrix([v])))
+                if h2 not in seen:
+                    seen.add(h2)
+                    nxt.append(h2)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("diag", [
+    (2, 4), (1, 6), (6, 6), (12, 12), (1, 1), (4, 8),  # g = 2
+    (1,), (12,), (30,),                                 # g = 1
+    (2, 2, 4), (1, 2, 6), (3, 3, 3), (1, 1, 1),         # g = 3
+])
+def test_direct_subgroups_match_closure(diag):
+    found = _subgroup_lattices_of_quotient(list(diag), 10 ** 6)
+    assert len(set(found)) == len(found)
+    assert set(found) == subgroups_by_closure(diag)
+    assert all(h == hnf_basis(h) for h in found)
+
+
+def test_direct_subgroups_budget():
+    # (Z/12)^2 has 90 subgroups: a budget of 89 is exceeded, 90 is not
+    assert len(_subgroup_lattices_of_quotient([12, 12], 90)) == 90
+    with pytest.raises(IndexTooLarge, match="more than 89 subgroups"):
+        _subgroup_lattices_of_quotient([12, 12], 89)
+
+
+def test_intermediate_lattices_one_hnf_per_subgroup(monkeypatch):
+    # a count, not a time: the enumeration itself runs no HNF, so each of
+    # the 90 lattices between 12 Z^2 and Z^2 costs one, in its Lattice
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return hnf_basis(m)
+
+    outer = Lattice.from_rows([[2, 1], [1, 3]])
+    inner = outer.scale(12)
+    monkeypatch.setattr(intmat, "hnf_basis", counting)
+    found = enumerate_intermediate_lattices(outer, inner)
+    assert len(found) == 90
+    assert len(calls) <= len(found) + 5
 
 
 def test_intermediate_lattices_trivial_and_chain():

@@ -1,11 +1,12 @@
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from orderkit import ideals, quadforms
 from orderkit.errors import (
     NeedsUserInput,
     NotClosed,
@@ -15,6 +16,7 @@ from orderkit.errors import (
     UnsupportedDegree,
 )
 from orderkit.intmat import lattice_index
+from orderkit.modular import factorize, kronecker
 from orderkit.orders import colon_lattice
 from orderkit.numberfield import RATIONAL_FIELD, make_field
 from orderkit.orders import (
@@ -23,6 +25,7 @@ from orderkit.orders import (
     conductor_comparison_check,
     fundamental_unit,
     is_order,
+    least_power_in,
     maximal_order,
     scaled_subring,
     torsion_units,
@@ -273,3 +276,55 @@ class TestMaximalOrderAndConductorCache:
         # an equal maximal order made apart reads the same data
         om2 = maximal_order(make_field(coeffs))
         assert conductor(gamma, om2) == data
+
+
+# fundamental discriminants 1 mod 4: their fields take an odd b1
+ODD_D0 = (-3, -7, -11, -15, -19, -23, -31, 5, 13, 17, 21, 29, 33, 37, 41)
+
+
+class TestIntegerInvariants:
+    """The integer omega, omega_data, disc, conductor, index formula and
+    unit index of quadratic orders against the Fraction routes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(ODD_D0), st.sampled_from((3, 5, 7, 9)),
+           st.integers(-15, 15), st.integers(1, 12))
+    @example(-4, 3, 0, 6)   # Z[i]-type units, b1 even
+    @example(-3, 3, 1, 1)   # the six units of the maximal order
+    @example(-3, 5, 1, 2)
+    @example(8, 3, 2, 12)   # real, even discriminant
+    @example(12, 1, 0, 5)
+    def test_match_fraction_routes(self, d0, s, k, f):
+        # x^2 + b1*x + b0 of discriminant s^2 * d0: O_L has denominator s
+        # over the power basis, and Gamma = Z + f*O_L
+        b1 = 2 * k + (s * s * d0) % 2
+        field = make_field([(b1 * b1 - s * s * d0) // 4, b1, 1])
+        om = maximal_order(field)
+        gamma = is_order(field, [[1, 0], [f * x for x in om.omega().coords]])
+        assert om.lattice.den == s
+        for order in (om, gamma):
+            basis = order.unital_basis_elements()
+            w = basis[1] if basis[1].coords[1] > 0 else -basis[1]
+            w = w - field.from_rational(floor(w.coords[0]))
+            assert order.omega() == w
+            p0, p1, q = order.omega_coords()
+            assert w.coords == (Fraction(p0, q), Fraction(p1, q))
+            assert order.omega_data() == (w.trace(), w.norm())
+            tr = [[(x * y).trace() for y in basis] for x in basis]
+            assert order.disc() == tr[0][0] * tr[1][1] - tr[0][1] * tr[1][0]
+        assert om.disc() == d0 and gamma.disc() == f * f * d0
+        cond = conductor(gamma, om)
+        colon = colon_lattice(gamma.lattice, om.basis_elements(), field)
+        assert cond.lattice == colon
+        assert cond.norm == lattice_index(om.lattice, colon) == f * f
+        assert lattice_index(om.lattice, gamma.lattice) == f
+        if d0 > 0:
+            unit_index = least_power_in(gamma, fundamental_unit(om))[0]
+        else:
+            unit_index = len(torsion_units(om)) // len(torsion_units(gamma))
+        assert ideals._unit_index(gamma, om) == unit_index
+        h0 = quadforms.form_class_count(d0)
+        num = h0
+        for p, e in factorize(f).items():
+            num *= p ** (e - 1) * (p - kronecker(d0, p))
+        assert ideals._index_formula(gamma, om, h0) == num // unit_index

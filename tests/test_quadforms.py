@@ -222,6 +222,39 @@ def test_fundamental_unit_with_large_coefficients():
     assert qf._unit_sqrt((t * t + 409 * u * u) // 2, t * u, 409) == (t, u)
 
 
+def unit_by_cycle_list(d):
+    """Oracle: the unit from the automorph that cycle_of returns with the
+    cycle's list of forms and transforms, then square roots taken."""
+    f0, _ = qf.reduce_indefinite(qf.principal_form(d))
+    _, period_u = qf.cycle_of(f0)
+    t, u = qf._unit_from_automorph(f0, period_u, d)
+    root = qf._unit_sqrt(t, u, d)
+    while root is not None:
+        t, u = root
+        root = qf._unit_sqrt(t, u, d)
+    return t, u
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(5, 200_000))
+def test_fundamental_unit_matches_cycle_list(d):
+    assume(d % 4 in (0, 1) and isqrt(d) ** 2 != d)
+    assert qf.fundamental_unit_xy(d) == unit_by_cycle_list(d)
+
+
+def test_fundamental_unit_budget_as_cycle_of(monkeypatch):
+    # the coefficient walk raises at the cycle length where cycle_of does
+    f0, _ = qf.reduce_indefinite(qf.principal_form(409))
+    length = len(qf.cycle_of(f0)[0])
+    monkeypatch.setattr(qf, "_MAX_CYCLE", length)
+    assert qf.fundamental_unit_xy(409) == unit_by_cycle_list(409)
+    monkeypatch.setattr(qf, "_MAX_CYCLE", length - 1)
+    for route in (qf.fundamental_unit_xy, unit_by_cycle_list):
+        with pytest.raises(qf.SearchBudgetExceeded,
+                           match=rf"longer than {length - 1} forms"):
+            route(409)
+
+
 # --- composition -------------------------------------------------------------
 
 COMPOSE_DISCS = (-20, -23, -56, -84, -108, -120, -144, -255, -576,
