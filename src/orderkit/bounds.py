@@ -16,7 +16,7 @@ from decimal import Decimal
 from math import prod
 
 from .errors import MethodDisagreement, NotPrime
-from .modular import is_prime, radical
+from .modular import is_prime
 
 EXACT_DIGIT_THRESHOLD = 10_000_000
 
@@ -152,15 +152,6 @@ class SIntegerSpec:
         if not text:
             return cls(())
         return cls(int(tok) for tok in text.split(","))
-
-
-def n_value(spec: SIntegerSpec) -> int:
-    return spec.n_value()
-
-
-def rad_product(a: int, b: int) -> int:
-    """rad(a*b): the prime-product convention bridge between the two forms."""
-    return radical(a * b)
 
 
 def e_exponent(g: int) -> int:

@@ -434,8 +434,12 @@ def main(argv=None):
         tb = err.__traceback__
         while tb.tb_next:
             tb = tb.tb_next
-        # the module of the frame that raised err, without the package name
-        module = tb.tb_frame.f_globals["__name__"].rpartition(".")[2]
+        # the module of the frame that raised err, without the package name;
+        # __spec__ names it under ``python -m`` too, where __name__ is __main__
+        frame_globals = tb.tb_frame.f_globals
+        spec = frame_globals.get("__spec__")
+        name = spec.name if spec else frame_globals["__name__"]
+        module = name.rpartition(".")[2]
         origin = f"{module}.{err.operation}" if err.operation else module
         print(f"error [{origin}] {type(err).__name__}: {err}", file=sys.stderr)
         return 3 if err.budget else 2

@@ -468,6 +468,15 @@ def quotient_size(target: MatrixOrder, d: int) -> int:
     return out
 
 
+def _commutation_rows(m1, m2):
+    """The linear system X m1 = m2 X in the n^2 entries of an n x n matrix X:
+    row (i, j) holds the coefficient of X[k][l] in (X m1 - m2 X)[i][j]."""
+    n = len(m1)
+    return [[(m1[l][j] if i == k else 0) - (m2[i][k] if j == l else 0)
+             for k in range(n) for l in range(n)]
+            for i in range(n) for j in range(n)]
+
+
 def centralizer_dimension(rho: RingMorphism) -> int:
     """Q-dimension of the centralizer of the rationalized image in M_n(K).
 
@@ -483,19 +492,7 @@ def centralizer_dimension(rho: RingMorphism) -> int:
     rows = []
     for img in rho.images[1:]:  # identity commutes with everything
         a = [[int(e.coords[0]) for e in row] for row in img]
-        for i in range(n):
-            for j in range(n):
-                # coefficient of X[k][l] in (X a - a X)[i][j]
-                row = []
-                for kk in range(n):
-                    for ll in range(n):
-                        c = 0
-                        if i == kk:
-                            c += a[ll][j]
-                        if j == ll:
-                            c -= a[i][kk]
-                        row.append(c)
-                rows.append(row)
+        rows += _commutation_rows(a, a)
     if not rows:
         return n * n
     kern = left_kernel(IntMatrix(rows).transpose())
@@ -601,21 +598,7 @@ def conjugating_unimodular(m1, m2):
     is a binary form, and U exists with det +-1 iff that form represents 1
     or -1, which reduction theory decides exactly when the form is definite.
     """
-    rows = []
-    for i in range(2):
-        for j in range(2):
-            # coefficient of U[k][l] in (U m1 - m2 U)[i][j]
-            row = []
-            for k in range(2):
-                for l in range(2):
-                    c = 0
-                    if i == k:
-                        c += m1[l][j]
-                    if j == l:
-                        c -= m2[i][k]
-                    row.append(c)
-            rows.append(row)
-    kern = left_kernel(IntMatrix(rows).transpose())
+    kern = left_kernel(IntMatrix(_commutation_rows(m1, m2)).transpose())
     if kern.rows < 2:
         return None
     if kern.rows != 2:
@@ -657,7 +640,7 @@ def _represent_definite(form, target):
         target = -target
     if target < 0:
         return None
-    red, u = quadforms.reduce_definite((a, b, c))
+    red, u = quadforms.reduce_form((a, b, c))
     if red[0] != target:
         # minimum of a reduced definite form is its leading coefficient
         return None

@@ -34,12 +34,12 @@ from .intmat import IntMatrix, Lattice, _det_bareiss, solve_square
 from .modular import factorize, kronecker, quadratic_roots_upto
 from .numberfield import FieldElement, integral_norm
 from .orders import (
-    _POWER_BUDGET_FACTOR,
     Order,
     _lattice_times_element,
     colon_lattice,
     conductor,
     escaping_product,
+    least_unit_power,
     maximal_order,
 )
 
@@ -465,30 +465,16 @@ def _index_formula(gamma: Order, om: Order, h0: int) -> int:
     num = h0
     for p, e in factorize(f_idx).items():
         num *= p ** (e - 1) * (p - kronecker(d0, p))
-    u_idx = _unit_index(gamma, om)
+    # [O_L^x : Gamma^x]: imaginary, the roots of unity of O_L (6 for d0 = -3,
+    # 4 for d0 = -4, else 2) over the +-1 left in Gamma when f > 1
+    if d0 < 0:
+        u_idx = {-3: 3, -4: 2}.get(d0, 1) if f_idx > 1 else 1
+    else:
+        u_idx = least_unit_power(d0, f_idx)[0]
     if num % u_idx:
         raise MethodDisagreement("index formula gave a non-integer",
                                  operation="class_number_formula")
     return num // u_idx
-
-
-def _unit_index(gamma: Order, om: Order) -> int:
-    """[O_L^x : Gamma^x] in integers, for Gamma = Z + f*O_L.  Imaginary: the
-    roots of unity of O_L (6 for d0 = -3, 4 for d0 = -4, else 2) over the
-    +-1 left in Gamma when f > 1.  Real: the least k <= 6f with f | u_k for
-    eps^k = (t_k + u_k*sqrt(d0)) / 2, eps the fundamental unit of O_L."""
-    d0 = om.disc()
-    f = isqrt(conductor(gamma, om).norm)
-    if d0 < 0:
-        return {-3: 3, -4: 2}.get(d0, 1) if f > 1 else 1
-    t, u = quadforms.fundamental_unit_xy(d0)
-    tk, uk = t, u
-    for k in range(1, f * _POWER_BUDGET_FACTOR + 1):
-        if uk % f == 0:
-            return k
-        tk, uk = (tk * t + d0 * uk * u) // 2, (tk * u + uk * t) // 2
-    raise MethodDisagreement("no power of the fundamental unit fell in the "
-                             "order within budget", operation="fundamental_unit")
 
 
 def picard_group(gamma: Order) -> PicardGroup:

@@ -400,12 +400,29 @@ def torsion_units(gamma: Order):
     return out
 
 
+def least_unit_power(d0: int, f: int):
+    """(k, t_k, u_k) for the least k >= 1 with f | u_k, where
+    eps^k = (t_k + u_k*sqrt(d0)) / 2 and eps is the fundamental unit of the
+    real quadratic maximal order of discriminant d0.  So eps^k is the least
+    power in Z + f*O_L, and k = [O_L^x : (Z + f*O_L)^x]; at most 6f powers
+    are tried."""
+    t, u = quadforms.fundamental_unit_xy(d0)
+    tk, uk = t, u
+    for k in range(1, f * _POWER_BUDGET_FACTOR + 1):
+        if uk % f == 0:
+            return k, tk, uk
+        tk, uk = (tk * t + d0 * uk * u) // 2, (tk * u + uk * t) // 2
+    raise MethodDisagreement("no power of the fundamental unit fell in the "
+                             "order within budget; this contradicts finite "
+                             "index", operation="fundamental_unit")
+
+
 def fundamental_unit(gamma: Order) -> FieldElement:
     """Fundamental unit of a real quadratic order, > 1 in the first embedding.
 
     The unit of the maximal order comes from the continued-fraction cycle of
-    the principal form; for a non-maximal order, its least power in the
-    order (least_power_in).
+    the principal form; for Gamma = Z + f*O_L, its least power in Gamma
+    (least_unit_power), built as a field element once.
     """
     field = gamma.field
     if field.degree != 2 or field.signature != (2, 0):
@@ -413,7 +430,7 @@ def fundamental_unit(gamma: Order) -> FieldElement:
                                 operation="fundamental_unit")
     om = maximal_order(field)
     d0 = om.disc()
-    t, u = quadforms.fundamental_unit_xy(d0)
+    _, t, u = least_unit_power(d0, isqrt(conductor(gamma, om).norm))
     # sqrt(d0) = 2*w0 - Tr(w0) for w0 the canonical generator of O_L; the
     # first embedding is the one sending w0 to the larger root, so eps > 1.
     w0 = om.omega()
@@ -423,22 +440,7 @@ def fundamental_unit(gamma: Order) -> FieldElement:
     if abs(eps.norm()) != 1:
         raise MethodDisagreement("fundamental unit has norm other than +-1",
                                  operation="fundamental_unit")
-    return least_power_in(gamma, eps)[1]
-
-
-def least_power_in(gamma: Order, eps: FieldElement):
-    """(k, eps^k) for the least k >= 1 with eps^k in gamma, for a unit eps
-    of the maximal order, trying at most [O_L : Gamma] * 6 powers."""
-    om = maximal_order(gamma.field)
-    budget = lattice_index(om.lattice, gamma.lattice) * _POWER_BUDGET_FACTOR
-    power = eps
-    for k in range(1, budget + 1):
-        if gamma.contains(power):
-            return k, power
-        power = power * eps
-    raise MethodDisagreement("no power of the fundamental unit fell in the "
-                             "order within budget; this contradicts finite "
-                             "index", operation="fundamental_unit")
+    return eps
 
 
 def unit_square_quotient(gamma: Order) -> UnitGroupData:

@@ -10,6 +10,13 @@ lookup instead of an element search.
 Forms are triples (a, b, c) meaning a x^2 + b x y + c y^2, with
 disc = b^2 - 4ac.  Transforms are tracked as 2x2 integer matrices U acting on
 basis rows: new_basis = U * old_basis.
+
+There is one reduction that carries U (reduce_form, both signatures) and its
+transform-free twin (reduced) for callers that only classify.  One walk on
+the coefficients alone (_cycle) gives the rho-cycle of a reduced indefinite
+form and holds the cycle budget; class_forms is reduced plus that walk, and
+cycle_of carries U along the walked cycle.  The fundamental unit is read off
+the automorph that cycle_of returns for the principal form.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from math import gcd, isqrt
 
 from .errors import MethodDisagreement, SearchBudgetExceeded
 
-# Longest rho-cycle that cycle_of walks before giving up.
+# Longest rho-cycle that _cycle walks before giving up.
 _MAX_CYCLE = 100_000
 
 
@@ -38,36 +45,7 @@ def _mat_mul(m1, m2):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-_IDENT = ((1, 0), (0, 1))
-
-
-# --- definite reduction -------------------------------------------------------
-
-def reduce_definite(form):
-    """Reduce a positive definite form; returns (reduced, U) with U in SL2.
-
-    Canonical conditions: -a < b <= a <= c, and b >= 0 if a == c.  U is
-    carried as its four entries p, q, r, s, each step applied in place.
-    """
-    a, b, c = form
-    if disc_of(form) >= 0 or a <= 0:
-        raise ValueError(f"not a positive definite form: {form}")
-    p, q, r, s = 1, 0, 0, 1
-    while True:
-        if c < a or (a == c and -a < b < 0):
-            # swap roles: basis (beta, -alpha) keeps det = +1
-            a, b, c = c, -b, a
-            p, q, r, s = r, s, -p, -q
-        elif b > a or b <= -a:
-            # translate: beta += k*alpha, with the unique k giving -a < b+2ka <= a
-            k = (a - b) // (2 * a)
-            b, c = b + 2 * k * a, a * k * k + b * k + c
-            r, s = r + k * p, s + k * q
-        else:
-            return (a, b, c), ((p, q), (r, s))
-
-
-# --- indefinite reduction ------------------------------------------------------
+# --- reduction -------------------------------------------------------------------
 
 def is_reduced_indefinite(form, s=None):
     """|sqrt(D) - 2|a|| < b < sqrt(D), checked with exact integer arithmetic."""
@@ -102,14 +80,35 @@ def _rho(a, b, c, d, s):
     return c, b2, (b2 * b2 - d) // (4 * c), k
 
 
-def reduce_indefinite(form):
-    """Iterate rho until reduced; returns (reduced, U)."""
-    d = disc_of(form)
-    root = isqrt(d)
-    if d <= 0 or root * root == d:
-        raise ValueError(f"not an indefinite form of non-square disc: {form}")
+def reduce_form(form):
+    """Reduce a form of either signature; returns (reduced, U) with U in SL2.
+
+    Definite: the sign is made positive, then swaps and translations reach
+    -a < b <= a <= c, with b >= 0 if a == c.  Indefinite (non-square disc):
+    rho steps until reduced.  U is carried as its four entries p, q, r, s,
+    each step applied in place.
+    """
     a, b, c = form
+    d = b * b - 4 * a * c
     p, q, r, s = 1, 0, 0, 1
+    if d < 0:
+        if a < 0:
+            a, b, c = -a, -b, -c
+        while True:
+            if c < a or (a == c and -a < b < 0):
+                # swap roles: basis (beta, -alpha) keeps det = +1
+                a, b, c = c, -b, a
+                p, q, r, s = r, s, -p, -q
+            elif b > a or b <= -a:
+                # translate: beta += k*alpha, the unique k giving -a < b+2ka <= a
+                k = (a - b) // (2 * a)
+                b, c = b + 2 * k * a, a * k * k + b * k + c
+                r, s = r + k * p, s + k * q
+            else:
+                return (a, b, c), ((p, q), (r, s))
+    root = isqrt(d)
+    if d == 0 or root * root == d:
+        raise ValueError(f"not an indefinite form of non-square disc: {form}")
     guard = 0
     while not _is_reduced(a, b, d, root):
         a, b, c, k = _rho(a, b, c, d, root)
@@ -118,45 +117,8 @@ def reduce_indefinite(form):
         if guard > 10_000:
             raise MethodDisagreement(
                 f"indefinite reduction failed to converge: {form}",
-                operation="reduce_indefinite")
+                operation="reduce_form")
     return (a, b, c), ((p, q), (r, s))
-
-
-def cycle_of(form):
-    """The full rho-cycle of a reduced indefinite form, with transforms.
-
-    Returns a list of (form, U) pairs; U maps the input (reduced) basis to
-    the basis at that cycle position.  The input must already be reduced.
-    """
-    d = disc_of(form)
-    root = isqrt(d)
-    a0, b0, c0 = a, b, c = form
-    p, q, r, s = 1, 0, 0, 1
-    out = [(form, _IDENT)]
-    while True:
-        a, b, c, k = _rho(a, b, c, d, root)
-        p, q, r, s = r, s, k * r - p, k * s - q
-        u = ((p, q), (r, s))
-        if a == a0 and b == b0 and c == c0:
-            return out, u  # u = full-period transform (the automorph)
-        out.append(((a, b, c), u))
-        if len(out) > _MAX_CYCLE:
-            raise SearchBudgetExceeded(
-                f"cycle of {form} longer than {_MAX_CYCLE} forms",
-                operation="cycle_of")
-
-
-def _cycle_length(form, d, root):
-    """The length of the rho-cycle of a reduced indefinite form, walked on
-    its three coefficients alone, with cycle_of's budget and error."""
-    a, b, c = form
-    for steps in range(1, _MAX_CYCLE + 1):
-        a, b, c, _ = _rho(a, b, c, d, root)
-        if (a, b, c) == form:
-            return steps
-    raise SearchBudgetExceeded(
-        f"cycle of {form} longer than {_MAX_CYCLE} forms",
-        operation="cycle_of")
 
 
 def reduced(form):
@@ -185,18 +147,47 @@ def reduced(form):
         if guard > 10_000:
             raise MethodDisagreement(
                 f"indefinite reduction failed to converge: {form}",
-                operation="reduce_indefinite")
+                operation="reduce_form")
     return a, b, c
 
 
-def reduce_form(form):
-    """Sign-aware reduction: returns (reduced, U) for either signature."""
+# --- cycles and classes ----------------------------------------------------------
+
+def _cycle(form):
+    """The rho-cycle of a reduced indefinite form as a list of forms, starting
+    at form, walked on the three coefficients alone.  The one holder of the
+    cycle budget: more than _MAX_CYCLE forms raise SearchBudgetExceeded."""
     d = disc_of(form)
-    if d < 0:
-        f = form if form[0] > 0 else (-form[0], -form[1], -form[2])
-        red, u = reduce_definite(f)
-        return red, u
-    return reduce_indefinite(form)
+    root = isqrt(d)
+    a, b, c = form
+    out = [form]
+    while True:
+        a, b, c, _ = _rho(a, b, c, d, root)
+        if (a, b, c) == form:
+            return out
+        out.append((a, b, c))
+        if len(out) > _MAX_CYCLE:
+            raise SearchBudgetExceeded(
+                f"cycle of {form} longer than {_MAX_CYCLE} forms",
+                operation="cycle_of")
+
+
+def cycle_of(form):
+    """The full rho-cycle of a reduced indefinite form, with transforms.
+
+    Returns (pairs, automorph): pairs lists (form, U), where U maps the input
+    (reduced) basis to the basis at that cycle position, and the automorph
+    is the full-period transform.  The cycle is walked first; the step from
+    (a, b, c) to (c, b', .) has k = (b + b') / 2c, which carries U.
+    """
+    forms = _cycle(form)
+    p, q, r, s = 1, 0, 0, 1
+    out = []
+    for f, nxt in zip(forms, forms[1:] + forms[:1]):
+        out.append((f, ((p, q), (r, s))))
+        k = (f[1] + nxt[1]) // (2 * f[2])
+        p, q, r, s = r, s, k * r - p, k * s - q
+    return out, ((p, q), (r, s))
 
 
 def class_forms(form):
@@ -207,19 +198,10 @@ def class_forms(form):
     lattice by a negative-norm element lands, after re-orienting the basis,
     on (-a, b, -c); the class is the union of the rho-cycles of both.
     """
-    d = disc_of(form)
-    if d < 0:
-        f = form if form[0] > 0 else tuple(-x for x in form)
-        red, _ = reduce_definite(f)
-        return frozenset([red])
     a, b, c = form
-    red, _ = reduce_indefinite(form)
-    cyc, _ = cycle_of(red)
-    forms = {f for f, _ in cyc}
-    redn, _ = reduce_indefinite((-a, b, -c))
-    cycn, _ = cycle_of(redn)
-    forms |= {f for f, _ in cycn}
-    return frozenset(forms)
+    if b * b - 4 * a * c < 0:
+        return frozenset([reduced(form)])
+    return frozenset(_cycle(reduced(form)) + _cycle(reduced((-a, b, -c))))
 
 
 def class_label(form):
@@ -268,22 +250,14 @@ def reduced_reps_with_transforms(form):
     sign -1 entries walk the cycle of (-a, b, -c), whose members are the
     negated forms of the flipped bases (alpha, -beta) transformed along.
     """
-    d = disc_of(form)
-    out = []
-    if d < 0:
-        f = form if form[0] > 0 else tuple(-x for x in form)
-        red, u = reduce_definite(f)
-        out.append((red, u, 1))
-        return out
+    red, u0 = reduce_form(form)
+    if disc_of(form) < 0:
+        return [(red, u0, 1)]
     a, b, c = form
-    red, u0 = reduce_indefinite(form)
-    cyc, _ = cycle_of(red)
-    for f, u in cyc:
-        out.append((f, _mat_mul(u, u0), 1))
+    out = [(f, _mat_mul(u, u0), 1) for f, u in cycle_of(red)[0]]
     flip = ((1, 0), (0, -1))
-    redn, u0n = reduce_indefinite((-a, b, -c))
-    cycn, _ = cycle_of(redn)
-    for f, u in cycn:
+    redn, u0n = reduce_form((-a, b, -c))
+    for f, u in cycle_of(redn)[0]:
         out.append((f, _mat_mul(_mat_mul(u, u0n), flip), -1))
     return out
 
@@ -369,19 +343,10 @@ def fundamental_unit_xy(d):
     """
     if d <= 4 or isqrt(d) ** 2 == d or d % 4 not in (0, 1):
         raise ValueError(f"not a real quadratic discriminant: {d}")
-    f0, _ = reduce_indefinite(principal_form(d))
-    # The first pass walks the cycle on the coefficients alone, under
-    # cycle_of's budget; the transform is carried once the cycle closes.
-    root = isqrt(d)
-    a, b, c = f0
-    p, q, r, s = 1, 0, 0, 1
-    for _ in range(_cycle_length(f0, d, root)):
-        a, b, c, k = _rho(a, b, c, d, root)
-        p, q, r, s = r, s, k * r - p, k * s - q
-    period_u = ((p, q), (r, s))
+    f0 = reduced(principal_form(d))
     # The period transform is an automorph of f0: it acts on the basis
     # (1, tau) of the principal lattice as multiplication by a unit.
-    t_, u_ = _unit_from_automorph(f0, period_u, d)
+    t_, u_ = _unit_from_automorph(f0, cycle_of(f0)[1], d)
     # Try to take a square root: the cycle yields the smallest totally
     # positive automorph, which is eps^2 when N(eps) = -1.
     root = _unit_sqrt(t_, u_, d)

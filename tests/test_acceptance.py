@@ -236,3 +236,14 @@ def test_criterion_9_verify_suite_end_to_end():
     assert "FAIL" in faulty.stdout
     print(f"criterion 9 (verify-suite end-to-end): PASS in "
           f"{time.time() - t0:.2f}s")
+
+
+def test_error_origin_names_the_module_under_python_m():
+    """Run as ``python -m orderkit.cli``, an error raised in cli.py names cli,
+    not __main__."""
+    run = subprocess.run(
+        [sys.executable, "-m", "orderkit.cli", "bound", "--formula", "thm-b",
+         "--n=7", "--pic=-5", "--kind", "p1_n"],
+        capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error [cli.bound] InvalidInput: ")

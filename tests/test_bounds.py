@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 from orderkit.errors import NotPrime
+from orderkit.modular import radical
 from orderkit.bounds import (
     BigBound,
     SIntegerSpec,
@@ -12,9 +13,7 @@ from orderkit.bounds import (
     es_gl2_bounds,
     forget_chain_bound,
     level_structure_bounds,
-    n_value,
     pol_degree_bound,
-    rad_product,
     thm_a_height,
     thm_b,
     thm_endobound,
@@ -27,17 +26,17 @@ EMPTY = SIntegerSpec(())
 
 class TestSIntegerSpec:
     def test_empty_product(self):
-        assert n_value(EMPTY) == 1
+        assert EMPTY.n_value() == 1
 
     def test_product(self):
-        assert n_value(SIntegerSpec((2, 3, 7))) == 42
+        assert SIntegerSpec((2, 3, 7)).n_value() == 42
 
     def test_rejects_composite(self):
         with pytest.raises(NotPrime):
             SIntegerSpec((6,))
 
     def test_radical_bridge(self):
-        assert rad_product(12, 10) == 30
+        assert radical(12 * 10) == 30
 
     def test_from_string(self):
         assert SIntegerSpec.from_string("").n_value() == 1
@@ -122,7 +121,7 @@ class TestHeightBounds:
         for g, nu, primes in ((1, 1, ()), (1, 6, ()), (2, 5, (2, 3)),
                               (1, 1, (7,)), (3, 10, (3, 7))):
             spec = SIntegerSpec(primes)
-            n_u = rad_product(nu, spec.n_value())
+            n_u = radical(nu * spec.n_value())
             spec_u = SIntegerSpec(factorize(n_u))
             lhs = thm_a_height(g, nu, spec)
             rhs = thm_main_height(g, spec_u)

@@ -22,6 +22,7 @@ from orderkit.orders import (
     escaping_product,
     fundamental_unit,
     is_order,
+    least_unit_power,
     maximal_order,
 )
 from orderkit.ideals import (
@@ -698,7 +699,8 @@ class TestPicard:
         assert len(real) == 86
         for e in real:
             om = maximal_order(e.order.field)
-            assert (ideals._unit_index(e.order, om)
+            f = math.isqrt(conductor(e.order, om).norm)
+            assert (least_unit_power(om.disc(), f)[0]
                     == self.UNIT_INDEX.get(e.disc, 1)), e.disc
 
     @pytest.mark.parametrize("coeffs,rows", COMPOSE_ORDERS)

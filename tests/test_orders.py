@@ -25,7 +25,7 @@ from orderkit.orders import (
     conductor_comparison_check,
     fundamental_unit,
     is_order,
-    least_power_in,
+    least_unit_power,
     maximal_order,
     scaled_subring,
     torsion_units,
@@ -278,6 +278,32 @@ class TestMaximalOrderAndConductorCache:
         assert conductor(gamma, om2) == data
 
 
+def least_power_in(gamma, eps):
+    """Oracle: (k, eps^k) for the least k >= 1 with eps^k in gamma, for a unit
+    eps of the maximal order, by field-element powers and membership tests,
+    trying at most [O_L : Gamma] * 6 powers."""
+    om = maximal_order(gamma.field)
+    power = eps
+    for k in range(1, lattice_index(om.lattice, gamma.lattice) * 6 + 1):
+        if gamma.contains(power):
+            return k, power
+        power = power * eps
+    raise AssertionError("no power of the unit fell in the order")
+
+
+# real quadratic fields x^2 - m by squarefree m, and conductors to 30
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 19, 21, 22, 23,
+                        29, 31, 37, 41, 43, 46, 94)),
+       st.integers(2, 30))
+def test_fundamental_unit_matches_power_oracle(m, f):
+    field = make_field([-m, 0, 1])
+    om = maximal_order(field)
+    gamma = is_order(field, [[1, 0], [f * x for x in om.omega().coords]])
+    assert fundamental_unit(gamma) == least_power_in(gamma,
+                                                     fundamental_unit(om))[1]
+
+
 # fundamental discriminants 1 mod 4: their fields take an odd b1
 ODD_D0 = (-3, -7, -11, -15, -19, -23, -31, 5, 13, 17, 21, 29, 33, 37, 41)
 
@@ -320,9 +346,9 @@ class TestIntegerInvariants:
         assert lattice_index(om.lattice, gamma.lattice) == f
         if d0 > 0:
             unit_index = least_power_in(gamma, fundamental_unit(om))[0]
+            assert least_unit_power(d0, f)[0] == unit_index
         else:
             unit_index = len(torsion_units(om)) // len(torsion_units(gamma))
-        assert ideals._unit_index(gamma, om) == unit_index
         h0 = quadforms.form_class_count(d0)
         num = h0
         for p, e in factorize(f).items():

@@ -1,6 +1,9 @@
 import random
+import re
+import time
 from collections import deque
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -56,7 +59,7 @@ def test_definite_reduction_properties():
     rng = random.Random(3)
     for _ in range(200):
         f = random_form(rng, definite=True)
-        red, u = qf.reduce_definite(f)
+        red, u = qf.reduce_form(f)
         assert apply_baschange(f, u) == red
         assert u[0][0] * u[1][1] - u[0][1] * u[1][0] == 1
         a, b, c = red
@@ -64,7 +67,7 @@ def test_definite_reduction_properties():
         if a == c:
             assert b >= 0
         # idempotent
-        red2, _ = qf.reduce_definite(red)
+        red2, _ = qf.reduce_form(red)
         assert red2 == red
 
 
@@ -72,7 +75,7 @@ def test_indefinite_reduction_properties():
     rng = random.Random(7)
     for _ in range(200):
         f = random_form(rng, definite=False)
-        red, u = qf.reduce_indefinite(f)
+        red, u = qf.reduce_form(f)
         assert apply_baschange(f, u) == red
         assert u[0][0] * u[1][1] - u[0][1] * u[1][0] == 1
         assert qf.is_reduced_indefinite(red)
@@ -225,7 +228,7 @@ def test_fundamental_unit_with_large_coefficients():
 def unit_by_cycle_list(d):
     """Oracle: the unit from the automorph that cycle_of returns with the
     cycle's list of forms and transforms, then square roots taken."""
-    f0, _ = qf.reduce_indefinite(qf.principal_form(d))
+    f0, _ = qf.reduce_form(qf.principal_form(d))
     _, period_u = qf.cycle_of(f0)
     t, u = qf._unit_from_automorph(f0, period_u, d)
     root = qf._unit_sqrt(t, u, d)
@@ -244,7 +247,7 @@ def test_fundamental_unit_matches_cycle_list(d):
 
 def test_fundamental_unit_budget_as_cycle_of(monkeypatch):
     # the coefficient walk raises at the cycle length where cycle_of does
-    f0, _ = qf.reduce_indefinite(qf.principal_form(409))
+    f0, _ = qf.reduce_form(qf.principal_form(409))
     length = len(qf.cycle_of(f0)[0])
     monkeypatch.setattr(qf, "_MAX_CYCLE", length)
     assert qf.fundamental_unit_xy(409) == unit_by_cycle_list(409)
@@ -286,9 +289,7 @@ def test_compose_rejects_mixed_discriminants():
 
 def test_bad_input_raises_value_error():
     with pytest.raises(ValueError):
-        qf.reduce_definite((1, 1, -1))
-    with pytest.raises(ValueError):
-        qf.reduce_indefinite((1, 0, -4))  # square discriminant 16
+        qf.reduce_form((1, 0, -4))  # square discriminant 16
     with pytest.raises(ValueError):
         qf.reduced_definite_forms(5)
     with pytest.raises(ValueError):
@@ -395,7 +396,7 @@ COEFF = st.integers(-10 ** 6, 10 ** 6)
 @given(st.integers(1, 10 ** 6), COEFF, st.integers(1, 10 ** 6))
 def test_definite_reduction_matches_matrix_route(a, b, c):
     assume(b * b < 4 * a * c)
-    assert qf.reduce_definite((a, b, c)) \
+    assert qf.reduce_form((a, b, c)) \
         == reduce_definite_by_matrices((a, b, c))
     assert qf.reduce_form((a, b, c)) == qf.reduce_form((-a, -b, -c)) \
         == reduce_definite_by_matrices((a, b, c))
@@ -405,7 +406,7 @@ def test_definite_reduction_matches_matrix_route(a, b, c):
 @given(COEFF, COEFF, COEFF)
 def test_indefinite_reduction_matches_matrix_route(a, b, c):
     assume(_indefinite(a, b, c))
-    assert qf.reduce_indefinite((a, b, c)) \
+    assert qf.reduce_form((a, b, c)) \
         == reduce_indefinite_by_matrices((a, b, c))
     assert qf.reduce_form((a, b, c)) \
         == reduce_indefinite_by_matrices((a, b, c))
@@ -444,7 +445,55 @@ def test_cycle_guard_is_a_budget_error(monkeypatch):
     from orderkit.errors import SearchBudgetExceeded
     # the principal cycle of discriminant 4 * 94 has more than 3 forms
     monkeypatch.setattr(qf, "_MAX_CYCLE", 3)
-    red, _ = qf.reduce_indefinite(qf.principal_form(4 * 94))
+    red, _ = qf.reduce_form(qf.principal_form(4 * 94))
     with pytest.raises(SearchBudgetExceeded, match="longer than 3 forms"):
         qf.cycle_of(red)
     assert main(["order-info", "--field=-94,0,1"]) == 3
+
+
+# --- class forms against the transform-carrying route ---------------------------
+
+def class_forms_by_transforms(form):
+    """Oracle: the forms that reduce_form and cycle_of reach from (a, b, c)
+    and, for indefinite forms, from (-a, b, -c)."""
+    a, b, c = form
+    red, _ = qf.reduce_form(form)
+    if b * b - 4 * a * c < 0:
+        return frozenset([red])
+    redn, _ = qf.reduce_form((-a, b, -c))
+    return frozenset(f for start in (red, redn)
+                     for f, _ in qf.cycle_of(start)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 3, 10 ** 3), st.integers(-10 ** 3, 10 ** 3),
+       st.integers(-10 ** 3, 10 ** 3))
+def test_class_forms_match_transform_route(a, b, c):
+    assume(b * b < 4 * a * c or _indefinite(a, b, c))
+    assert qf.class_forms((a, b, c)) == class_forms_by_transforms((a, b, c))
+
+
+def test_long_cycle_budget_trips_before_transforms():
+    # a reduced form whose cycle is longer than the budget: the coefficient
+    # walk raises before any transform is carried
+    form = (1, 31622775, -25324853)
+    assert qf.is_reduced_indefinite(form)
+    for route in (qf.class_label, qf.cycle_of):
+        start = time.perf_counter()
+        with pytest.raises(qf.SearchBudgetExceeded,
+                           match=rf"longer than {qf._MAX_CYCLE} forms"):
+            route(form)
+        assert time.perf_counter() - start < 1.0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "orderkit"
+
+
+def test_cycle_step_and_budgets_stay_home():
+    def users(pattern):
+        names = re.compile(pattern)
+        return sorted(path.name for path in SRC.glob("*.py")
+                      if names.search(path.read_text()))
+
+    assert users(r"\b(_rho|_MAX_CYCLE)\b") == ["quadforms.py"]
+    assert users(r"\b_POWER_BUDGET_FACTOR\b") == ["orders.py"]
