@@ -441,7 +441,10 @@ def main(argv=None):
         name = spec.name if spec else frame_globals["__name__"]
         module = name.rpartition(".")[2]
         origin = f"{module}.{err.operation}" if err.operation else module
-        print(f"error [{origin}] {type(err).__name__}: {err}", file=sys.stderr)
+        spent = ("" if err.limit is None else
+                 f" (limit {err.limit}, consumed {err.consumed})")
+        print(f"error [{origin}] {type(err).__name__}: {err}{spent}",
+              file=sys.stderr)
         return 3 if err.budget else 2
 
 

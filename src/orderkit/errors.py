@@ -4,7 +4,9 @@ Every error carries the operation it came from; the CLI reads the module
 off the frame that raised it, reports both as the origin and maps the
 failure to an exit code.  Budget exhaustion (``budget = True``) is
 distinguished from domain errors because "gave up searching" must never be
-confused with a negative mathematical answer.
+confused with a negative mathematical answer.  An error that stops at a
+budget carries it as ``limit``, and as ``consumed`` how far the run got, or
+asked to go when the budget is checked before the work; the CLI prints both.
 """
 
 
@@ -12,10 +14,11 @@ class OrderkitError(Exception):
     operation = ""
     budget = False
 
-    def __init__(self, message, *, operation=None):
+    def __init__(self, message, *, operation=None, limit=None, consumed=None):
         super().__init__(message)
         if operation is not None:
             self.operation = operation
+        self.limit, self.consumed = limit, consumed
 
 
 # --- raised anywhere --------------------------------------------------------

@@ -294,7 +294,9 @@ def _search_equivalence(i, j):
             tested += 1
             if tested > _EQUIVALENCE_BUDGET * 8:
                 raise SearchBudgetExceeded("equivalence search budget exhausted",
-                                           operation="is_equivalent")
+                                           operation="is_equivalent",
+                                           limit=_EQUIVALENCE_BUDGET * 8,
+                                           consumed=tested)
             v = [sum(map(mul, combo, column)) for column in cols]
             if not any(v) or abs(integral_norm(field, v)) != target:
                 continue
@@ -533,7 +535,8 @@ def _check_census(budget, operation):
     """IndexTooLarge when a census up to index ``budget`` is over budget."""
     if budget > _MAX_CENSUS:
         raise IndexTooLarge(f"census up to index {budget} exceeds budget "
-                            f"{_MAX_CENSUS}", operation=operation)
+                            f"{_MAX_CENSUS}", operation=operation,
+                            limit=_MAX_CENSUS, consumed=budget)
 
 
 def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
@@ -615,7 +618,8 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     # every class has a reduced form whose a is at most isqrt(|disc|)
     if nf > _MAX_INDEX:
         raise IndexTooLarge(f"quotient order {nf} exceeds budget {_MAX_INDEX}",
-                            operation="class_monoid")
+                            operation="class_monoid", limit=_MAX_INDEX,
+                            consumed=nf)
     budget = max(nf * nf * _CENSUS_BUDGET_FACTOR, isqrt(abs(gamma.disc())) + 1)
     _check_census(budget, "class_monoid")
     pic = picard_group(gamma)
@@ -678,26 +682,39 @@ def class_monoid(gamma: Order) -> ClassMonoid:
 def _census_audit(gamma: Order, budget, form_to_class):
     """(ideals checked, class indices hit) of the census up to budget.
 
-    The census walk (modular.quadratic_roots_upto) is streamed unsorted and
-    never held whole.  Each census form is divided by its content and
-    reduced without its transform (quadforms.reduced); its class is the one
-    whose canonical forms hold the reduced form.  Ideals in no class raise
+    One loop over the census walk (modular.quadratic_roots_upto), streamed
+    unsorted and never held whole.  For each root b of a modulus a, the
+    form of [a, b + omega] times its content, (a, s*(2b + t), N(b + omega)/a)
+    as in _pair_forms, goes as bare integers through the reduction kernel of
+    the order's signature; all census forms share the discriminant
+    t^2 - 4n, and reduction commutes with scaling, so the content is divided
+    out of the reduced form at the end.  Its class is the one whose
+    canonical forms hold that form.  Nothing is memoised: a memo on (a, b)
+    would grow by an entry per ideal.  Ideals in no class raise
     FactorizationViolation naming the first of them in the order of
     _stable_ideal_pairs: the least key (a, (t + 2b) mod 2a).
     """
     t, n = gamma.omega_data()
+    d = t * t - 4 * n
+    if d < 0:
+        kernel, s, root = quadforms._reduce_definite, 1, 0
+    else:  # real fields orient [a, b + omega] the other way
+        kernel, s, root = quadforms._reduce_indefinite, -1, isqrt(d)
     hit, checked, missed = set(), 0, []
-    reduced, class_of = quadforms.reduced, form_to_class.get
-    walk = quadratic_roots_upto(t, n, budget)
-    for a, b, (fa, fb, fc) in _pair_forms(gamma, ((a, b) for a, bs in walk
-                                                  for b in bs)):
-        checked += 1
-        g = gcd(gcd(fa, fb), fc)
-        idx = class_of(reduced((fa // g, fb // g, fc // g)))
-        if idx is None:
-            missed.append((a, (t + 2 * b) % (2 * a), b))
-        else:
-            hit.add(idx)
+    class_of = form_to_class.get
+    for a, bs in quadratic_roots_upto(t, n, budget):
+        checked += len(bs)
+        for b in bs:
+            fa, fb, fc = kernel(a, s * (2 * b + t), (b * (b + t) + n) // a,
+                                d, root)
+            g = gcd(fa, fb, fc)
+            if g > 1:
+                fa, fb, fc = fa // g, fb // g, fc // g
+            idx = class_of((fa, fb, fc))
+            if idx is None:
+                missed.append((a, (t + 2 * b) % (2 * a), b))
+            else:
+                hit.add(idx)
     if missed:
         a, _, b = min(missed)
         raise FactorizationViolation(

@@ -579,7 +579,8 @@ def _subgroup_lattices_of_quotient(diag, max_subgroups):
                         grown.append([[0] * i + [h, *above]] + rows)
         if len(grown) > max_subgroups:
             raise IndexTooLarge(f"more than {max_subgroups} subgroups",
-                                operation="enumerate_intermediate_lattices")
+                                operation="enumerate_intermediate_lattices",
+                                limit=max_subgroups, consumed=len(grown))
         tails = grown
     return [IntMatrix(rows) for rows in tails]
 
@@ -591,7 +592,8 @@ def enumerate_intermediate_lattices(outer: Lattice, inner: Lattice,
     idx = lattice_index(outer, inner)
     if idx > max_index:
         raise IndexTooLarge(f"quotient order {idx} exceeds budget {max_index}",
-                            operation="enumerate_intermediate_lattices")
+                            operation="enumerate_intermediate_lattices",
+                            limit=max_index, consumed=idx)
     g = outer.dim
     c = coords_in(outer, inner)
     d, u, v = snf(c)

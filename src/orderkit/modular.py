@@ -8,12 +8,14 @@ modules call these and read none of the tables.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import gcd, isqrt
 
 from .errors import MethodDisagreement, SearchBudgetExceeded
 
 _SPF = [0, 1]  # smallest prime factor table, grown on demand
 _SPF_CAP = 1 << 18  # factorize leaves the table from here on
+_PRIMES = (_SPF, [])  # (the table, its primes ascending), read off once
 
 
 def _grow_spf(n):
@@ -99,7 +101,8 @@ def _brent_factor(n, budget):
             if budget[0] < 0:
                 raise SearchBudgetExceeded(
                     f"no factor of {n} within {_RHO_BUDGET} rho steps",
-                    operation="factorize")
+                    operation="factorize", limit=_RHO_BUDGET,
+                    consumed=_RHO_BUDGET - budget[0])
             r *= 2
         if g == n:  # the batch overshot: step back one difference at a time
             g = 1
@@ -114,11 +117,17 @@ def _brent_factor(n, budget):
 
 def table_primes(n: int):
     """(top, primes): top = min(n, the largest entry the smallest-prime-
-    factor table may hold), and the primes p <= top, read off that table."""
+    factor table may hold), and the primes p <= top, a new list sliced from
+    those read off the table once after each time it grows."""
+    global _PRIMES
     top = min(n, _SPF_CAP - 1)
     _grow_spf(top)
-    spf = _SPF
-    return top, [p for p in range(2, top + 1) if spf[p] == p]
+    spf, primes = _PRIMES
+    if spf is not _SPF:  # the table was grown (or replaced) since
+        spf = _SPF
+        primes = [q for p, q in enumerate(spf) if p == q and p > 1]
+        _PRIMES = spf, primes
+    return top, primes[:bisect_right(primes, top)]
 
 
 def radical(n: int) -> int:

@@ -162,7 +162,7 @@ def _monic_factor_candidates(p, deg, budget=400_000):
     if total > budget:
         raise SearchBudgetExceeded(
             f"factor candidate space {total} exceeds budget {budget}",
-            operation="factor_search")
+            operation="factor_search", limit=budget, consumed=total)
     divlists = [_signed_divisors(f) for f in factored]
     seen = set()
     for combo in itertools.product(*divlists):

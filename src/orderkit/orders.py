@@ -408,13 +408,15 @@ def least_unit_power(d0: int, f: int):
     are tried."""
     t, u = quadforms.fundamental_unit_xy(d0)
     tk, uk = t, u
-    for k in range(1, f * _POWER_BUDGET_FACTOR + 1):
+    limit = f * _POWER_BUDGET_FACTOR
+    for k in range(1, limit + 1):
         if uk % f == 0:
             return k, tk, uk
         tk, uk = (tk * t + d0 * uk * u) // 2, (tk * u + uk * t) // 2
     raise MethodDisagreement("no power of the fundamental unit fell in the "
                              "order within budget; this contradicts finite "
-                             "index", operation="fundamental_unit")
+                             "index", operation="fundamental_unit",
+                             limit=limit, consumed=limit)
 
 
 def fundamental_unit(gamma: Order) -> FieldElement:

@@ -11,12 +11,15 @@ Forms are triples (a, b, c) meaning a x^2 + b x y + c y^2, with
 disc = b^2 - 4ac.  Transforms are tracked as 2x2 integer matrices U acting on
 basis rows: new_basis = U * old_basis.
 
-There is one reduction that carries U (reduce_form, both signatures) and its
-transform-free twin (reduced) for callers that only classify.  One walk on
-the coefficients alone (_cycle) gives the rho-cycle of a reduced indefinite
-form and holds the cycle budget; class_forms is reduced plus that walk, and
-cycle_of carries U along the walked cycle.  The fundamental unit is read off
-the automorph that cycle_of returns for the principal form.
+The reduction rules live in two kernels on bare integers, one per
+signature (_reduce_definite, _reduce_indefinite).  reduce_form carries U
+through the basis changes they report, reduced is the same call without
+it, and the class-monoid census calls the kernels directly, once per
+ideal.  One walk on the coefficients alone (_cycle) takes the indefinite
+kernel's step from each reduced form to the next, gives the rho-cycle and
+holds the cycle budget; class_forms is reduced plus that walk, and cycle_of
+carries U along the walked cycle.  The fundamental unit is read off the
+automorph that cycle_of returns for the principal form.
 """
 
 from __future__ import annotations
@@ -46,38 +49,98 @@ def _mat_mul(m1, m2):
 
 
 # --- reduction -------------------------------------------------------------------
+# One kernel per signature works on bare integers and holds the reduction
+# rules; reduced, reduce_form, _cycle and the class-monoid census all call
+# them.  A kernel given a list ``ops`` appends each basis change it makes:
+# None for the swap (alpha, beta) -> (beta, -alpha), k for the translation
+# beta -> beta + k*alpha; reduce_form multiplies them out into U.
+
+# rho steps the indefinite kernel takes before it gives up
+_MAX_REDUCTION_STEPS = 10_000
+
 
 def is_reduced_indefinite(form, s=None):
-    """|sqrt(D) - 2|a|| < b < sqrt(D), checked with exact integer arithmetic."""
-    d = disc_of(form)
-    return _is_reduced(form[0], form[1], d, isqrt(d) if s is None else s)
+    """|sqrt(D) - 2|a|| < b < sqrt(D), checked with exact integer arithmetic:
+    the indefinite kernel leaves exactly the reduced forms unchanged."""
+    a, b, c = form
+    d = b * b - 4 * a * c
+    s = isqrt(d) if s is None else s
+    return _reduce_indefinite(a, b, c, d, s) == (a, b, c)
 
 
-def _is_reduced(a, b, d, s):
-    """is_reduced_indefinite of (a, b, .) of discriminant d, s = isqrt(d)."""
-    if b <= 0 or b > s:  # b < sqrt(D) <=> b <= s, D non-square
-        return False
-    t = 2 * abs(a)
-    if (t + b) ** 2 <= d:  # need sqrt(D) < 2|a| + b
-        return False
-    if t > b and (t - b) ** 2 >= d:  # need 2|a| - b < sqrt(D)
-        return False
-    return True
+def _reduce_definite(a, b, c, d=None, s=None, ops=None):
+    """The reduced form of the positive definite form (a, b, c), a > 0:
+    -a < b <= a <= c, with b >= 0 if a == c.  The roles of a and c swap
+    while c < a, with b translated into (-a, a] after each swap; a last swap
+    makes b >= 0 when a == c.  d and s are not read: they keep the two
+    kernels' arguments alike."""
+    while True:
+        if c < a:
+            a, b, c = c, -b, a
+            if ops is not None:
+                ops.append(None)
+        if b > a or b <= -a:
+            # the unique k giving -a < b + 2ka <= a
+            k = (a - b) // (2 * a)
+            b, c = b + 2 * k * a, (a * k + b) * k + c
+            if ops is not None:
+                ops.append(k)
+        if c >= a:
+            break
+    if a == c and b < 0:
+        b = -b
+        if ops is not None:
+            ops.append(None)
+    return a, b, c
 
 
-def _rho(a, b, c, d, s):
-    """One reduction step (a, b, c) -> (c, b', c') of a form of discriminant
-    d, s = isqrt(d); returns (c, b', c', k) for the basis change
-    (alpha, beta) -> (beta, -alpha + k*beta)."""
-    ac = abs(c)
-    if ac > s:
-        # choose b' = -b + 2 c k in (-|c|, |c|]
-        k = (b + ac) // (2 * ac) if c > 0 else -((b + ac) // (2 * ac))
-    else:
-        # choose b' = -b + 2 c k in (sqrt(D) - 2|c|, sqrt(D))
-        k = (b + s) // (2 * ac) if c > 0 else -((b + s) // (2 * ac))
-    b2 = -b + 2 * c * k
-    return c, b2, (b2 * b2 - d) // (4 * c), k
+def _reduce_indefinite(a, b, c, d, s, ops=None, step=False):
+    """The reduced form reached from (a, b, c), of non-square discriminant
+    d > 0 with s = isqrt(d), by rho steps: (a, b, c) -> (c, b', c') with
+    b' = -b + 2ck in (-|c|, |c|] if |c| > sqrt(d), else in
+    (sqrt(d) - 2|c|, sqrt(d)), for the basis change
+    (alpha, beta) -> (beta, -alpha + k*beta).  With ``step`` exactly one
+    step is taken, whatever the form: from a reduced form, the next form of
+    its cycle.  More than _MAX_REDUCTION_STEPS steps raise
+    MethodDisagreement."""
+    guard = _MAX_REDUCTION_STEPS
+    while True:
+        if 0 < b <= s and not step:  # b < sqrt(d) <=> b <= s, d non-square
+            t = 2 * abs(a)
+            # reduced: sqrt(d) < t + b, and t - b < sqrt(d)
+            if (t + b) ** 2 > d and (t <= b or (t - b) ** 2 < d):
+                return a, b, c
+        ac = abs(c)
+        k = (b + (ac if ac > s else s)) // (2 * ac)
+        if c < 0:
+            k = -k
+        b = 2 * c * k - b
+        a, c = c, (b * b - d) // (4 * c)
+        if ops is not None:
+            ops += (None, k)
+        if step:
+            return a, b, c
+        guard -= 1
+        if guard < 0:
+            raise MethodDisagreement(
+                f"indefinite reduction of discriminant {d} failed to "
+                f"converge within {_MAX_REDUCTION_STEPS} steps",
+                operation="reduce_form")
+
+
+def _reduce(form, ops=None):
+    """The kernel of the form's signature applied to it; a negative definite
+    form is negated first, and a square discriminant is a ValueError."""
+    a, b, c = form
+    d = b * b - 4 * a * c
+    if d < 0:
+        if a < 0:
+            a, b, c = -a, -b, -c
+        return _reduce_definite(a, b, c, d, 0, ops)
+    root = isqrt(d)
+    if d == 0 or root * root == d:
+        raise ValueError(f"not an indefinite form of non-square disc: {form}")
+    return _reduce_indefinite(a, b, c, d, root, ops)
 
 
 def reduce_form(form):
@@ -85,70 +148,24 @@ def reduce_form(form):
 
     Definite: the sign is made positive, then swaps and translations reach
     -a < b <= a <= c, with b >= 0 if a == c.  Indefinite (non-square disc):
-    rho steps until reduced.  U is carried as its four entries p, q, r, s,
-    each step applied in place.
+    rho steps until reduced.  U is carried as its four entries p, q, r, s
+    through the kernel's basis changes.
     """
-    a, b, c = form
-    d = b * b - 4 * a * c
+    ops = []
+    red = _reduce(form, ops)
     p, q, r, s = 1, 0, 0, 1
-    if d < 0:
-        if a < 0:
-            a, b, c = -a, -b, -c
-        while True:
-            if c < a or (a == c and -a < b < 0):
-                # swap roles: basis (beta, -alpha) keeps det = +1
-                a, b, c = c, -b, a
-                p, q, r, s = r, s, -p, -q
-            elif b > a or b <= -a:
-                # translate: beta += k*alpha, the unique k giving -a < b+2ka <= a
-                k = (a - b) // (2 * a)
-                b, c = b + 2 * k * a, a * k * k + b * k + c
-                r, s = r + k * p, s + k * q
-            else:
-                return (a, b, c), ((p, q), (r, s))
-    root = isqrt(d)
-    if d == 0 or root * root == d:
-        raise ValueError(f"not an indefinite form of non-square disc: {form}")
-    guard = 0
-    while not _is_reduced(a, b, d, root):
-        a, b, c, k = _rho(a, b, c, d, root)
-        p, q, r, s = r, s, k * r - p, k * s - q
-        guard += 1
-        if guard > 10_000:
-            raise MethodDisagreement(
-                f"indefinite reduction failed to converge: {form}",
-                operation="reduce_form")
-    return (a, b, c), ((p, q), (r, s))
+    for k in ops:
+        if k is None:
+            p, q, r, s = r, s, -p, -q
+        else:
+            r, s = r + k * p, s + k * q
+    return red, ((p, q), (r, s))
 
 
 def reduced(form):
-    """reduce_form(form)[0] without the transform: the same steps on the
-    three coefficients alone, for callers that only classify a form."""
-    a, b, c = form
-    d = b * b - 4 * a * c
-    if d < 0:
-        if a < 0:
-            a, b, c = -a, -b, -c
-        while True:
-            if c < a or (a == c and -a < b < 0):
-                a, b, c = c, -b, a
-            elif b > a or b <= -a:
-                k = (a - b) // (2 * a)
-                b, c = b + 2 * k * a, a * k * k + b * k + c
-            else:
-                return a, b, c
-    root = isqrt(d)
-    if d == 0 or root * root == d:
-        raise ValueError(f"not an indefinite form of non-square disc: {form}")
-    guard = 0
-    while not _is_reduced(a, b, d, root):
-        a, b, c, _ = _rho(a, b, c, d, root)
-        guard += 1
-        if guard > 10_000:
-            raise MethodDisagreement(
-                f"indefinite reduction failed to converge: {form}",
-                operation="reduce_form")
-    return a, b, c
+    """reduce_form(form)[0] without the transform, for callers that only
+    classify a form."""
+    return _reduce(form)
 
 
 # --- cycles and classes ----------------------------------------------------------
@@ -162,14 +179,14 @@ def _cycle(form):
     a, b, c = form
     out = [form]
     while True:
-        a, b, c, _ = _rho(a, b, c, d, root)
+        a, b, c = _reduce_indefinite(a, b, c, d, root, None, True)
         if (a, b, c) == form:
             return out
         out.append((a, b, c))
         if len(out) > _MAX_CYCLE:
             raise SearchBudgetExceeded(
                 f"cycle of {form} longer than {_MAX_CYCLE} forms",
-                operation="cycle_of")
+                operation="cycle_of", limit=_MAX_CYCLE, consumed=len(out))
 
 
 def cycle_of(form):

@@ -219,6 +219,73 @@ class TestCensusBudget:
                 f"{index} exceeds budget 100000") in err
 
 
+class TestBudgetNumbers:
+    """Budget errors carry their limit and how far the run got (consumed,
+    or the size asked for when the budget is checked first); the CLI
+    appends both to the unchanged message."""
+
+    def test_census_budget_line(self, capsys):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, "class-monoid",
+                               "--field=1000000000000037,0,1")
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 3 and out == ""
+        assert err == ("error [ideals.class_monoid] IndexTooLarge: census up "
+                       "to index 63245554 exceeds budget 100000 (limit "
+                       "100000, consumed 63245554)\n")
+
+    def test_cycle_budget_line(self, capsys, monkeypatch):
+        from orderkit import quadforms
+        monkeypatch.setattr(quadforms, "_MAX_CYCLE", 10)
+        rc, _, err = run_cli(capsys, "order-info",
+                             "--field=-1000000000000037,0,1")
+        assert rc == 3
+        assert err.endswith("longer than 10 forms (limit 10, consumed 11)\n")
+
+    def test_domain_errors_print_no_numbers(self, capsys):
+        rc, _, err = run_cli(capsys, "order-info", "--field", "-4,0,1")
+        assert rc == 2 and "limit" not in err and "consumed" not in err
+
+    def test_index_errors_carry_numbers(self):
+        from orderkit import ideals, intmat
+        from orderkit.errors import IndexTooLarge
+        from orderkit.numberfield import make_field
+        from orderkit.orders import is_order, maximal_order
+        z400i = is_order(make_field([1, 0, 1]), [[1, 0], [0, 400]])
+        with pytest.raises(IndexTooLarge) as nf:
+            ideals.class_monoid(z400i)
+        big = maximal_order(make_field([10 ** 15 + 37, 0, 1]))
+        with pytest.raises(IndexTooLarge) as census:
+            ideals.picard_group(big)
+        outer = intmat.Lattice.from_rows([[1, 0], [0, 1]])
+        inner = intmat.Lattice.from_rows([[12, 0], [0, 12]])
+        with pytest.raises(IndexTooLarge) as quotient:
+            intmat.enumerate_intermediate_lattices(outer, inner, max_index=100)
+        with pytest.raises(IndexTooLarge) as subgroups:
+            intmat.enumerate_intermediate_lattices(outer, inner,
+                                                   max_subgroups=5)
+        assert [(e.value.limit, e.value.consumed) for e in
+                (nf, census, quotient)] == [(100_000, 160_000),
+                                            (100_000, 63_245_554), (100, 144)]
+        assert subgroups.value.limit == 5 < subgroups.value.consumed
+
+    def test_search_errors_carry_numbers(self, monkeypatch):
+        from orderkit import orders, quadforms
+        from orderkit.errors import MethodDisagreement, SearchBudgetExceeded
+        monkeypatch.setattr(quadforms, "_MAX_CYCLE", 3)
+        red = quadforms.reduced(quadforms.principal_form(4 * 94))
+        with pytest.raises(SearchBudgetExceeded) as cycle:
+            quadforms.cycle_of(red)
+        assert (cycle.value.limit, cycle.value.consumed) == (3, 4)
+        # eps = (1 + sqrt 5) / 2 first falls in Z[sqrt 5] = Z + 2 O_L at
+        # k = 3; a budget of one power per unit of f = 2 stops at k = 2
+        assert orders.least_unit_power(5, 2)[0] == 3
+        monkeypatch.setattr(orders, "_POWER_BUDGET_FACTOR", 1)
+        with pytest.raises(MethodDisagreement) as power:
+            orders.least_unit_power(5, 2)
+        assert (power.value.limit, power.value.consumed) == (2, 2)
+
+
 class TestBoundaryValidation:
     @pytest.mark.parametrize("argv,named", [
         (("class-monoid", "--field=5,1", "--order-basis=1,7;7"),

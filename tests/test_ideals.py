@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -555,6 +556,41 @@ class TestIntegerPairs:
                    for c in classes)
 
 
+def form_of_basis(x, y):
+    """Oracle: the primitive norm form of the basis (x, y), as ideal_form
+    reads it off an oriented basis: (N(x), N(x + y) - N(x) - N(y), N(y))
+    cleared of denominators and divided by its content."""
+    fa, fc = x.norm(), y.norm()
+    fb = (x + y).norm() - fa - fc
+    den = math.lcm(fa.denominator, fb.denominator, fc.denominator)
+    form = [int(v * den) for v in (fa, fb, fc)]
+    g = math.gcd(*form)
+    return tuple(v // g for v in form)
+
+
+sl2_words = st.lists(st.integers(-6, 6), min_size=1, max_size=6)
+
+
+class TestLabelUnderBasisChange:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PAIR_FIELDS), st.integers(1, 6),
+           st.integers(0, 10 ** 6), sl2_words)
+    def test_label_unchanged_under_sl2(self, m, f, i, word):
+        # U = T^k1 S T^k2 S ... in SL2(Z) (S: (x, y) -> (y, -x), T^k:
+        # y -> y + k x) keeps the lattice and its orientation, so the form
+        # read off the new basis has the label of the census ideal
+        gamma, census = order_with_census(m, f)
+        ideal = _standard_ideal(gamma, *census[i % len(census)])
+        x, y = ideals.oriented_basis(ideal)
+        for j, k in enumerate(word):
+            if j:
+                x, y = y, -x
+            y = y + x * k
+        rows = [list(x.coords), list(y.coords)]
+        assert Lattice.from_rows(rows, 2) == ideal.lattice
+        assert quadforms.class_label(form_of_basis(x, y)) == class_label(ideal)
+
+
 class TestStablePairs:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(-30, 30), st.integers(-300, 300),
@@ -626,6 +662,24 @@ CENSUS_ORDERS = [
 ]
 
 
+def check_census_audit(gamma, budget, labels, drop):
+    """_census_audit against census_by_reduce_form with the classes of
+    ``labels``, then with the class of index ``drop`` left out: both routes
+    stop at the same first ideal.  Returns the number of ideals checked."""
+    form_to_class = {f: i for i, lab in enumerate(labels)
+                     for f in quadforms.class_forms(lab)}
+    checked, hit = ideals._census_audit(gamma, budget, form_to_class)
+    assert (checked, hit, None) == census_by_reduce_form(
+        gamma, budget, form_to_class)
+    assert hit == set(range(len(labels)))
+    dropped = {f: i for f, i in form_to_class.items() if i != drop}
+    _, _, first = census_by_reduce_form(gamma, budget, dropped)
+    with pytest.raises(FactorizationViolation,
+                       match=rf"\[{first[0]}, {first[1]} \+ w\]"):
+        ideals._census_audit(gamma, budget, dropped)
+    return checked
+
+
 class TestCensusAudit:
     @pytest.mark.parametrize("coeffs,rows,budget", CENSUS_ORDERS)
     def test_matches_reduce_form_route(self, coeffs, rows, budget):
@@ -638,21 +692,46 @@ class TestCensusAudit:
                 quadforms.class_label(tuple(x // quadforms.content(form)
                                             for x in form))
                 for _, _, form in ideals._census_forms(gamma, budget)})
-        form_to_class = {f: i for i, lab in enumerate(labels)
-                         for f in quadforms.class_forms(lab)}
-        checked, hit = ideals._census_audit(gamma, budget, form_to_class)
-        assert (checked, hit, None) == census_by_reduce_form(
-            gamma, budget, form_to_class)
-        assert hit == set(range(len(labels)))
+        checked = check_census_audit(gamma, budget, labels, len(labels) // 2)
         if budget is None:
             assert checked == m.census_checked
-        # drop one class: both routes stop at the same first ideal
-        dropped = {f: i for f, i in form_to_class.items()
-                   if i != len(labels) // 2}
-        _, _, first = census_by_reduce_form(gamma, budget, dropped)
-        with pytest.raises(FactorizationViolation,
-                           match=rf"\[{first[0]}, {first[1]} \+ w\]"):
-            ideals._census_audit(gamma, budget, dropped)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-3, 3), st.integers(-25, 25), st.integers(1, 2),
+           st.integers(0, 10 ** 6))
+    @example(0, 1, 2, 3)     # Z[2i]
+    @example(1, -1, 2, 0)    # Z[2 (1 + sqrt(5)) / 2], real
+    @example(0, -18, 1, 5)   # Z[sqrt(18)] = Z[3 sqrt(2)], real
+    @example(1, -57, 1, 1)   # Q(sqrt(229)), h = 3: orientation shows
+    def test_random_orders_match_reduce_form_route(self, t, n, f, drop):
+        # Z[f*w], w^2 = t*w - n, of either signature, its whole census
+        d = t * t - 4 * n
+        assume(d < 0 or math.isqrt(d) ** 2 != d)
+        gamma = is_order(make_field([n, -t, 1]), [[1, 0], [0, f]])
+        # conductor index up to 6: a census of at most 20,736 ideals
+        assume(conductor(gamma, maximal_order(gamma.field)).norm <= 36)
+        m = class_monoid(gamma)
+        labels = [c.label for c in m.classes]
+        assert m.census_checked == check_census_audit(
+            gamma, m.census_budget, labels, drop % len(labels))
+
+    def test_memory_stays_flat(self):
+        # the census is streamed: its tracemalloc peak on Z[6i] at budget
+        # 20,736 (24,754 ideals) was 241,392 bytes before the one-loop audit
+        # (CPython 3.11); a memo or a materialised census would pass 2x that
+        gamma = is_order(make_field([1, 0, 1]), [[1, 0], [0, 6]])
+        m = class_monoid(gamma)
+        assert m.census_budget == 20_736
+        form_to_class = {f: i for i, c in enumerate(m.classes)
+                         for f in quadforms.class_forms(c.label)}
+        tracemalloc.start()
+        try:
+            checked, _ = ideals._census_audit(gamma, 20_736, form_to_class)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checked == m.census_checked == 24_754
+        assert peak <= 2 * 241_392
 
 
 class TestPicard:

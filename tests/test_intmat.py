@@ -408,8 +408,8 @@ def test_solve_square_examples():
 
 
 @st.composite
-def unimodular_matrix(draw):
-    n = draw(st.integers(1, 4))
+def unimodular_matrix(draw, n=None):
+    n = draw(st.integers(1, 4)) if n is None else n
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(draw(st.integers(0, 10))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -437,3 +437,54 @@ def test_inverse_unimodular_rejects():
         inverse_unimodular(IntMatrix([[2, 1], [0, 1]]))
     with pytest.raises(ValueError):
         inverse_unimodular(IntMatrix([[1, 0, 0], [0, 1, 0]]))
+
+
+# --- HNF and SNF invariants against cofactor determinants ------------------------
+
+def minors_gcd(m, k):
+    """Oracle: the gcd of all k x k minors of m, each by cofactor expansion."""
+    g = 0
+    for rows in itertools.combinations(range(m.rows), k):
+        for cols in itertools.combinations(range(m.cols), k):
+            g = math.gcd(g, det_cofactor(IntMatrix([[m[i, j] for j in cols]
+                                                    for i in rows])))
+    return g
+
+
+@st.composite
+def matrix_and_unimodular(draw):
+    """(m, w): an n x c matrix with entries in [-9, 9] and an n x n
+    unimodular w, n, c <= 4."""
+    n, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+                         min_size=n, max_size=n))
+    return IntMatrix(rows), draw(unimodular_matrix(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_and_unimodular())
+def test_hnf_invariants_against_cofactor_oracle(case):
+    # the HNF is a function of the row lattice, keeps every determinantal
+    # divisor, and a square one has |det| as the product of its diagonal
+    m, w = case
+    h, u = hnf(m)
+    assert hnf(w * m)[0] == h
+    for k in range(1, min(m.rows, m.cols) + 1):
+        assert minors_gcd(h, k) == minors_gcd(m, k)
+    if m.rows == m.cols:
+        assert math.prod(h[i, i] for i in range(m.rows)) \
+            == abs(det_cofactor(m)) == abs(det_cofactor(h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_and_unimodular())
+def test_snf_invariants_against_cofactor_oracle(case):
+    # d_1 * ... * d_k is the gcd of the k x k minors, for every k, and the
+    # diagonal does not change under a unimodular change of rows
+    m, w = case
+    d, _, _ = snf(m)
+    assert snf(w * m)[0] == d
+    prod = 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        prod *= d[k - 1, k - 1]
+        assert prod == minors_gcd(m, k)

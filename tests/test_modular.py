@@ -91,3 +91,18 @@ def test_factor_table_and_tonelli_shanks_stay_in_modular():
     users = sorted(path.name for path in SRC.glob("*.py")
                    if names.search(path.read_text()))
     assert users == ["modular.py"]
+
+
+def test_table_primes_match_scan_as_the_table_grows(monkeypatch):
+    # the prime list is read off the table once per growth and sliced; a
+    # table replaced from outside is read again
+    monkeypatch.setattr(modular, "_SPF", [0, 1])
+    for n in (1, 2, 3, 100, 5000, 4096, 9000, 70_000, 50, 1 << 19):
+        top, primes = modular.table_primes(n)
+        spf = modular._SPF
+        assert top == min(n, modular._SPF_CAP - 1) < len(spf)
+        assert primes == [p for p in range(2, top + 1) if spf[p] == p]
+    assert len(modular._SPF) <= 1 << 18
+    primes.append(0)  # a caller's list is its own
+    assert modular.table_primes(50)[1][-1] == 47
+    assert modular.table_primes(1 << 19)[1][-1] == 262_139

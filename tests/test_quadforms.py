@@ -496,4 +496,48 @@ def test_cycle_step_and_budgets_stay_home():
                       if names.search(path.read_text()))
 
     assert users(r"\b(_rho|_MAX_CYCLE)\b") == ["quadforms.py"]
+    # one copy of the reduction rules: the kernels' step guard and the
+    # translation k = (a - b) // (2a) appear in quadforms alone
+    assert users(r"\b_MAX_REDUCTION_STEPS\b|\(a - b\) // \(2 \* a\)") \
+        == ["quadforms.py"]
     assert users(r"\b_POWER_BUDGET_FACTOR\b") == ["orders.py"]
+
+
+# --- the bare-integer kernels against reduce_form --------------------------------
+
+def kernel_of(form):
+    """The kernel of the form's signature applied to it as the census
+    calls it: (a, b, c, d, isqrt(d)) for d > 0, (a, b, c, d, 0) for d < 0."""
+    a, b, c = form
+    d = b * b - 4 * a * c
+    if d < 0:
+        return qf._reduce_definite(a, b, c, d, 0)
+    return qf._reduce_indefinite(a, b, c, d, isqrt(d))
+
+
+@settings(max_examples=400, deadline=None)
+@given(COEFF, COEFF, COEFF, st.integers(1, 30))
+def test_kernels_match_reduce_form(a, b, c, g):
+    # a content g goes through the kernel unchanged: g*f reduces to
+    # g*reduced(f), with the discriminant g^2 * disc(f)
+    d = b * b - 4 * a * c
+    assume(d < 0 or _indefinite(a, b, c))
+    if d < 0 and a < 0:
+        a, b, c = -a, -b, -c
+    red = qf.reduce_form((a, b, c))[0]
+    assert kernel_of((a, b, c)) == red
+    assert kernel_of((g * a, g * b, g * c)) == tuple(g * x for x in red)
+    assert qf.reduce_form((g * a, g * b, g * c))[0] == tuple(g * x
+                                                             for x in red)
+
+
+def test_indefinite_kernel_guard(monkeypatch):
+    # (-39, -91, -42) is 2 rho steps from its reduced form (10, 33, -16)
+    form = (-39, -91, -42)
+    assert qf.reduced(form) == reduce_indefinite_by_matrices(form)[0] \
+        == (10, 33, -16)
+    monkeypatch.setattr(qf, "_MAX_REDUCTION_STEPS", 1)
+    for route in (qf.reduced, qf.reduce_form, kernel_of):
+        with pytest.raises(qf.MethodDisagreement,
+                           match="failed to converge within 1 steps"):
+            route(form)
