@@ -512,10 +512,11 @@ def picard_group(gamma: Order) -> PicardGroup:
             continue
         if quadforms.reduced(form) in seen:
             continue
-        lab = quadforms.class_label(form)
-        if lab not in found:
-            seen |= quadforms.class_forms(lab)
-            found[lab] = _pair_class(gamma, a, b, lab)
+        # a new class: its canonical forms, and its label the least of them
+        forms = quadforms.class_forms(form)
+        seen |= forms
+        lab = min(forms)
+        found[lab] = _pair_class(gamma, a, b, lab)
     classes = sorted(found.values(), key=lambda c: c.label)
     h0 = quadforms.form_class_count(om.disc())
     h_formula = _index_formula(gamma, om, h0)
@@ -683,28 +684,44 @@ def _census_audit(gamma: Order, budget, form_to_class):
     """(ideals checked, class indices hit) of the census up to budget.
 
     One loop over the census walk (modular.quadratic_roots_upto), streamed
-    unsorted and never held whole.  For each root b of a modulus a, the
-    form of [a, b + omega] times its content, (a, s*(2b + t), N(b + omega)/a)
-    as in _pair_forms, goes as bare integers through the reduction kernel of
+    unsorted and never held whole.  For a root b of a modulus a, the form
+    of [a, b + omega] times its content, (a, s*(2b + t), N(b + omega)/a) as
+    in _pair_forms, goes as bare integers through the reduction kernel of
     the order's signature; all census forms share the discriminant
     t^2 - 4n, and reduction commutes with scaling, so the content is divided
     out of the reduced form at the end.  Its class is the one whose
-    canonical forms hold that form.  Nothing is memoised: a memo on (a, b)
-    would grow by an entry per ideal.  Ideals in no class raise
-    FactorizationViolation naming the first of them in the order of
-    _stable_ideal_pairs: the least key (a, (t + 2b) mod 2a).
+    canonical forms hold that form.
+
+    The roots of a come in pairs b, b' = (-t - b) mod a, and 2b' + t =
+    -(2b + t) mod 2a: the form of [a, b' + omega] is a translate of the
+    opposite (a, -B, C) of the form (a, B, C) of [a, b + omega], so it lies
+    in the opposite class, whose reduced form quadforms reads off b's
+    (_opposite_definite, _opposite_indefinite; an indefinite one need only
+    lie on the class's rho-cycle, which the canonical forms hold whole).  So
+    the kernel runs once per pair, for the lesser root, and once for b = b'.
+    Each ideal is still looked up and counted on its own.  Nothing is
+    memoised: a memo on (a, b) would grow by an entry per ideal.  Ideals in
+    no class raise FactorizationViolation naming the first of them in the
+    order of _stable_ideal_pairs: the least key (a, (t + 2b) mod 2a).
     """
     t, n = gamma.omega_data()
     d = t * t - 4 * n
     if d < 0:
-        kernel, s, root = quadforms._reduce_definite, 1, 0
+        kernel = quadforms._reduce_definite
+        opposite = quadforms._opposite_definite
+        s, root = 1, 0
     else:  # real fields orient [a, b + omega] the other way
-        kernel, s, root = quadforms._reduce_indefinite, -1, isqrt(d)
+        kernel = quadforms._reduce_indefinite
+        opposite = quadforms._opposite_indefinite
+        s, root = -1, isqrt(d)
     hit, checked, missed = set(), 0, []
     class_of = form_to_class.get
     for a, bs in quadratic_roots_upto(t, n, budget):
         checked += len(bs)
         for b in bs:
+            b2 = (-t - b) % a
+            if b2 < b:  # met with its partner b2
+                continue
             fa, fb, fc = kernel(a, s * (2 * b + t), (b * (b + t) + n) // a,
                                 d, root)
             g = gcd(fa, fb, fc)
@@ -713,6 +730,13 @@ def _census_audit(gamma: Order, budget, form_to_class):
             idx = class_of((fa, fb, fc))
             if idx is None:
                 missed.append((a, (t + 2 * b) % (2 * a), b))
+            else:
+                hit.add(idx)
+            if b2 == b:
+                continue
+            idx = class_of(opposite(fa, fb, fc))
+            if idx is None:
+                missed.append((a, (t + 2 * b2) % (2 * a), b2))
             else:
                 hit.add(idx)
     if missed:

@@ -585,25 +585,53 @@ def _subgroup_lattices_of_quotient(diag, max_subgroups):
     return [IntMatrix(rows) for rows in tails]
 
 
+def _multiplier(outer: Lattice, inner: Lattice):
+    """The integer k >= 1 with inner = k * outer for a full-rank outer, or
+    None: both bases are in HNF, which k * outer's basis is too, so the
+    lattices agree iff the bases agree over a common denominator."""
+    g = outer.dim
+    if inner.dim != g or outer.rank != g or inner.rank != g:
+        return None
+    num, den = inner.basis[0, 0] * outer.den, inner.den * outer.basis[0, 0]
+    if num % den:
+        return None
+    k = num // den
+    scale = k * inner.den
+    for r_in, r_out in zip(inner.basis.entries, outer.basis.entries):
+        if any(x * outer.den != y * scale for x, y in zip(r_in, r_out)):
+            return None
+    return k
+
+
 def enumerate_intermediate_lattices(outer: Lattice, inner: Lattice,
                                     max_index=100_000,
                                     max_subgroups=100_000):
-    """Every lattice M with inner <= M <= outer, each exactly once."""
-    idx = lattice_index(outer, inner)
+    """Every lattice M with inner <= M <= outer, each exactly once, sorted.
+
+    When inner = k * outer, as the conductor f*O_L of a quadratic order is,
+    the quotient is (Z/k)^g in outer's own coordinates: its subgroups are
+    listed there, with no index, solve or SNF.  Any other pair goes through
+    the SNF of inner's coordinates in outer; the tests keep that route as
+    the oracle of the first.
+    """
+    g = outer.dim
+    k = _multiplier(outer, inner)
+    idx = lattice_index(outer, inner) if k is None else k ** g
     if idx > max_index:
         raise IndexTooLarge(f"quotient order {idx} exceeds budget {max_index}",
                             operation="enumerate_intermediate_lattices",
                             limit=max_index, consumed=idx)
-    g = outer.dim
-    c = coords_in(outer, inner)
-    d, u, v = snf(c)
-    diag = [d[i, i] for i in range(g)]
-    vinv = inverse_unimodular(v)
-    # Subgroups live in w-coordinates (w = x * v); map their bases back and
-    # then into the ambient space through outer's basis.
+    if k is None:
+        d, _, v = snf(coords_in(outer, inner))
+        diag, back = [d[i, i] for i in range(g)], inverse_unimodular(v)
+    else:
+        diag, back = (k,) * g, None
+    # Subgroups live in w-coordinates (w = x * v, or x itself when k is
+    # known); map their bases back, then into the ambient space through
+    # outer's basis.
     out = []
     for sub in _subgroup_lattices_of_quotient(diag, max_subgroups):
-        xrows = (sub * vinv).entries
+        xrows = (sub if back is None else sub * back).entries
         amb = [[sum(x[i] * outer.basis[i, j] for i in range(g))
                 for j in range(g)] for x in xrows]
         out.append(Lattice(g, IntMatrix(amb), outer.den))

@@ -198,7 +198,8 @@ def kronecker(a: int, n: int) -> int:
 def _tonelli_shanks(a, p):
     """A square root of a mod the odd prime p not dividing a, or None."""
     a %= p
-    if kronecker(a, p) != 1:
+    half = p >> 1  # Euler's criterion: a^((p-1)/2) = (a / p) mod p
+    if pow(a, half, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -208,7 +209,7 @@ def _tonelli_shanks(a, p):
         q //= 2
         s += 1
     z = 2
-    while kronecker(z, p) != -1:
+    while pow(z, half, p) != p - 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -312,12 +313,15 @@ def quadratic_roots_upto(t, n, bound):
     depth-first walk over products of prime powers, primes ascending, each
     child a * p^k taking its roots from a's by one CRT step with those mod
     p^k (quadratic_roots, one memo).  A p^k with no root ends the powers of
-    p; primes with (d / p) = -1, d = t^2 - 4n, are never entered.  Primes
-    come from the smallest-prime-factor table, above it from is_prime."""
+    p; primes with (d / p) = -1, d = t^2 - 4n, are never entered: by
+    Euler's criterion d^((p-1)/2) = -1 mod an odd p, and d = 5 mod 8 for
+    p = 2.  Primes come from the smallest-prime-factor table, above it from
+    is_prime."""
     top, primes = table_primes(bound)
     primes += filter(is_prime, range(top + 1, bound + 1))
     d = t * t - 4 * n
-    primes = [p for p in primes if kronecker(d, p) != -1] + [bound + 1]
+    primes = [p for p in primes if pow(d, p >> 1, p) != p - 1
+              or p == 2 and d % 8 == 1] + [bound + 1]
     known = {}  # p^k -> roots mod p^k
     yield 1, [0]
     stack = [(1, [0], 0)]  # (a, roots mod a, index of a's least new prime)

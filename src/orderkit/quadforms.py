@@ -14,12 +14,14 @@ basis rows: new_basis = U * old_basis.
 The reduction rules live in two kernels on bare integers, one per
 signature (_reduce_definite, _reduce_indefinite).  reduce_form carries U
 through the basis changes they report, reduced is the same call without
-it, and the class-monoid census calls the kernels directly, once per
-ideal.  One walk on the coefficients alone (_cycle) takes the indefinite
-kernel's step from each reduced form to the next, gives the rho-cycle and
-holds the cycle budget; class_forms is reduced plus that walk, and cycle_of
-carries U along the walked cycle.  The fundamental unit is read off the
-automorph that cycle_of returns for the principal form.
+it, and the class-monoid census calls the kernels directly, once per pair
+of ideals in opposite classes: the second takes the reduced form of its
+class from _opposite_definite or _opposite_indefinite.  One walk on the
+coefficients alone (_cycle) takes the indefinite kernel's step from each
+reduced form to the next, gives the rho-cycle and holds the cycle budget;
+class_forms is reduced plus that walk, and cycle_of carries U along the
+walked cycle.  The fundamental unit is read off the automorph that
+cycle_of returns for the principal form.
 """
 
 from __future__ import annotations
@@ -126,6 +128,24 @@ def _reduce_indefinite(a, b, c, d, s, ops=None, step=False):
                 f"indefinite reduction of discriminant {d} failed to "
                 f"converge within {_MAX_REDUCTION_STEPS} steps",
                 operation="reduce_form")
+
+
+def _opposite_definite(a, b, c):
+    """The reduced form of the class opposite to that of the reduced
+    definite form (a, b, c), the class of (a, -b, c): that form itself,
+    unless it is not reduced, which happens when b = a (a translation gives
+    back (a, a, c)) or when a = c with b > 0 (the swap gives (a, b, a));
+    for b = 0 it is (a, b, c)."""
+    return (a, b, c) if b == 0 or b == a or a == c else (a, -b, c)
+
+
+def _opposite_indefinite(a, b, c):
+    """A reduced form of the class opposite to that of the reduced
+    indefinite form (a, b, c): (c, b, a), which is (a, -b, c) after the
+    swap (x, y) -> (y, -x).  It is reduced, because |ac| = (d - b^2) / 4
+    makes |sqrt(d) - 2|a|| < b hold for c as it does for a, so it lies in
+    the rho-cycle of the opposite class (Cohen, GTM 138, 5.6)."""
+    return c, b, a
 
 
 def _reduce(form, ops=None):

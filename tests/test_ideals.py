@@ -659,6 +659,8 @@ CENSUS_ORDERS = [
     ([-2, 0, 1], [[1, 0], [0, 3]], None),    # Z[3 sqrt(2)], real
     ([-1, -1, 1], [[1, 0], [0, 3]], None),   # Z[3 (1 + sqrt(5)) / 2]
     ([1, 0, 1], [[1, 0], [0, 72]], 82_944),  # Z[72i] at 72^2 * 16
+    ([6, -1, 1], [[1, 0], [0, 1]], None),    # Q(sqrt(-23)), h = 3
+    ([-57, -1, 1], [[1, 0], [0, 1]], None),  # Q(sqrt(229)), real, h = 3
 ]
 
 
@@ -714,6 +716,49 @@ class TestCensusAudit:
         labels = [c.label for c in m.classes]
         assert m.census_checked == check_census_audit(
             gamma, m.census_budget, labels, drop % len(labels))
+
+    @pytest.mark.parametrize("coeffs", [[6, -1, 1], [-57, -1, 1]])
+    def test_partner_root_names_the_first_miss(self, coeffs):
+        # h = 3: the two classes other than the principal one are opposite.
+        # Left out, one of them is first met at a root b whose partner
+        # b' = (-t - b) mod a is less than b, so the audit took its form
+        # from that of b' and must still name [a, b + w] itself
+        gamma = is_order(make_field(coeffs), [[1, 0], [0, 1]])
+        m = class_monoid(gamma)
+        t, _ = gamma.omega_data()
+        labels = [c.label for c in m.classes]
+        assert len(labels) == 3
+        form_to_class = {f: i for i, lab in enumerate(labels)
+                         for f in quadforms.class_forms(lab)}
+        partners = 0
+        for drop in (1, 2):
+            check_census_audit(gamma, m.census_budget, labels, drop)
+            dropped = {f: i for f, i in form_to_class.items() if i != drop}
+            _, _, (a, b) = census_by_reduce_form(gamma, m.census_budget,
+                                                 dropped)
+            partners += (-t - b) % a < b
+        assert partners == 1
+
+    def test_audit_reduces_once_per_pair_of_roots(self, monkeypatch):
+        # a count, not a time: the 24,754 census ideals of Z[6i] are 12
+        # self-paired roots (a | 2b + t) and 12,371 pairs b, b', so the
+        # audit runs the reduction kernel 12,383 times
+        gamma = is_order(make_field([1, 0, 1]), [[1, 0], [0, 6]])
+        m = class_monoid(gamma)
+        form_to_class = {f: i for i, c in enumerate(m.classes)
+                         for f in quadforms.class_forms(c.label)}
+        calls = [0]
+        kernel = quadforms._reduce_definite
+
+        def counting(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(quadforms, "_reduce_definite", counting)
+        checked, hit = ideals._census_audit(gamma, m.census_budget,
+                                            form_to_class)
+        assert (checked, calls[0]) == (24_754, 12_383)
+        assert hit == set(range(m.size))
 
     def test_memory_stays_flat(self):
         # the census is streamed: its tracemalloc peak on Z[6i] at budget

@@ -301,6 +301,86 @@ def test_intermediate_budget():
         enumerate_intermediate_lattices(z, big)
 
 
+def multiple_route_and_snf_route(monkeypatch, outer, inner, **kw):
+    """enumerate_intermediate_lattices for inner = k * outer twice: by the
+    (Z/k)^g route, with the SNF route's steps refused, and by the SNF route,
+    with the multiple left undetected."""
+    def refuse(*_args):
+        raise AssertionError("the (Z/k)^g route ran an SNF-route step")
+
+    with monkeypatch.context() as mp:
+        for name in ("lattice_index", "coords_in", "snf",
+                     "inverse_unimodular"):
+            mp.setattr(intmat, name, refuse)
+        fast = enumerate_intermediate_lattices(outer, inner, **kw)
+    with monkeypatch.context() as mp:
+        mp.setattr(intmat, "_multiplier", lambda *_args: None)
+        slow = enumerate_intermediate_lattices(outer, inner, **kw)
+    return fast, slow
+
+
+def test_multiple_route_matches_snf_route_on_verify_conductors(monkeypatch):
+    # the conductor f*O_L of each of the 183 verify-corpus orders
+    from orderkit.orders import conductor, maximal_order
+    from orderkit.verify import build_corpus
+    corpus = build_corpus()
+    assert len(corpus) == 183
+    for entry in corpus:
+        om = maximal_order(entry.order.field)
+        outer, inner = om.lattice, conductor(entry.order, om).lattice
+        assert intmat._multiplier(outer, inner) == entry.conductor_index
+        fast, slow = multiple_route_and_snf_route(monkeypatch, outer, inner)
+        assert fast == slow
+
+
+@pytest.mark.parametrize("outer,k", [
+    *((Lattice.from_rows([[1, 0], [0, 1]]), k) for k in range(1, 13)),
+    (Lattice.from_rows([[2, 1], [1, 3]]), 6),
+    (Lattice.from_rows([[Fraction(1, 2), 0], [Fraction(1, 3), 1]]), 4),
+    (Lattice.from_rows([[1, 2, 0], [0, 3, 1], [1, 0, 2]]), 4),  # degree 3
+])
+def test_multiple_route_matches_snf_route(monkeypatch, outer, k):
+    inner = outer.scale(k)
+    assert intmat._multiplier(outer, inner) == k
+    fast, slow = multiple_route_and_snf_route(monkeypatch, outer, inner)
+    assert fast == slow
+    assert len(set(fast)) == len(fast)
+    assert outer in fast and inner in fast
+
+
+def test_multiple_route_keeps_the_index_budget(monkeypatch):
+    # the same IndexTooLarge, message and numbers, on either route
+    for outer, k, max_index in (
+            (Lattice.from_rows([[1, 0], [0, 1]]), 12, 100),
+            (Lattice.from_rows([[1, 2, 0], [0, 3, 1], [1, 0, 2]]), 5, 124),
+            (Lattice.from_rows([[1]]), 10 ** 7, 100_000)):
+        errors = []
+        for route in (lambda: None, None):
+            with monkeypatch.context() as mp:
+                if route is not None:
+                    mp.setattr(intmat, "_multiplier", lambda *_args: None)
+                with pytest.raises(IndexTooLarge) as err:
+                    enumerate_intermediate_lattices(
+                        outer, outer.scale(k), max_index=max_index)
+            errors.append((str(err.value), err.value.limit,
+                           err.value.consumed))
+        idx = k ** outer.dim
+        assert errors == [(f"quotient order {idx} exceeds budget "
+                           f"{max_index}", max_index, idx)] * 2
+
+
+def test_multiplier_needs_a_multiple():
+    outer = Lattice.from_rows([[2, 1], [1, 3]])
+    assert intmat._multiplier(outer, outer) == 1
+    # k = 1/2; 3 * outer plus (0, 5), leading with the same 3; diag(2, 4)
+    for inner in (outer.scale(Fraction(1, 2)),
+                  outer.scale(3).sum(Lattice.from_rows([[0, 5]])),
+                  Lattice(2, IntMatrix([[2, 0], [0, 4]]))):
+        assert intmat._multiplier(outer, inner) is None
+    assert intmat._multiplier(Lattice.from_rows([[1, 0]], dim=2),
+                              Lattice.from_rows([[2, 0]], dim=2)) is None
+
+
 def test_left_kernel():
     m = IntMatrix([[1, 2], [2, 4], [0, 1]])
     k = left_kernel(m)

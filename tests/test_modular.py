@@ -4,6 +4,7 @@ Tonelli-Shanks stay private to modular."""
 
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -75,6 +76,39 @@ def test_sqrts_mod_matches_scan(a, m):
 def test_prime_powers_match_factorize(n):
     assert modular.prime_powers(n) == [(p, p ** k) for p, k
                                        in modular.factorize(n).items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-40, 40), st.integers(-400, 400), st.integers(1, 400))
+@example(0, 36, 400)   # d = -144: Z[6i]
+@example(1, 6, 400)    # d = -23 = 1 mod 8: 2 splits
+@example(1, 2, 400)    # d = -7 = 1 mod 8
+@example(1, 1, 400)    # d = -3 = 5 mod 8: 2 is inert
+@example(1, -57, 400)  # d = 229 = 5 mod 8
+@example(1, -4, 400)   # d = 17 = 1 mod 8
+@example(0, -79, 400)  # d = 316, even
+@example(2, 1, 400)    # d = 0
+def test_walk_matches_scan(t, n, bound):
+    # the census walk, with its split primes filtered by Euler's criterion
+    # and its roots mod p from Tonelli-Shanks, against a scan of every
+    # residue of every modulus, for d = t^2 - 4n of either sign
+    walk = Counter((a, b) for a, bs
+                   in modular.quadratic_roots_upto(t, n, bound) for b in bs)
+    assert walk == Counter((a, b) for a in range(1, bound + 1)
+                           for b in range(a) if (b * b + t * b + n) % a == 0)
+
+
+def test_tonelli_shanks_matches_scan():
+    # p = 3 mod 4 and p = 1 mod 4 up to high powers of 2 in p - 1 (p = 257,
+    # 641 = 5 * 2^7 + 1): a root exactly for the nonzero squares
+    for p in (3, 5, 7, 13, 17, 41, 97, 257, 641):
+        squares = {y * y % p for y in range(1, p)}
+        for a in range(1, p):
+            y = modular._tonelli_shanks(a, p)
+            if a in squares:
+                assert y * y % p == a
+            else:
+                assert y is None
 
 
 def test_ramified_lift_is_not_a_scan():

@@ -541,3 +541,27 @@ def test_indefinite_kernel_guard(monkeypatch):
         with pytest.raises(qf.MethodDisagreement,
                            match="failed to converge within 1 steps"):
             route(form)
+
+
+SMALL = st.integers(-3000, 3000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMALL, SMALL, SMALL, st.integers(1, 6))
+def test_opposite_reduced_form(a, b, c, g):
+    # the census takes the reduced form of the opposite class (a, -b, c)
+    # from that of (a, b, c): definite, the reduced form itself; indefinite,
+    # a reduced form of its rho-cycle; contents as the census meets them.
+    # Coefficients up to 3,000 keep the cycles walked short
+    d = b * b - 4 * a * c
+    assume(d < 0 or _indefinite(a, b, c))
+    if d < 0 and a < 0:
+        a, b, c = -a, -b, -c
+    red = kernel_of((g * a, g * b, g * c))
+    opp = kernel_of((g * a, -g * b, g * c))
+    if d < 0:
+        assert qf._opposite_definite(*red) == opp
+    else:
+        got = qf._opposite_indefinite(*red)
+        assert kernel_of(got) == got
+        assert got in qf._cycle(opp)
