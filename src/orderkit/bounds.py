@@ -79,8 +79,13 @@ class BigBound:
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
         object.__setattr__(self, "digit_count", digits)
+        # log10 to 15 places: len(str(flo)) integer digits and 15 decimals,
+        # in a context that holds them (28 digits, the default, suffice
+        # below 10^13)
+        ctx = decimal.Context(prec=max(28, len(str(flo)) + 15))
         object.__setattr__(self, "log10",
-                           ((lo + hi) / 2).quantize(Decimal("1e-15")))
+                           ctx.divide(ctx.add(lo, hi), 2).quantize(
+                               Decimal("1e-15"), context=ctx))
         if digits <= EXACT_DIGIT_THRESHOLD:
             v = 1
             for base, exp in norm:

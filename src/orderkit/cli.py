@@ -43,15 +43,18 @@ def parse_poly(text: str):
 
 
 def parse_basis(text: str):
-    den = 1
+    den, rows_text = 1, text
     if "/" in text:
-        text, den_text = text.rsplit("/", 1)
+        rows_text, den_text = text.rsplit("/", 1)
         try:
             den = int(den_text)
         except ValueError:
             raise UsageError(f"bad denominator {den_text!r}")
+        if den == 0:
+            raise InvalidInput(f"bad order basis {text!r}: the denominator "
+                               f"is 0", operation="order_basis")
     rows = []
-    for row_text in text.split(";"):
+    for row_text in rows_text.split(";"):
         try:
             rows.append([Fraction(int(tok), den) for tok in row_text.split(",")])
         except ValueError:

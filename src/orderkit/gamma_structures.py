@@ -212,7 +212,6 @@ def compatibility_of(rho: RingMorphism):
         return 0, embs[0]
     n = rho.target.n
     basis = rho.source.unital_basis_elements()
-    gen_id = _mat_scale(rho.target.identity_matrix(), Fraction(1))
     gen_k = k.gen()
     # solve sum_c c_k rho(basis_k) = gen_K * Id over Q
     rows = []

@@ -2,7 +2,10 @@
 
 The class monoid C of an order is assembled constructively as
 Pic * {classes with a representative between the conductor and the maximal
-order}, then audited by a brute-force census of stable sublattices.  Class
+order}, then audited by a brute-force census of stable sublattices.  For a
+quadratic order the census is one walk (_census) that yields the reduced
+forms of its ideals; class_monoid reads Pic, the audit and census_checked
+off that one walk, and picard_group reads Pic off a shorter one.  Class
 identity for quadratic orders is decided through oriented binary quadratic
 forms (see quadforms); a generic norm-constrained element search remains as
 the fallback and as the oracle route in the tests.
@@ -327,19 +330,13 @@ class IdealClass:
         return f"IdealClass(label={self.label}, invertible={self.invertible})"
 
 
-def _pair_forms(gamma: Order, pairs):
-    """(a, b, form) for each stable pair of ``pairs``: form = (a, s*(2b + t),
-    (b^2 + t*b + n) / a) is the oriented form of Z*a + Z*(b + omega) times
-    its content, with s = -1 for real fields (anti-oriented bases), else 1."""
+def _pair_label(gamma: Order, a, b):
+    """class_label of the stable lattice [a, b + omega], in integers: its
+    oriented form times its content is (a, s*(2b + t), (b^2 + t*b + n) / a),
+    with s = -1 for real fields (anti-oriented bases), else 1."""
     t, n = gamma.omega_data()
     s = -1 if gamma.field.signature[0] == 2 else 1
-    for a, b in pairs:
-        yield a, b, (a, s * (2 * b + t), (b * b + t * b + n) // a)
-
-
-def _pair_label(gamma: Order, a, b):
-    """class_label of the stable lattice [a, b + omega], in integers."""
-    (_, _, form), = _pair_forms(gamma, [(a, b)])
+    form = (a, s * (2 * b + t), (b * b + t * b + n) // a)
     g = quadforms.content(form)
     return quadforms.class_label(tuple(x // g for x in form))
 
@@ -480,19 +477,13 @@ def _index_formula(gamma: Order, om: Order, h0: int) -> int:
 
 
 def picard_group(gamma: Order) -> PicardGroup:
-    """Pic(Gamma) computed two ways and cross-checked.
-
-    (a) enumeration of invertible primitive stable ideals up to the reduced-
-    form norm bound, grouped by class: the form of each census pair (a, b)
-    is read off its integers as the census of class_monoid does, and gives
-    both its invertibility (content 1, i.e. its discriminant is that of
-    Gamma) and, unless its reduced form is a canonical form of a class
-    already found, its class label; only the first ideal of each class is
-    built as a lattice, to represent it, and carries its pair (a, b); a bound
-    over _MAX_CENSUS raises IndexTooLarge first; (b) the index formula
-    relating |Pic(Gamma)| to h(O_L), also reported as h_maximal.  A mismatch
-    is an implementation bug, reported as MethodDisagreement.  The group
-    laws are checked on the multiplication table of class_monoid.
+    """Pic(Gamma) computed two ways and cross-checked: (a) the classes of
+    the census (_census) up to the reduced-form norm bound isqrt(|disc|) + 1,
+    read off by _census_picard, after IndexTooLarge for a bound over
+    _MAX_CENSUS; (b) the index formula relating |Pic(Gamma)| to h(O_L), also
+    reported as h_maximal.  A mismatch is an implementation bug, reported as
+    MethodDisagreement.  class_monoid reads Pic off its own, longer census
+    and checks the group laws on its multiplication table.
     """
     if gamma.degree == 1:
         return PicardGroup((IdealClass(unit_ideal(gamma), True, (1,)),),
@@ -500,36 +491,38 @@ def picard_group(gamma: Order) -> PicardGroup:
     if gamma.degree != 2:
         raise UnsupportedDegree("picard_group implemented for degree <= 2",
                                 operation="picard_group")
-    om = maximal_order(gamma.field)
-    d = gamma.disc()
-    nf = conductor(gamma, om).norm
-    bound = isqrt(abs(d)) + 1
+    bound = isqrt(abs(gamma.disc())) + 1
     _check_census(bound, "picard_group")
-    found = {}
+    return _census_picard(gamma, maximal_order(gamma.field),
+                          _census(gamma, bound)[1])
+
+
+def _census_picard(gamma: Order, om: Order, forms) -> PicardGroup:
+    """Pic(Gamma) read off the forms of a census (_census) up to at least
+    isqrt(|disc|) + 1, checked against the index formula.  The forms of the
+    order's discriminant are those of the invertible ideals (content 1, see
+    is_invertible); a class is the set of its canonical forms, labelled by
+    the least, and represented by its first ideal in the sorted census, the
+    least key among its forms, the one ideal built as a lattice."""
+    d = gamma.disc()
+    classes = []
     seen = set()  # the canonical forms of the classes found so far
-    for a, b, form in _census_forms(gamma, bound):
-        if quadforms.content(form) != 1:  # not invertible, see is_invertible
+    for form in forms:
+        if form in seen or quadforms.disc_of(form) != d:
             continue
-        if quadforms.reduced(form) in seen:
-            continue
-        # a new class: its canonical forms, and its label the least of them
-        forms = quadforms.class_forms(form)
-        seen |= forms
-        lab = min(forms)
-        found[lab] = _pair_class(gamma, a, b, lab)
-    classes = sorted(found.values(), key=lambda c: c.label)
+        cls = quadforms.class_forms(form)
+        seen |= cls
+        a, _, b = min(forms[f] for f in cls if f in forms)
+        classes.append(_pair_class(gamma, a, b, min(cls)))
+    classes.sort(key=lambda c: c.label)
     h0 = quadforms.form_class_count(om.disc())
     h_formula = _index_formula(gamma, om, h0)
     if len(classes) != h_formula:
         raise MethodDisagreement(
             f"picard enumeration found {len(classes)} classes, formula "
             f"says {h_formula}", operation="picard_group")
-    return PicardGroup(tuple(classes), len(classes), h_formula, h0, nf)
-
-
-def _census_forms(gamma: Order, bound):
-    """_pair_forms of the pairs of _stable_ideal_pairs(gamma, bound)."""
-    return _pair_forms(gamma, _stable_ideal_pairs(gamma, bound))
+    return PicardGroup(tuple(classes), len(classes), h_formula, h0,
+                       conductor(gamma, om).norm)
 
 
 def _check_census(budget, operation):
@@ -548,18 +541,71 @@ def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
     return FractionalIdeal(gamma, Lattice(2, rows, q), check=False)
 
 
-def _stable_ideal_pairs(gamma: Order, bound):
-    """(a, b) with 0 <= b < a <= bound and a | N(b + omega): the primitive
-    stable sublattices of the order, a ascending, with the b of each a
-    ordered by (t + 2b) mod 2a, the least root y of y^2 = disc mod 4a that
-    gives b.  This is the sorted view of the census walk
-    (modular.quadratic_roots_upto), which _census_audit streams unsorted.
+def _census(gamma: Order, bound):
+    """(ideals walked, {reduced form: least key}) of the census up to bound.
+
+    The census is every primitive stable sublattice [a, b + omega], a <=
+    bound, that is every root b of N(b + omega) mod a: one loop over the
+    walk of modular.quadratic_roots_upto, streamed and never held whole.
+    For a root b of a modulus a, the form (a, s*(2b + t), N(b + omega)/a)
+    of _pair_label goes as bare integers through the reduction kernel of
+    the order's signature; all census forms share the discriminant
+    t^2 - 4n, and reduction commutes with scaling, so the content is
+    divided out of the reduced form at the end.
+
+    The roots of a come in pairs b, b' = (-t - b) mod a, and 2b' + t =
+    -(2b + t) mod 2a: the form of [a, b' + omega] is a translate of the
+    opposite (a, -B, C) of the form (a, B, C) of [a, b + omega], so it lies
+    in the opposite class, whose reduced form quadforms reads off b's
+    (_opposite_definite, _opposite_indefinite; an indefinite one need only
+    lie on the class's rho-cycle, which the canonical forms hold whole).  So
+    the kernel runs once per pair, for the lesser root, and once for b = b'.
+
+    Each distinct reduced primitive form is kept once, with the least key
+    (a, (t + 2b) mod 2a, b) of its ideals, the order of the sorted census
+    (a ascending, then the least root y of y^2 = disc mod 4a giving b); a
+    key is built only when a is at most that of the kept key.  Nothing is
+    kept per ideal: a memo on (a, b) would grow by an entry per ideal.
     """
     t, n = gamma.omega_data()
-    for a, bs in sorted(quadratic_roots_upto(t, n, bound)):
+    d = t * t - 4 * n
+    if d < 0:
+        kernel = quadforms._reduce_definite
+        opposite = quadforms._opposite_definite
+        s, root = 1, 0
+    else:  # real fields orient [a, b + omega] the other way
+        kernel = quadforms._reduce_indefinite
+        opposite = quadforms._opposite_indefinite
+        s, root = -1, isqrt(d)
+    checked, forms = 0, {}
+    least, after = forms.get, (bound + 1,)  # every key sorts before after
+    for a, bs in quadratic_roots_upto(t, n, bound):
+        checked += len(bs)
         two_a = 2 * a
-        for b in sorted(bs, key=lambda b: (t + 2 * b) % two_a):
-            yield a, b
+        for b in bs:
+            b2 = (-t - b) % a
+            if b2 < b:  # met with its partner b2
+                continue
+            fa, fb, fc = kernel(a, s * (2 * b + t), (b * (b + t) + n) // a,
+                                d, root)
+            g = gcd(fa, fb, fc)
+            if g > 1:
+                fa, fb, fc = fa // g, fb // g, fc // g
+            form = fa, fb, fc
+            kept = least(form, after)
+            if a <= kept[0]:  # else the form was met at a lesser a
+                key = a, (t + 2 * b) % two_a, b
+                if key < kept:
+                    forms[form] = key
+            if b2 == b:
+                continue
+            form = opposite(fa, fb, fc)
+            kept = least(form, after)
+            if a <= kept[0]:
+                key = a, (t + 2 * b2) % two_a, b2
+                if key < kept:
+                    forms[form] = key
+    return checked, forms
 
 
 # --- the class monoid -----------------------------------------------------------
@@ -600,12 +646,14 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     the table as lattices.  A product outside the assembled classes is a
     FactorizationViolation; the monoid laws and the group laws of the Picard
     subset are checked on the table.  P times the order itself is P.
-    The census enumerates every primitive stable sublattice of index up to
-    max(N(f)^2 * 16, isqrt(|disc|) + 1) and verifies each lands in an
-    assembled class, and that every assembled class is hit: the executable
-    form of the product decomposition, with FactorizationViolation as the
-    fatal signal.  An index N(f) above _MAX_INDEX, or a census index above
-    _MAX_CENSUS, raises IndexTooLarge before any class is built.
+    One census walk (_census) covers every primitive stable sublattice of
+    index up to max(N(f)^2 * 16, isqrt(|disc|) + 1).  Pic is read off its
+    forms (_census_picard), and the audit verifies that each distinct form
+    lands in an assembled class (else naming the form's first ideal) and
+    that every assembled class is hit: the executable form of the product
+    decomposition, with FactorizationViolation as the fatal signal.  An
+    index N(f) above _MAX_INDEX, or a census index above _MAX_CENSUS, raises
+    IndexTooLarge before any class is built.
     """
     if gamma.degree == 1:
         cls = IdealClass(unit_ideal(gamma), True, (1,))
@@ -623,7 +671,8 @@ def class_monoid(gamma: Order) -> ClassMonoid:
                             consumed=nf)
     budget = max(nf * nf * _CENSUS_BUDGET_FACTOR, isqrt(abs(gamma.disc())) + 1)
     _check_census(budget, "class_monoid")
-    pic = picard_group(gamma)
+    checked, forms = _census(gamma, budget)
+    pic = _census_picard(gamma, om, forms)
     inter = intermediate_classes(gamma, om)
 
     assembled = {}
@@ -657,7 +706,7 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     intermediate_subset = tuple(i for i, lab in enumerate(ordering)
                                 if lab in inter_labels)
 
-    # census audit
+    # census audit: each distinct census form in an assembled class
     form_to_class = {}
     for idx, c in enumerate(classes):
         for f in quadforms.class_forms(c.label):
@@ -666,9 +715,15 @@ def class_monoid(gamma: Order) -> ClassMonoid:
                 raise MethodDisagreement(
                     "two distinct classes share a canonical form",
                     operation="class_monoid")
-    checked, hit = _census_audit(gamma, budget, form_to_class)
-    if hit != set(range(len(classes))):
-        missing = sorted(set(range(len(classes))) - hit)
+    missed = [key for f, key in forms.items() if f not in form_to_class]
+    if missed:
+        a, _, b = min(missed)
+        raise FactorizationViolation(
+            f"census ideal [{a}, {b} + w] is in no assembled class",
+            operation="class_monoid")
+    missing = sorted(set(range(len(classes)))
+                     - {form_to_class[f] for f in forms})
+    if missing:
         raise FactorizationViolation(
             f"assembled classes {missing} were never found by the census",
             operation="class_monoid")
@@ -678,73 +733,6 @@ def class_monoid(gamma: Order) -> ClassMonoid:
                          checked, budget)
     _check_monoid_laws(monoid)
     return monoid
-
-
-def _census_audit(gamma: Order, budget, form_to_class):
-    """(ideals checked, class indices hit) of the census up to budget.
-
-    One loop over the census walk (modular.quadratic_roots_upto), streamed
-    unsorted and never held whole.  For a root b of a modulus a, the form
-    of [a, b + omega] times its content, (a, s*(2b + t), N(b + omega)/a) as
-    in _pair_forms, goes as bare integers through the reduction kernel of
-    the order's signature; all census forms share the discriminant
-    t^2 - 4n, and reduction commutes with scaling, so the content is divided
-    out of the reduced form at the end.  Its class is the one whose
-    canonical forms hold that form.
-
-    The roots of a come in pairs b, b' = (-t - b) mod a, and 2b' + t =
-    -(2b + t) mod 2a: the form of [a, b' + omega] is a translate of the
-    opposite (a, -B, C) of the form (a, B, C) of [a, b + omega], so it lies
-    in the opposite class, whose reduced form quadforms reads off b's
-    (_opposite_definite, _opposite_indefinite; an indefinite one need only
-    lie on the class's rho-cycle, which the canonical forms hold whole).  So
-    the kernel runs once per pair, for the lesser root, and once for b = b'.
-    Each ideal is still looked up and counted on its own.  Nothing is
-    memoised: a memo on (a, b) would grow by an entry per ideal.  Ideals in
-    no class raise FactorizationViolation naming the first of them in the
-    order of _stable_ideal_pairs: the least key (a, (t + 2b) mod 2a).
-    """
-    t, n = gamma.omega_data()
-    d = t * t - 4 * n
-    if d < 0:
-        kernel = quadforms._reduce_definite
-        opposite = quadforms._opposite_definite
-        s, root = 1, 0
-    else:  # real fields orient [a, b + omega] the other way
-        kernel = quadforms._reduce_indefinite
-        opposite = quadforms._opposite_indefinite
-        s, root = -1, isqrt(d)
-    hit, checked, missed = set(), 0, []
-    class_of = form_to_class.get
-    for a, bs in quadratic_roots_upto(t, n, budget):
-        checked += len(bs)
-        for b in bs:
-            b2 = (-t - b) % a
-            if b2 < b:  # met with its partner b2
-                continue
-            fa, fb, fc = kernel(a, s * (2 * b + t), (b * (b + t) + n) // a,
-                                d, root)
-            g = gcd(fa, fb, fc)
-            if g > 1:
-                fa, fb, fc = fa // g, fb // g, fc // g
-            idx = class_of((fa, fb, fc))
-            if idx is None:
-                missed.append((a, (t + 2 * b) % (2 * a), b))
-            else:
-                hit.add(idx)
-            if b2 == b:
-                continue
-            idx = class_of(opposite(fa, fb, fc))
-            if idx is None:
-                missed.append((a, (t + 2 * b2) % (2 * a), b2))
-            else:
-                hit.add(idx)
-    if missed:
-        a, _, b = min(missed)
-        raise FactorizationViolation(
-            f"census ideal [{a}, {b} + w] is in no assembled class",
-            operation="class_monoid")
-    return checked, hit
 
 
 def _product_labels(classes, pairs=False):

@@ -2,9 +2,9 @@
 
 factorize and prime_powers split integers (a smallest-prime-factor table
 below 2^18, Pollard-Brent rho above); quadratic_roots Hensel-lifts the roots
-of b^2 + t*b + n mod p^k, quadratic_roots_mod joins them by CRT for one
-modulus and quadratic_roots_upto for every modulus up to a bound.  Other
-modules call these and read none of the tables.
+of b^2 + t*b + n mod p^k, sqrts_mod joins those of y^2 - a by CRT for one
+modulus and quadratic_roots_upto those of b^2 + t*b + n for every modulus
+up to a bound.  Other modules call these and read none of the tables.
 """
 from __future__ import annotations
 
@@ -128,13 +128,6 @@ def table_primes(n: int):
         primes = [q for p, q in enumerate(spf) if p == q and p > 1]
         _PRIMES = spf, primes
     return top, primes[:bisect_right(primes, top)]
-
-
-def radical(n: int) -> int:
-    out = 1
-    for p in factorize(n):
-        out *= p
-    return out
 
 
 def is_prime(n: int) -> bool:
@@ -281,30 +274,24 @@ def quadratic_roots(t, n, p, pk, known):
     return rs
 
 
-def quadratic_roots_mod(t, n, m, known):
-    """The roots b in [0, m) of b^2 + t*b + n mod m >= 1, unsorted.
+def sqrts_mod(a: int, m: int):
+    """All y in [0, m) with y^2 = a (mod m), ascending.
 
-    The roots mod each prime power p^k of m (quadratic_roots, with the memo
-    known) are joined by CRT; a p^k with no root ends the work at once.
+    The roots of y^2 - a mod each prime power p^k of m (quadratic_roots)
+    are joined by CRT; a p^k with no root ends the work at once.
     """
-    bs, m0 = [0], 1
+    ys, m0, known = [0], 1, {}
     for p, pk in prime_powers(m):
-        rs = quadratic_roots(t, n, p, pk, known)
+        rs = quadratic_roots(0, -a, p, pk, known)
         if not rs:
             return []
         if m0 == 1:  # the first prime power: its roots need no CRT
-            bs = rs
+            ys = rs
         else:
             inv = pow(m0, -1, pk)
-            bs = [b + m0 * ((r - b) * inv % pk) for b in bs for r in rs]
+            ys = [y + m0 * ((r - y) * inv % pk) for y in ys for r in rs]
         m0 *= pk
-    return bs
-
-
-def sqrts_mod(a: int, m: int):
-    """All y in [0, m) with y^2 = a (mod m), ascending: the roots of
-    y^2 - a mod m, from quadratic_roots_mod."""
-    return sorted(quadratic_roots_mod(0, -a, m, {}))
+    return sorted(ys)
 
 
 def quadratic_roots_upto(t, n, bound):

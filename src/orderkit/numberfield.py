@@ -331,9 +331,6 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({list(self.coeffs)})"
 
-    def is_totally_real(self):
-        return self.signature[0] == self.degree
-
     def element(self, coords):
         coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import bounds as bounds_mod
-from .errors import FactorizationViolation
+from .errors import FactorizationViolation, InvalidInput
 from .gamma_structures import (
     MatrixOrder,
     RingMorphism,
@@ -329,7 +329,14 @@ class SuiteReport:
 
 def run_suite(max_abs_disc=200, max_conductor=6, conjugations=20,
               inject_fault=False) -> SuiteReport:
+    if conjugations < 0:
+        raise InvalidInput(f"--conjugations must be a non-negative integer, "
+                           f"got {conjugations}", operation="run_suite")
     corpus = build_corpus(max_abs_disc, max_conductor)
+    if not corpus:
+        raise InvalidInput(f"no quadratic order has |disc| <= {max_abs_disc} "
+                           f"and conductor index <= {max_conductor}",
+                           operation="run_suite")
     t0 = time.time()
     monoids = [class_monoid(e.order) for e in corpus]
     build_seconds = time.time() - t0

@@ -1,10 +1,12 @@
+import decimal
 import json
+import math
 from decimal import Decimal
 
 import pytest
 
 from orderkit.errors import NotPrime
-from orderkit.modular import radical
+from orderkit.modular import factorize
 from orderkit.bounds import (
     BigBound,
     SIntegerSpec,
@@ -22,6 +24,11 @@ from orderkit.bounds import (
 )
 
 EMPTY = SIntegerSpec(())
+
+
+def radical(n):
+    """The product of the distinct primes dividing n >= 1."""
+    return math.prod(factorize(n))
 
 
 class TestSIntegerSpec:
@@ -117,7 +124,6 @@ class TestHeightBounds:
     def test_convention_coherence(self):
         # nu, N_S squarefree coprime: N_U = rad(nu N_S) makes the two
         # conventions evaluate to the same number
-        from orderkit.modular import factorize
         for g, nu, primes in ((1, 1, ()), (1, 6, ()), (2, 5, (2, 3)),
                               (1, 1, (7,)), (3, 10, (3, 7))):
             spec = SIntegerSpec(primes)
@@ -199,6 +205,20 @@ class TestEndoBound:
     def test_exponent_shape(self):
         b = thm_endobound(2, EMPTY, 3, 5, 6, d_override=7)
         assert b.exact_value == 7 ** 10 * 3 ** 3 * 5 * 6
+
+    def test_log10_past_the_default_precision(self):
+        # log10 >= 10^13 at g = 10: 14 integer and 15 decimal places pass the
+        # 28 digits of the default decimal context.  log10 is the midpoint
+        # of [lo, hi] to 15 places, so within half a unit of the 15th place
+        b = thm_endobound(10, EMPTY, 1, 1, 1)
+        lo, hi = b.log10_interval()
+        ctx, half = decimal.Context(prec=60), Decimal("5e-16")
+        assert ctx.subtract(lo, half) <= b.log10 <= ctx.add(hi, half)
+        assert b.log10.as_tuple().exponent == -15
+        assert b.digit_count == int(b.log10) + 1 == int(lo) + 1
+        # below 10^13 the default precision suffices, and log10 reads as it did
+        assert (str(thm_endobound(9, EMPTY, 1, 1, 1).log10)
+                == "5277288137298.675318346156390")
 
 
 class TestCorP1n:

@@ -296,6 +296,23 @@ class TestBoundaryValidation:
          "[cli.bound] InvalidInput: bad --excluded-primes 'x'"),
         (("gamma-count", "--gamma-field=5,0,1", "--target-n=0"),
          "[cli.gamma_count] InvalidInput: --target-n must be a positive"),
+        (("verify-suite", "--max-disc=2"),
+         "[verify.run_suite] InvalidInput: no quadratic order has |disc| <= 2 "
+         "and conductor index <= 6"),
+        (("verify-suite", "--max-disc=20", "--max-conductor=0"),
+         "[verify.run_suite] InvalidInput: no quadratic order has "
+         "|disc| <= 20 and conductor index <= 0"),
+        (("verify-suite", "--conjugations=-1"),
+         "[verify.run_suite] InvalidInput: --conjugations must be a "
+         "non-negative integer, got -1"),
+        (("order-info", "--field=1,0,1", "--order-basis=1,0;0,1/0"),
+         "[cli.order_basis] InvalidInput: bad order basis '1,0;0,1/0': the "
+         "denominator is 0"),
+        (("class-monoid", "--field=1,0,1", "--order-basis=1,0;0,1/0"),
+         "[cli.order_basis] InvalidInput: bad order basis '1,0;0,1/0'"),
+        (("gamma-count", "--gamma-field=1,0,1", "--gamma-basis=1,0;0,1/0",
+          "--target-n=2"),
+         "[cli.order_basis] InvalidInput: bad order basis '1,0;0,1/0'"),
     ])
     def test_rejected_as_domain_error(self, capsys, argv, named):
         rc, out, err = run_cli(capsys, *argv)

@@ -42,7 +42,6 @@ from orderkit.ideals import (
     principal_ideal,
     unit_ideal,
     verify_monoid_table,
-    _stable_ideal_pairs,
     _standard_ideal,
 )
 
@@ -62,6 +61,42 @@ def equivalence_bruteforce(i: FractionalIdeal, j: FractionalIdeal, radius=30):
         if i.scale(x).lattice == j.lattice:
             return x
     return None
+
+
+def stable_ideal_pairs(gamma, bound):
+    """The sorted census: (a, b) with 0 <= b < a <= bound and a | N(b + omega),
+    a ascending, the b of each a ordered by (t + 2b) mod 2a, the least root y
+    of y^2 = disc mod 4a that gives b (the order of stable_pairs_per_modulus).
+    """
+    t, n = gamma.omega_data()
+    for a, bs in sorted(modular.quadratic_roots_upto(t, n, bound)):
+        for b in sorted(bs, key=lambda b: (t + 2 * b) % (2 * a)):
+            yield a, b
+
+
+def census_forms(gamma, bound):
+    """(a, b, form) for each pair of stable_ideal_pairs: form = (a, s*(2b + t),
+    (b^2 + t*b + n) / a) is the oriented form of [a, b + omega] times its
+    content, with s = -1 for real fields, else 1."""
+    t, n = gamma.omega_data()
+    s = -1 if gamma.field.signature[0] == 2 else 1
+    for a, b in stable_ideal_pairs(gamma, bound):
+        yield a, b, (a, s * (2 * b + t), (b * b + t * b + n) // a)
+
+
+def picard_by_first_ideal(gamma, bound):
+    """Oracle: the Picard classes in the order the sorted census meets them,
+    each represented by its first invertible (content 1) ideal, whose
+    reduced form is in no class found before, and labelled by the least
+    canonical form of its class."""
+    found, seen = [], set()
+    for a, b, form in census_forms(gamma, bound):
+        if quadforms.content(form) != 1 or quadforms.reduced(form) in seen:
+            continue
+        forms = quadforms.class_forms(form)
+        seen |= forms
+        found.append(ideals._pair_class(gamma, a, b, min(forms)))
+    return sorted(found, key=lambda c: c.label)
 
 
 def stable_pairs_per_modulus(gamma, bound):
@@ -84,17 +119,18 @@ def stable_pairs_per_modulus(gamma, bound):
 def census_by_reduce_form(gamma, budget, form_to_class):
     """Oracle: the census audit with each primitive form reduced by
     reduce_form, its transform computed and dropped; returns (ideals
-    checked, class indices hit, first (a, b) in no class or None)."""
-    hit = set()
+    checked, {class index hit: its first (a, b)}, first (a, b) in no class
+    or None)."""
+    hit = {}
     checked = 0
-    for a, b, form in ideals._census_forms(gamma, budget):
+    for a, b, form in census_forms(gamma, budget):
         checked += 1
         g = quadforms.content(form)
         red, _ = quadforms.reduce_form(tuple(x // g for x in form))
         idx = form_to_class.get(red)
         if idx is None:
             return checked, hit, (a, b)
-        hit.add(idx)
+        hit.setdefault(idx, (a, b))
     return checked, hit, None
 
 
@@ -133,7 +169,7 @@ def picard_by_lattices(gamma):
     its form taken by ideal_form, and invertibility by the colon route."""
     d = gamma.disc()
     found = {}
-    for a, b in _stable_ideal_pairs(gamma, math.isqrt(abs(d)) + 1):
+    for a, b in stable_ideal_pairs(gamma, math.isqrt(abs(d)) + 1):
         ideal = _standard_ideal(gamma, a, b)
         form = ideal_form(ideal)
         if quadforms.disc_of(form) != d:
@@ -164,7 +200,7 @@ def invertible_census(k):
     if k not in _INVERTIBLE_CENSUS:
         gamma = is_order(make_field(COMPOSE_ORDERS[k][0]), COMPOSE_ORDERS[k][1])
         ideals_k = [_standard_ideal(gamma, a, b)
-                    for a, b in _stable_ideal_pairs(gamma, 40)]
+                    for a, b in stable_ideal_pairs(gamma, 40)]
         _INVERTIBLE_CENSUS[k] = [i for i in ideals_k if invertible_by_colon(i)]
     return _INVERTIBLE_CENSUS[k]
 
@@ -240,7 +276,7 @@ class TestInvertibility:
         assert lattice_index(z_sqrt_minus3.lattice, prod.lattice) == 2
 
     def test_maximal_order_all_invertible(self, z_sqrt_minus5):
-        for a, b in _stable_ideal_pairs(z_sqrt_minus5, 10):
+        for a, b in stable_ideal_pairs(z_sqrt_minus5, 10):
             assert is_invertible(_standard_ideal(z_sqrt_minus5, a, b))
 
     @pytest.mark.parametrize("coeffs,rows", [
@@ -258,7 +294,7 @@ class TestInvertibility:
         field = gamma.field
         scalar = field.element([Fraction(3, 2), Fraction(-1, 3)])
         seen = {True: 0, False: 0}
-        for a, b in _stable_ideal_pairs(gamma, budget):
+        for a, b in stable_ideal_pairs(gamma, budget):
             ideal = _standard_ideal(gamma, a, b)
             expected = invertible_by_colon(ideal)
             assert is_invertible(ideal) == expected
@@ -420,7 +456,7 @@ class TestLabelsAgainstOracle:
             gamma = is_order(field, [list(field.one().coords),
                                      list((w * conductor).coords)])
         ideals = [_standard_ideal(gamma, a, b)
-                  for a, b in _stable_ideal_pairs(gamma, 12)]
+                  for a, b in stable_ideal_pairs(gamma, 12)]
         rng = random.Random(7)
         pairs = [(i, j) for i in range(len(ideals))
                  for j in range(i, len(ideals))]
@@ -473,7 +509,7 @@ def order_with_census(m, f):
         field = make_field([-m, 0, 1])
         w = maximal_order(field).omega() * f
         gamma = is_order(field, [list(field.one().coords), list(w.coords)])
-        _PAIR_CENSUS[m, f] = gamma, list(_stable_ideal_pairs(gamma, 40))
+        _PAIR_CENSUS[m, f] = gamma, list(stable_ideal_pairs(gamma, 40))
     return _PAIR_CENSUS[m, f]
 
 
@@ -601,7 +637,7 @@ class TestStablePairs:
         d = t * t - 4 * n
         assume(d < 0 or math.isqrt(d) ** 2 != d)
         gamma = is_order(make_field([n, -t, 1]), [[1, 0], [0, 1]])
-        assert (list(_stable_ideal_pairs(gamma, bound))
+        assert (list(stable_ideal_pairs(gamma, bound))
                 == list(stable_pairs_per_modulus(gamma, bound)))
 
     @pytest.mark.parametrize("t,n", [(0, 36), (-1, -241), (1, 5),
@@ -612,7 +648,7 @@ class TestStablePairs:
         monkeypatch.setattr(modular, "_SPF_CAP", 64)
         monkeypatch.setattr(modular, "_SPF", [0, 1])
         gamma = is_order(make_field([n, -t, 1]), [[1, 0], [0, 1]])
-        assert (list(_stable_ideal_pairs(gamma, 2000))
+        assert (list(stable_ideal_pairs(gamma, 2000))
                 == list(stable_pairs_per_modulus(gamma, 2000)))
         assert len(modular._SPF) <= 64
 
@@ -646,7 +682,7 @@ class TestStablePairs:
         # solves roots mod 4 * 2^k: the sieve table must stay within 2^18
         monkeypatch.setattr(modular, "_SPF", [0, 1])
         z72i = is_order(gaussian_field, [[1, 0], [0, 72]])
-        assert sum(1 for _ in _stable_ideal_pairs(z72i, 82_944)) > 0
+        assert sum(1 for _ in stable_ideal_pairs(z72i, 82_944)) > 0
         assert len(modular._SPF) <= 1 << 18
 
 
@@ -664,21 +700,25 @@ CENSUS_ORDERS = [
 ]
 
 
-def check_census_audit(gamma, budget, labels, drop):
-    """_census_audit against census_by_reduce_form with the classes of
-    ``labels``, then with the class of index ``drop`` left out: both routes
-    stop at the same first ideal.  Returns the number of ideals checked."""
+def check_census(gamma, budget, labels, drop):
+    """_census against census_by_reduce_form with the classes of ``labels``:
+    the same ideal count, and each class hit with its first ideal as the
+    least key among its forms; then, with the class of index ``drop`` left
+    out, the least key of a census form in no class is the first ideal the
+    oracle finds in none.  Returns the number of ideals."""
     form_to_class = {f: i for i, lab in enumerate(labels)
                      for f in quadforms.class_forms(lab)}
-    checked, hit = ideals._census_audit(gamma, budget, form_to_class)
-    assert (checked, hit, None) == census_by_reduce_form(
+    checked, forms = ideals._census(gamma, budget)
+    first = {}
+    for f, key in sorted(forms.items(), key=lambda item: item[1]):
+        first.setdefault(form_to_class.get(f), key[::2])
+    assert (checked, first, None) == census_by_reduce_form(
         gamma, budget, form_to_class)
-    assert hit == set(range(len(labels)))
+    assert set(first) == set(range(len(labels)))
     dropped = {f: i for f, i in form_to_class.items() if i != drop}
     _, _, first = census_by_reduce_form(gamma, budget, dropped)
-    with pytest.raises(FactorizationViolation,
-                       match=rf"\[{first[0]}, {first[1]} \+ w\]"):
-        ideals._census_audit(gamma, budget, dropped)
+    a, _, b = min(key for f, key in forms.items() if f not in dropped)
+    assert (a, b) == first
     return checked
 
 
@@ -693,8 +733,8 @@ class TestCensusAudit:
             labels = sorted({
                 quadforms.class_label(tuple(x // quadforms.content(form)
                                             for x in form))
-                for _, _, form in ideals._census_forms(gamma, budget)})
-        checked = check_census_audit(gamma, budget, labels, len(labels) // 2)
+                for _, _, form in census_forms(gamma, budget)})
+        checked = check_census(gamma, budget, labels, len(labels) // 2)
         if budget is None:
             assert checked == m.census_checked
 
@@ -714,7 +754,7 @@ class TestCensusAudit:
         assume(conductor(gamma, maximal_order(gamma.field)).norm <= 36)
         m = class_monoid(gamma)
         labels = [c.label for c in m.classes]
-        assert m.census_checked == check_census_audit(
+        assert m.census_checked == check_census(
             gamma, m.census_budget, labels, drop % len(labels))
 
     @pytest.mark.parametrize("coeffs", [[6, -1, 1], [-57, -1, 1]])
@@ -732,7 +772,7 @@ class TestCensusAudit:
                          for f in quadforms.class_forms(lab)}
         partners = 0
         for drop in (1, 2):
-            check_census_audit(gamma, m.census_budget, labels, drop)
+            check_census(gamma, m.census_budget, labels, drop)
             dropped = {f: i for f, i in form_to_class.items() if i != drop}
             _, _, (a, b) = census_by_reduce_form(gamma, m.census_budget,
                                                  dropped)
@@ -755,28 +795,75 @@ class TestCensusAudit:
             return kernel(*args)
 
         monkeypatch.setattr(quadforms, "_reduce_definite", counting)
-        checked, hit = ideals._census_audit(gamma, m.census_budget,
-                                            form_to_class)
+        checked, forms = ideals._census(gamma, m.census_budget)
         assert (checked, calls[0]) == (24_754, 12_383)
-        assert hit == set(range(m.size))
+        # one entry per distinct reduced form, not per ideal
+        assert len(forms) == 8
+        assert {form_to_class[f] for f in forms} == set(range(m.size))
 
     def test_memory_stays_flat(self):
         # the census is streamed: its tracemalloc peak on Z[6i] at budget
         # 20,736 (24,754 ideals) was 241,392 bytes before the one-loop audit
-        # (CPython 3.11); a memo or a materialised census would pass 2x that
+        # (CPython 3.11); a memo or a materialised census would pass 2x that,
+        # and so would a form dict with an entry per ideal
         gamma = is_order(make_field([1, 0, 1]), [[1, 0], [0, 6]])
         m = class_monoid(gamma)
         assert m.census_budget == 20_736
-        form_to_class = {f: i for i, c in enumerate(m.classes)
-                         for f in quadforms.class_forms(c.label)}
         tracemalloc.start()
         try:
-            checked, _ = ideals._census_audit(gamma, 20_736, form_to_class)
+            checked, _ = ideals._census(gamma, 20_736)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert checked == m.census_checked == 24_754
         assert peak <= 2 * 241_392
+
+    @pytest.mark.parametrize("coeffs,rows,budget", CENSUS_ORDERS[:6])
+    def test_one_walk_per_order(self, coeffs, rows, budget, monkeypatch):
+        # a count: class_monoid reads Pic, the audit and census_checked off
+        # one census walk, and picard_group walks once at its own bound
+        gamma = is_order(make_field(coeffs), rows)
+        walks = []
+        walk = ideals.quadratic_roots_upto
+
+        def counting(t, n, bound):
+            walks.append(bound)
+            return walk(t, n, bound)
+
+        monkeypatch.setattr(ideals, "quadratic_roots_upto", counting)
+        m = class_monoid(gamma)
+        assert walks == [m.census_budget]
+        walks.clear()
+        picard_group(gamma)
+        assert walks == [math.isqrt(abs(gamma.disc())) + 1]
+
+    def test_class_monoid_names_the_least_missed_key(self, monkeypatch):
+        # forms in no assembled class: the audit names the ideal of the
+        # least key among them; a class that no census form reaches (here
+        # the one non-invertible class of Z[3i]) is reported too
+        gamma = is_order(make_field([1, 0, 1]), [[1, 0], [0, 3]])
+        d = gamma.disc()
+        census = ideals._census
+        strays = {(1, 1, 10 ** 6): (7, 1, 3), (1, 1, 10 ** 7): (5, 9, 4),
+                  (1, 1, 10 ** 8): (5, 3, 1)}
+
+        def with_strays(g, bound):
+            checked, forms = census(g, bound)
+            return checked, {**forms, **strays}
+
+        def invertible_only(g, bound):
+            checked, forms = census(g, bound)
+            return checked, {f: key for f, key in forms.items()
+                             if quadforms.disc_of(f) == d}
+
+        monkeypatch.setattr(ideals, "_census", with_strays)
+        with pytest.raises(FactorizationViolation,
+                           match=r"census ideal \[5, 1 \+ w\] is in no"):
+            class_monoid(gamma)
+        monkeypatch.setattr(ideals, "_census", invertible_only)
+        with pytest.raises(FactorizationViolation,
+                           match=r"assembled classes \[1\] were never found"):
+            class_monoid(gamma)
 
 
 class TestPicard:
@@ -789,7 +876,7 @@ class TestPicard:
 
     def brute_class_count(self, gamma, bound):
         ideals = [_standard_ideal(gamma, a, b)
-                  for a, b in _stable_ideal_pairs(gamma, bound)]
+                  for a, b in stable_ideal_pairs(gamma, bound)]
         ideals = [i for i in ideals if is_invertible(i)]
         reps = []
         for i in ideals:
@@ -831,6 +918,44 @@ class TestPicard:
     def test_integer_census_matches_lattice_route(self, coeffs, rows):
         gamma = is_order(make_field(coeffs), rows)
         assert picard_group(gamma).classes == picard_by_lattices(gamma)
+
+    def check_first_ideals(self, gamma, budget=None):
+        """picard_group, and Pic read off the census at class_monoid's
+        budget (or ``budget``), against the sorted first-ideal loop."""
+        def seen(classes):
+            return [(c.label, c.pair, c.invertible, c.representative)
+                    for c in classes]
+
+        om = maximal_order(gamma.field)
+        expected = seen(picard_by_first_ideal(
+            gamma, math.isqrt(abs(gamma.disc())) + 1))
+        assert seen(picard_group(gamma).classes) == expected
+        if budget is None:
+            budget = class_monoid(gamma).census_budget
+        pic = ideals._census_picard(gamma, om, ideals._census(gamma, budget)[1])
+        assert seen(pic.classes) == expected
+
+    @pytest.mark.parametrize("coeffs,rows,budget", CENSUS_ORDERS)
+    def test_representatives_match_first_ideal_loop(self, coeffs, rows,
+                                                    budget):
+        self.check_first_ideals(is_order(make_field(coeffs), rows), budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-3, 3), st.integers(-25, 25), st.integers(1, 3))
+    @example(0, 1, 3)      # Z[3i]
+    @example(1, -57, 1)    # Q(sqrt(229)), h = 3
+    @example(0, -2, 3)     # Z[3 sqrt(2)], real
+    @example(-1, 4, 1)     # disc -15: [2, w] and [2, 1 + w] share a form,
+    #                        and the walk meets the later key first
+    @example(-12, 21, 3)   # Z[3 sqrt(15)]: so do two roots of a = 27 that
+    #                        are not partners
+    def test_random_orders_match_first_ideal_loop(self, t, n, f):
+        # Z[f*w], w^2 = t*w - n, of either signature
+        d = t * t - 4 * n
+        assume(d < 0 or math.isqrt(d) ** 2 != d)
+        gamma = is_order(make_field([n, -t, 1]), [[1, 0], [0, f]])
+        assume(conductor(gamma, maximal_order(gamma.field)).norm <= 36)
+        self.check_first_ideals(gamma)
 
 
 class TestClassMonoid:
@@ -888,10 +1013,10 @@ class TestClassMonoid:
 
     def test_index_budget_checked_before_picard(self, gaussian_field,
                                                 monkeypatch):
-        def fail(_gamma):
-            raise AssertionError("picard_group ran past the index budget")
+        def fail(*_args):
+            raise AssertionError("the census ran past the index budget")
 
-        monkeypatch.setattr(ideals, "picard_group", fail)
+        monkeypatch.setattr(ideals, "_census", fail)
         z400i = is_order(gaussian_field, [[1, 0], [0, 400]])
         with pytest.raises(IndexTooLarge, match="quotient order 160000"):
             class_monoid(z400i)
@@ -901,13 +1026,11 @@ class TestClassMonoid:
         def fail(*_args):
             raise AssertionError("work ran past the census budget")
 
-        monkeypatch.setattr(ideals, "picard_group", fail)
+        monkeypatch.setattr(ideals, "_census", fail)
         z40i = is_order(gaussian_field, [[1, 0], [0, 40]])
         with pytest.raises(IndexTooLarge,
                            match="census up to index 40960000 exceeds"):
             class_monoid(z40i)
-        monkeypatch.undo()
-        monkeypatch.setattr(ideals, "_census_forms", fail)
         big = maximal_order(make_field([10 ** 15 + 37, 0, 1]))
         with pytest.raises(IndexTooLarge,
                            match="census up to index 63245554 exceeds"):
