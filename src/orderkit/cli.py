@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .errors import InvalidInput, OrderkitError
-from .gamma_structures import MatrixOrder, count_structures, structures_from_ideal_classes
+from .gamma_structures import MatrixOrder, count_structures
 from .ideals import class_monoid
 from .numberfield import make_field
 from .orders import conductor, is_order, maximal_order, unit_square_quotient
@@ -291,21 +291,19 @@ def _cmd_gamma_count(args):
     else:
         k = make_field([0, 1])
     target = MatrixOrder(k, args.target_n)
-    monoid = class_monoid(gamma)
-    res = count_structures(gamma, target, monoid)
+    res = count_structures(gamma, target)
     structures = []
     rational_base = k.degree == 1
-    for phi_idx in range(res.embedding_count):
-        for s in structures_from_ideal_classes(gamma, target, phi_idx, monoid):
-            if rational_base:
-                matrices = [[[int(e.coords[0]) for e in row] for row in m]
-                            for m in s.representative.images]
-            else:
-                matrices = [[[list(map(str, e.coords)) for e in row]
-                             for row in m] for m in s.representative.images]
-            structures.append({"phi_index": s.compatibility,
-                               "matrices": matrices,
-                               "ideal_class_id": s.ideal_class_index})
+    for s in res.structures:
+        if rational_base:
+            matrices = [[[int(e.coords[0]) for e in row] for row in m]
+                        for m in s.representative.images]
+        else:
+            matrices = [[[list(map(str, e.coords)) for e in row]
+                         for row in m] for m in s.representative.images]
+        structures.append({"phi_index": s.compatibility,
+                           "matrices": matrices,
+                           "ideal_class_id": s.ideal_class_index})
     return {
         "count": res.count,
         "bound": res.bound,

@@ -85,21 +85,6 @@ class MatrixOrder:
         return all(ok.contains(e) for row in m for e in row)
 
 
-def _mat_mul(a, b, field):
-    n = len(a)
-    zero = field.zero()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
 
@@ -114,7 +99,8 @@ class RingMorphism:
     ``images`` lists the image of each element of the source's unital basis
     (so images[0] is the identity matrix); entries are elements of K lying in
     O_K.  Additive linearity holds by construction; the multiplication table
-    of the source is verified on all basis pairs.
+    of the source is verified on all basis pairs, on the integer entries
+    when K = Q.
     """
 
     __slots__ = ("source", "target", "images")
@@ -143,15 +129,23 @@ class RingMorphism:
                 raise ValueError("image entries must be integral")
         if self.images[0] != self.target.identity_matrix():
             raise ValueError("unit must map to the identity matrix")
-        # structure constants of the source, in its unital basis
+        # structure constants of the source, in its unital basis; over Q the
+        # entries are integers, so the table is checked on ints
+        if field.degree == 1:
+            mats = [[[int(e.coords[0]) for e in row] for row in m]
+                    for m in self.images]
+            zero = 0
+        else:
+            mats, zero = self.images, field.zero()
+        span = range(n)
         for i, a in enumerate(basis):
-            for j, b in enumerate(basis[i:], start=i):
-                coords = _unital_coords(self.source, a * b)
-                want = None
-                for c, m in zip(coords, self.images):
-                    term = _mat_scale(m, c)
-                    want = term if want is None else _mat_add(want, term)
-                got = _mat_mul(self.images[i], self.images[j], field)
+            for j in range(i, len(basis)):
+                coords = _unital_coords(self.source, a * basis[j])
+                want = [[sum((m[r][s] * c for c, m in zip(coords, mats)), zero)
+                         for s in span] for r in span]
+                x, y = mats[i], mats[j]
+                got = [[sum((x[r][k] * y[k][s] for k in span), zero)
+                        for s in span] for r in span]
                 if got != want:
                     raise ValueError("images violate the multiplication table")
 
@@ -418,22 +412,27 @@ class StructureCount:
     conductor_norm: int
     picard_order: int
     embedding_count: int
+    structures: tuple         # GammaStructure, embedding by embedding
 
 
 def count_structures(gamma: Order, target: MatrixOrder,
                      monoid: ClassMonoid | None = None) -> StructureCount:
-    """Total structures and the N(f)^g h(Gamma) t bound, per embedding."""
+    """Total structures and the N(f)^g h(Gamma) t bound, per embedding.
+
+    The structures themselves come back too, each built and validated once,
+    in embedding order and, within an embedding, in class order."""
     if monoid is None:
         monoid = class_monoid(gamma)
     k = target.base_field
     l = gamma.field
     embs = embeddings_into(k, l)
     per = []
-    total = 0
+    structures = []
     for idx in range(len(embs)):
         found = structures_from_ideal_classes(gamma, target, idx, monoid)
         per.append(len(found))
-        total += len(found)
+        structures.extend(found)
+    total = len(structures)
     om = maximal_order(l)
     nf = conductor(gamma, om).norm
     h_gamma = len(monoid.picard_subset)
@@ -442,7 +441,8 @@ def count_structures(gamma: Order, target: MatrixOrder,
         raise BoundViolation(
             f"structure count {total} exceeds N(f)^g h t = {bound}",
             operation="count_structures")
-    return StructureCount(total, bound, tuple(per), nf, h_gamma, len(embs))
+    return StructureCount(total, bound, tuple(per), nf, h_gamma, len(embs),
+                          tuple(structures))
 
 
 def quotient_size(target: MatrixOrder, d: int) -> int:

@@ -47,3 +47,11 @@ def z_sqrt_minus5(field_minus5):
 @pytest.fixture(scope="session")
 def field_sqrt2():
     return make_field([-2, 0, 1])
+
+
+@pytest.fixture(scope="session")
+def corpus_monoids():
+    """(corpus entry, class monoid) for the 183 orders of the verify corpus."""
+    from orderkit.ideals import class_monoid
+    from orderkit.verify import build_corpus
+    return [(e, class_monoid(e.order)) for e in build_corpus()]

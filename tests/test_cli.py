@@ -1,9 +1,11 @@
+import hashlib
 import json
 import time
 from pathlib import Path
 
 import pytest
 
+from orderkit import gamma_structures
 from orderkit.cli import main, parse_basis, parse_poly, UsageError
 
 
@@ -371,6 +373,73 @@ class TestGammaCount:
         payload = json.loads(out)
         assert payload["count"] == 2
         assert payload["per_embedding"] == [1, 1]
+
+
+    def test_real_base_field_output(self, capsys):
+        # K = Q(sqrt 2), n = 1: images printed as coordinate strings
+        rc, out, _ = run_cli(capsys, "gamma-count", "--gamma-field=-2,0,1",
+                             "--gamma-basis=1,0;0,2", "--target-field=-2,0,1",
+                             "--target-n=1")
+        assert rc == 0
+        assert json.loads(out) == {
+            "bound": 32, "conductor_norm": 4, "count": 2, "embeddings": 2,
+            "per_embedding": [1, 1], "picard_order": 1,
+            "structures": [
+                {"ideal_class_id": 1, "phi_index": 0,
+                 "matrices": [[[["1", "0"]]], [[["0", "-2"]]]]},
+                {"ideal_class_id": 1, "phi_index": 1,
+                 "matrices": [[[["1", "0"]]], [[["0", "2"]]]]}]}
+
+    @pytest.mark.parametrize("argv,embeddings", [
+        (("--gamma-field=5,0,1", "--target-n=2"), 1),
+        (("--gamma-field=1,0,1", "--gamma-basis=1,0;0,6", "--target-n=2"), 1),
+        (("--gamma-field=1,0,1", "--target-n=1", "--target-field=1,0,1"), 2),
+        (("--gamma-field=-2,0,1", "--gamma-basis=1,0;0,2",
+          "--target-field=-2,0,1", "--target-n=1"), 2),
+    ])
+    def test_one_build_per_request(self, capsys, monkeypatch, argv,
+                                   embeddings):
+        builds, validations = [], []
+        build = gamma_structures.structures_from_ideal_classes
+        validate = gamma_structures.RingMorphism._validate
+
+        def counted_build(*args):
+            builds.append(args[2])
+            return build(*args)
+
+        def counted_validate(rho):
+            validations.append(rho)
+            return validate(rho)
+
+        monkeypatch.setattr(gamma_structures, "structures_from_ideal_classes",
+                            counted_build)
+        monkeypatch.setattr(gamma_structures.RingMorphism, "_validate",
+                            counted_validate)
+        rc, out, _ = run_cli(capsys, "gamma-count", *argv)
+        assert rc == 0
+        payload = json.loads(out)
+        assert builds == list(range(embeddings))
+        assert len(validations) == payload["count"] == len(
+            payload["structures"])
+
+
+class TestScale:
+    """h = 350: the class monoid and the structures of one large order,
+    pinned by the sha256 of their JSON before Light's test and the single
+    gamma-count build."""
+
+    @pytest.mark.parametrize("argv,key,digest", [
+        (("class-monoid", "--field=1000003,12,1"), "size",
+         "3aed347056d8587598a77d795eb0f26b795a78a29a5664752009d705d0f1cf87"),
+        (("gamma-count", "--gamma-field=1000003,12,1", "--target-n=2"),
+         "count",
+         "be6553b12f401e6414734b74a1961d2432d5caa7aa434bca4d071f812f144a58"),
+    ])
+    def test_class_number_350(self, capsys, argv, key, digest):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert json.loads(out)[key] == 350
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConfigAndUsage:

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from orderkit.errors import DegreeMismatch, HypothesisViolated
 from orderkit.intmat import IntMatrix, inverse_unimodular
 from orderkit.numberfield import RATIONAL_FIELD, make_field
-from orderkit.orders import maximal_order, scaled_subring
+from orderkit.orders import is_order, maximal_order, scaled_subring
 from orderkit.ideals import class_monoid
+from orderkit import gamma_structures, verify
 from orderkit.gamma_structures import (
     MatrixOrder,
     RingMorphism,
@@ -83,6 +85,125 @@ class TestMorphismValidation:
                      for row in ((0, 2), (-2, 0)))
         with pytest.raises(ValueError):
             RingMorphism(z_i, m2z, (two, comp))
+
+
+def validate_by_field_elements(rho):
+    """Oracle for RingMorphism._validate: the multiplication table checked
+    on matrices of FieldElements of K, products summed from K's zero."""
+    field = rho.target.base_field
+    n = rho.target.n
+    basis = rho.source.unital_basis_elements()
+    if len(rho.images) != len(basis):
+        raise ValueError("one image per basis element required")
+    for m in rho.images:
+        if len(m) != n or any(len(r) != n for r in m):
+            raise ValueError("image matrices must be n x n")
+        if not rho.target.contains_matrix(m):
+            raise ValueError("image entries must be integral")
+    if rho.images[0] != rho.target.identity_matrix():
+        raise ValueError("unit must map to the identity matrix")
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis[i:], start=i):
+            coords = gamma_structures._unital_coords(rho.source, a * b)
+            want = None
+            for c, m in zip(coords, rho.images):
+                term = gamma_structures._mat_scale(m, c)
+                want = (term if want is None
+                        else gamma_structures._mat_add(want, term))
+            x, y = rho.images[i], rho.images[j]
+            got = tuple(tuple(sum((x[r][k] * y[k][s] for k in range(n)),
+                                  field.zero())
+                              for s in range(n)) for r in range(n))
+            if got != want:
+                raise ValueError("images violate the multiplication table")
+
+
+def validation_verdicts(source, target, images):
+    """(_validate's text, the oracle's text), None where one passes."""
+    rho = RingMorphism(source, target, images, check=False)
+    out = []
+    for check in (RingMorphism._validate, validate_by_field_elements):
+        try:
+            check(rho)
+            out.append(None)
+        except ValueError as exc:
+            out.append(str(exc))
+    return tuple(out)
+
+
+def mutated_images(images, field):
+    """Images with one entry moved by +-1, the images swapped, a unit image
+    other than I, and one entry made non-integral."""
+    half = field.from_rational(Fraction(1, 2))
+    def with_entry(k, r, s, e):
+        m = [list(row) for row in images[k]]
+        m[r][s] = e
+        return images[:k] + (tuple(map(tuple, m)),) + images[k + 1:]
+    n = len(images[0])
+    for k in range(len(images)):
+        for r in range(n):
+            for s in range(n):
+                e = images[k][r][s]
+                yield with_entry(k, r, s, e + 1)
+                yield with_entry(k, r, s, e - 1)
+                yield with_entry(k, r, s, e + half)
+    yield images[::-1]
+    yield (tuple(tuple(e * 2 for e in row) for row in images[0]),) + images[1:]
+    yield (tuple(tuple(-e for e in row) for row in images[0]),) + images[1:]
+
+
+class TestIntegerValidation:
+    """RingMorphism._validate checks the table on ints when K = Q; the
+    FieldElement route stays here as its oracle."""
+
+    def test_corpus_structures_and_conjugates(self, corpus_monoids, m2z):
+        rng = random.Random(20261019)
+        checked = 0
+        for e, monoid in corpus_monoids:
+            for s in structures_from_ideal_classes(e.order, m2z, 0, monoid):
+                rho = s.representative
+                validate_by_field_elements(rho)
+                for _ in range(2):
+                    conj = verify._conjugate(rho, verify._random_unimodular(rng))
+                    again = RingMorphism(rho.source, m2z, conj.images)
+                    validate_by_field_elements(again)
+                checked += 1
+        assert checked == 583
+
+    def test_mutations_rejected_alike(self, corpus_monoids, m2z):
+        seen = set()
+        for e, monoid in corpus_monoids[::8]:
+            for s in structures_from_ideal_classes(e.order, m2z, 0, monoid):
+                images = s.representative.images
+                for bad in mutated_images(images, RATIONAL_FIELD):
+                    got, want = validation_verdicts(e.order, m2z, bad)
+                    assert got == want and got is not None, (e.disc, bad)
+                    seen.add(got)
+        assert seen == {"image entries must be integral",
+                        "unit must map to the identity matrix",
+                        "images violate the multiplication table"}
+
+    def test_real_base_field(self, field_sqrt2):
+        # K = Q(sqrt 2), n = 1: the FieldElement route, from K's zero
+        gamma = is_order(field_sqrt2, [[1, 0], [0, 2]])
+        target = MatrixOrder(field_sqrt2, 1)
+        mon = class_monoid(gamma)
+        for idx in range(2):
+            (s,) = structures_from_ideal_classes(gamma, target, idx, mon)
+            images = s.representative.images
+            validate_by_field_elements(s.representative)
+            for bad in mutated_images(images, field_sqrt2):
+                got, want = validation_verdicts(gamma, target, bad)
+                assert got == want and got is not None
+
+    def test_count_returns_the_structures(self, gaussian_field, z_i):
+        target = MatrixOrder(gaussian_field, 1)
+        mon = class_monoid(z_i)
+        res = count_structures(z_i, target, mon)
+        per = [structures_from_ideal_classes(z_i, target, idx, mon)
+               for idx in range(res.embedding_count)]
+        assert res.structures == tuple(s for found in per for s in found)
+        assert res.per_embedding == tuple(len(found) for found in per)
 
 
 class TestEmbeddings:

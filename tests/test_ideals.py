@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,142 @@ def census_by_reduce_form(gamma, budget, form_to_class):
             return checked, hit, (a, b)
         hit.setdefault(idx, (a, b))
     return checked, hit, None
+
+
+def monoid_laws_by_triples(monoid):
+    """Oracle for ideals._check_monoid_laws: identity, commutativity and
+    associativity over all n^3 triples, in that interleaved loop order, then
+    the Picard group laws."""
+    n = monoid.size
+    t = monoid.table
+    for i in range(n):
+        if t[0][i] != i or t[i][0] != i:
+            raise FactorizationViolation("identity row/column corrupt",
+                                         operation="class_monoid")
+        for j in range(n):
+            if t[i][j] != t[j][i]:
+                raise FactorizationViolation("table not commutative",
+                                             operation="class_monoid")
+            for k in range(n):
+                if t[t[i][j]][k] != t[i][t[j][k]]:
+                    raise FactorizationViolation("table not associative",
+                                                 operation="class_monoid")
+    pic = set(monoid.picard_subset)
+    for idx in monoid.picard_subset:
+        products = [t[idx][j] for j in monoid.picard_subset]
+        if 0 not in products or not pic.issuperset(products):
+            raise FactorizationViolation("picard subset is not a group",
+                                         operation="class_monoid")
+
+
+def laws_verdict(check, monoid):
+    """None if ``check`` passes the monoid, else the text it raised."""
+    try:
+        check(monoid)
+    except FactorizationViolation as exc:
+        return str(exc)
+    return None
+
+
+def table_monoid(table, picard_subset=(0,)):
+    n = len(table)
+    return ideals.ClassMonoid(None, (None,) * n,
+                              tuple(tuple(row) for row in table),
+                              tuple(picard_subset), (0,), 1, 1, 1, 1)
+
+
+def with_pair(table, i, j, value):
+    """The table with entries (i, j) and (j, i) both set to ``value``."""
+    rows = [list(row) for row in table]
+    rows[i][j] = rows[j][i] = value
+    return rows
+
+
+@st.composite
+def commutative_tables(draw):
+    """Commutative tables with identity 0 on n <= 7 classes: random ones,
+    and Z/n under + or under * (1 relabelled as 0), at times with one
+    symmetric pair of entries off the identity row changed."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("random", "add", "mul")))
+    if kind == "random":
+        rows = [[i if j == 0 else j if i == 0 else None for j in range(n)]
+                for i in range(n)]
+        for i in range(1, n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(st.integers(0, n - 1))
+    elif kind == "add":
+        rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    else:
+        residue = [1 % n, 0] + list(range(2, n)) if n > 1 else [0]
+        index = {r: i for i, r in enumerate(residue)}
+        rows = [[index[residue[i] * residue[j] % n] for j in range(n)]
+                for i in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, n - 1))
+        j = draw(st.integers(i, n - 1))
+        rows = with_pair(rows, i, j, draw(st.integers(0, n - 1)))
+    pic = [0] + [i for i in range(1, n) if draw(st.booleans())]
+    return table_monoid(rows, pic)
+
+
+class TestMonoidLaws:
+    """ideals._check_monoid_laws (Light's associativity test) against the
+    triple loop.  Where several laws fail at once the triple loop names the
+    one its loop order meets first, so the messages are compared on tables
+    whose identity row and commutativity hold, and only the verdict
+    elsewhere."""
+
+    def test_corpus_tables_pass(self, corpus_monoids):
+        assert len(corpus_monoids) == 183
+        for _e, m in corpus_monoids:
+            ideals._check_monoid_laws(m)
+            monoid_laws_by_triples(m)
+
+    @settings(max_examples=400, deadline=None)
+    @given(commutative_tables())
+    @example(table_monoid([[0, 1, 2], [1, 2, 1], [2, 1, 0]]))
+    @example(table_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]], (0, 1, 2)))
+    def test_random_tables_match_triples(self, monoid):
+        assert (laws_verdict(ideals._check_monoid_laws, monoid)
+                == laws_verdict(monoid_laws_by_triples, monoid))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_corpus_tables_with_one_pair_changed(self, corpus_monoids, data):
+        nontrivial = [m for _e, m in corpus_monoids if m.size > 1]
+        m = data.draw(st.sampled_from(nontrivial))
+        n = m.size
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(i, n - 1))
+        value = data.draw(st.integers(0, n - 1).filter(
+            lambda v: v != m.table[i][j]))
+        bad = replace(m, table=tuple(map(tuple, with_pair(m.table, i, j,
+                                                          value))))
+        got = laws_verdict(ideals._check_monoid_laws, bad)
+        want = laws_verdict(monoid_laws_by_triples, bad)
+        assert (got is None) == (want is None)
+        if i > 0:
+            assert got == want
+
+    def test_not_commutative(self):
+        z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+        z3[1][2] = 1
+        with pytest.raises(FactorizationViolation, match="not commutative"):
+            ideals._check_monoid_laws(table_monoid(z3))
+
+    def test_not_associative(self):
+        # commutative with identity, but (1 * 1) * 2 = 0 and 1 * (1 * 2) = 2
+        table = [[0, 1, 2], [1, 2, 1], [2, 1, 0]]
+        with pytest.raises(FactorizationViolation, match="not associative"):
+            ideals._check_monoid_laws(table_monoid(table))
+        with pytest.raises(FactorizationViolation, match="not associative"):
+            monoid_laws_by_triples(table_monoid(table))
+
+    def test_identity_corrupt(self):
+        z3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+        with pytest.raises(FactorizationViolation, match="identity"):
+            ideals._check_monoid_laws(table_monoid(with_pair(z3, 0, 2, 1)))
 
 
 def invertible_by_colon(i):
