@@ -99,8 +99,8 @@ class RingMorphism:
     ``images`` lists the image of each element of the source's unital basis
     (so images[0] is the identity matrix); entries are elements of K lying in
     O_K.  Additive linearity holds by construction; the multiplication table
-    of the source is verified on all basis pairs, on the integer entries
-    when K = Q.
+    of the source (Order.structure_constants, kept on the order) is
+    verified on all basis pairs, on the integer entries when K = Q.
     """
 
     __slots__ = ("source", "target", "images")
@@ -119,8 +119,8 @@ class RingMorphism:
     def _validate(self):
         field = self.target.base_field
         n = self.target.n
-        basis = self.source.unital_basis_elements()
-        if len(self.images) != len(basis):
+        consts = self.source.structure_constants()
+        if len(self.images) != len(consts):
             raise ValueError("one image per basis element required")
         for m in self.images:
             if len(m) != n or any(len(r) != n for r in m):
@@ -129,8 +129,7 @@ class RingMorphism:
                 raise ValueError("image entries must be integral")
         if self.images[0] != self.target.identity_matrix():
             raise ValueError("unit must map to the identity matrix")
-        # structure constants of the source, in its unital basis; over Q the
-        # entries are integers, so the table is checked on ints
+        # over Q the entries are integers, so the table is checked on ints
         if field.degree == 1:
             mats = [[[int(e.coords[0]) for e in row] for row in m]
                     for m in self.images]
@@ -138,10 +137,9 @@ class RingMorphism:
         else:
             mats, zero = self.images, field.zero()
         span = range(n)
-        for i, a in enumerate(basis):
-            for j in range(i, len(basis)):
-                coords = _unital_coords(self.source, a * basis[j])
-                want = [[sum((m[r][s] * c for c, m in zip(coords, mats)), zero)
+        for i, row in enumerate(consts):
+            for j in range(i, len(consts)):
+                want = [[sum((m[r][s] * c for c, m in zip(row[j], mats)), zero)
                          for s in span] for r in span]
                 x, y = mats[i], mats[j]
                 got = [[sum((x[r][k] * y[k][s] for k in span), zero)

@@ -13,6 +13,12 @@ the fallback and as the oracle route in the tests.
 class_monoid carries a quadratic class as the pair (a, b) of its
 representative [a, b + omega] and multiplies, labels and tests pairs in
 integers; the lattice route is their oracle (tests, verify_monoid_table).
+Each class_monoid or picard_group call keeps one quadforms.LabelMap, from
+canonical form to class: every class's rho-cycles are walked once, and Pic,
+the intermediate classes, the products, the audit and h(O_L) all read the
+map.  Classes travel as {label: (a, b)} until the monoid is assembled, and a
+representative (_standard_ideal) is built for the kept classes only.
+Nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -33,7 +39,12 @@ from .errors import (
     SearchBudgetExceeded,
     UnsupportedDegree,
 )
-from .intmat import IntMatrix, Lattice, _det_bareiss, solve_square
+from .intmat import (
+    Lattice,
+    _det_bareiss,
+    enumerate_intermediate_lattices,
+    solve_square,
+)
 from .modular import factorize, kronecker, quadratic_roots_upto
 from .numberfield import FieldElement, integral_norm
 from .orders import (
@@ -330,15 +341,16 @@ class IdealClass:
         return f"IdealClass(label={self.label}, invertible={self.invertible})"
 
 
-def _pair_label(gamma: Order, a, b):
+def _pair_label(gamma: Order, a, b, labels):
     """class_label of the stable lattice [a, b + omega], in integers: its
     oriented form times its content is (a, s*(2b + t), (b^2 + t*b + n) / a),
-    with s = -1 for real fields (anti-oriented bases), else 1."""
+    with s = -1 for real fields (anti-oriented bases), else 1.  The label
+    is read through ``labels``, the caller's quadforms.LabelMap."""
     t, n = gamma.omega_data()
     s = -1 if gamma.field.signature[0] == 2 else 1
     form = (a, s * (2 * b + t), (b * b + t * b + n) // a)
     g = quadforms.content(form)
-    return quadforms.class_label(tuple(x // g for x in form))
+    return labels.label(tuple(x // g for x in form))
 
 
 def _pair_class(gamma: Order, a, b, label) -> IdealClass:
@@ -378,7 +390,7 @@ def _lattice_reader(gamma: Order):
                                       for c0, c1 in lat.basis.entries], t, n)
 
 
-def _pair_product(gamma: Order, p, q):
+def _pair_product(gamma: Order, p, q, labels):
     """(a, b, label) with [a1, b1 + omega][a2, b2 + omega] in Q*[a, b + omega]
     for p = (a1, b1), q = (a2, b2), read off the product's generators a1*a2,
     a1*(b2 + omega), a2*(b1 + omega), (b1*b2 - n) + (b1 + b2 + t)*omega."""
@@ -386,11 +398,12 @@ def _pair_product(gamma: Order, p, q):
     (a1, b1), (a2, b2) = p, q
     _, a, b = _pair_of_rows(((a1 * a2, 0), (a1 * b2, a1), (a2 * b1, a2),
                              (b1 * b2 - n, b1 + b2 + t)), t, n)
-    return a, b, _pair_label(gamma, a, b)
+    return a, b, _pair_label(gamma, a, b, labels)
 
 
 def intermediate_classes(gamma: Order, maximal: Order | None = None,
-                         max_index=_MAX_INDEX, lower_ideal=None):
+                         max_index=_MAX_INDEX, lower_ideal=None, *,
+                         labels=None):
     """The classes with a representative I satisfying f <= I <= O_L.
 
     ``lower_ideal`` optionally replaces the conductor by a smaller ideal of
@@ -399,11 +412,15 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
     minimal choice and the default; for a quadratic order it is f*O_L.  The
     lattices between (enumerate_intermediate_lattices, a direct HNF listing)
     are read as integer pairs (_lattice_reader; oracle in the tests:
-    escaping_product, class_label).
+    escaping_product, class_label); a class keeps the pair of its first
+    lattice.
+
+    class_monoid passes its LabelMap as ``labels``; the classes then come
+    back as {label: (a, b)} in label order, with no representative built.
+    Otherwise the call keeps a LabelMap of its own.
     """
     if maximal is None:
         maximal = maximal_order(gamma.field)
-    from .intmat import enumerate_intermediate_lattices
     f = conductor(gamma, maximal)
     lower = f.lattice
     if lower_ideal is not None:
@@ -420,16 +437,18 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
                                                max_index=max_index)
     if gamma.degree == 1:  # every fractional ideal of Z is principal
         return [IdealClass(unit_ideal(gamma), True, (1,))]
-    classes = {}
+    as_pairs = labels is not None
+    labels = labels if as_pairs else quadforms.LabelMap()
+    pairs = {}
     for _, a, b in filter(None, map(_lattice_reader(gamma), lattices)):
-        lab = _pair_label(gamma, a, b)
-        if lab not in classes:
-            classes[lab] = _pair_class(gamma, a, b, lab)
-    out = sorted(classes.values(), key=lambda c: c.label)
-    if lower_ideal is None and len(out) > f.norm ** gamma.degree:
+        pairs.setdefault(_pair_label(gamma, a, b, labels), (a, b))
+    if lower_ideal is None and len(pairs) > f.norm ** gamma.degree:
         raise FactorizationViolation("intermediate class count exceeded N(f)^g",
                                      operation="intermediate_classes")
-    return out
+    pairs = dict(sorted(pairs.items()))
+    if as_pairs:
+        return pairs
+    return [_pair_class(gamma, a, b, lab) for lab, (a, b) in pairs.items()]
 
 
 @dataclass(frozen=True)
@@ -454,13 +473,14 @@ def class_number_formula(gamma: Order) -> int:
         raise UnsupportedDegree("index formula needs a quadratic order",
                                 operation="class_number_formula")
     om = maximal_order(gamma.field)
-    return _index_formula(gamma, om, quadforms.form_class_count(om.disc()))
-
-
-def _index_formula(gamma: Order, om: Order, h0: int) -> int:
-    """class_number_formula of a quadratic order, given h0 = h(O_L)."""
     d0 = om.disc()
-    f_idx = isqrt(conductor(gamma, om).norm)
+    return _index_formula(d0, isqrt(conductor(gamma, om).norm),
+                          quadforms.form_class_count(d0))
+
+
+def _index_formula(d0: int, f_idx: int, h0: int) -> int:
+    """class_number_formula of the quadratic order of conductor index f_idx
+    in the maximal order of discriminant d0, given h0 = h(O_L)."""
     num = h0
     for p, e in factorize(f_idx).items():
         num *= p ** (e - 1) * (p - kronecker(d0, p))
@@ -479,7 +499,7 @@ def _index_formula(gamma: Order, om: Order, h0: int) -> int:
 def picard_group(gamma: Order) -> PicardGroup:
     """Pic(Gamma) computed two ways and cross-checked: (a) the classes of
     the census (_census) up to the reduced-form norm bound isqrt(|disc|) + 1,
-    read off by _census_picard, after IndexTooLarge for a bound over
+    read off by _picard_pairs, after IndexTooLarge for a bound over
     _MAX_CENSUS; (b) the index formula relating |Pic(Gamma)| to h(O_L), also
     reported as h_maximal.  A mismatch is an implementation bug, reported as
     MethodDisagreement.  class_monoid reads Pic off its own, longer census
@@ -493,36 +513,39 @@ def picard_group(gamma: Order) -> PicardGroup:
                                 operation="picard_group")
     bound = isqrt(abs(gamma.disc())) + 1
     _check_census(bound, "picard_group")
-    return _census_picard(gamma, maximal_order(gamma.field),
-                          _census(gamma, bound)[1])
+    om = maximal_order(gamma.field)
+    nf = conductor(gamma, om).norm
+    pairs, h0 = _picard_pairs(gamma, om.disc(), isqrt(nf),
+                              _census(gamma, bound)[1], quadforms.LabelMap())
+    classes = tuple(_pair_class(gamma, a, b, lab)
+                    for lab, (a, b) in pairs.items())
+    return PicardGroup(classes, len(classes), len(classes), h0, nf)
 
 
-def _census_picard(gamma: Order, om: Order, forms) -> PicardGroup:
-    """Pic(Gamma) read off the forms of a census (_census) up to at least
-    isqrt(|disc|) + 1, checked against the index formula.  The forms of the
-    order's discriminant are those of the invertible ideals (content 1, see
-    is_invertible); a class is the set of its canonical forms, labelled by
-    the least, and represented by its first ideal in the sorted census, the
-    least key among its forms, the one ideal built as a lattice."""
+def _picard_pairs(gamma: Order, d0, f_idx, forms, labels):
+    """({label: (a, b)} in label order, h0 = h(O_L)): Pic(Gamma) read off
+    the forms of a census (_census) up to at least isqrt(|disc|) + 1,
+    checked against the index formula.  The forms of the order's
+    discriminant are those of the invertible ideals (content 1, see
+    is_invertible); a class is the set of its canonical forms (``labels``),
+    labelled by the least, and represented by its first ideal in the sorted
+    census, the least key among its forms."""
     d = gamma.disc()
-    classes = []
-    seen = set()  # the canonical forms of the classes found so far
+    pairs = {}
     for form in forms:
-        if form in seen or quadforms.disc_of(form) != d:
+        if quadforms.disc_of(form) != d:
             continue
-        cls = quadforms.class_forms(form)
-        seen |= cls
-        a, _, b = min(forms[f] for f in cls if f in forms)
-        classes.append(_pair_class(gamma, a, b, min(cls)))
-    classes.sort(key=lambda c: c.label)
-    h0 = quadforms.form_class_count(om.disc())
-    h_formula = _index_formula(gamma, om, h0)
-    if len(classes) != h_formula:
+        lab, cls = labels[form]
+        if lab not in pairs:
+            a, _, b = min(forms[f] for f in cls if f in forms)
+            pairs[lab] = a, b
+    h0 = quadforms.form_class_count(d0, labels)
+    h_formula = _index_formula(d0, f_idx, h0)
+    if len(pairs) != h_formula:
         raise MethodDisagreement(
-            f"picard enumeration found {len(classes)} classes, formula "
+            f"picard enumeration found {len(pairs)} classes, formula "
             f"says {h_formula}", operation="picard_group")
-    return PicardGroup(tuple(classes), len(classes), h_formula, h0,
-                       conductor(gamma, om).norm)
+    return dict(sorted(pairs.items())), h0
 
 
 def _check_census(budget, operation):
@@ -535,10 +558,19 @@ def _check_census(budget, operation):
 
 def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
     """The stable lattice Z*a + Z*(b + omega) as a fractional ideal, from
-    the integer rows (a*q, 0), (b*q + p0, p1) over q, omega = (p0, p1) / q."""
+    the integer rows (x0, 0), (x1, p1) = (a*q, 0), (b*q + p0, p1) over q,
+    omega = (p0, p1) / q, in HNF in closed form: for g = gcd(x0, x1) =
+    u*x0 + v*x1, the rows (g, v*p1 mod y), (0, y) with y = x0*p1 / g.  No
+    prime c | q divides them all: else b + omega, and with it the order
+    Z + Z*omega, would lie in (c/q)*Z^2, below the order's own
+    denominator q."""
     p0, p1, q = gamma.omega_coords()
-    rows = IntMatrix([[a * q, 0], [b * q + p0, p1]])
-    return FractionalIdeal(gamma, Lattice(2, rows, q), check=False)
+    x0 = a * q
+    g, _, v = quadforms._xgcd(x0, b * q + p0)
+    y = x0 * p1 // g
+    return FractionalIdeal(gamma, Lattice._from_hnf(2, ((g, v * p1 % y),
+                                                        (0, y)), q),
+                           check=False)
 
 
 def _census(gamma: Order, bound):
@@ -648,12 +680,17 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     subset are checked on the table.  P times the order itself is P.
     One census walk (_census) covers every primitive stable sublattice of
     index up to max(N(f)^2 * 16, isqrt(|disc|) + 1).  Pic is read off its
-    forms (_census_picard), and the audit verifies that each distinct form
+    forms (_picard_pairs), and the audit verifies that each distinct form
     lands in an assembled class (else naming the form's first ideal) and
     that every assembled class is hit: the executable form of the product
     decomposition, with FactorizationViolation as the fatal signal.  An
     index N(f) above _MAX_INDEX, or a census index above _MAX_CENSUS, raises
     IndexTooLarge before any class is built.
+
+    One LabelMap serves the whole call, so each class is walked by
+    quadforms.class_forms once; Pic and the intermediate classes come back
+    as {label: (a, b)}, products are kept as pairs, and a representative is
+    built only for each class of the monoid, in its final order.
     """
     if gamma.degree == 1:
         cls = IdealClass(unit_ideal(gamma), True, (1,))
@@ -671,30 +708,32 @@ def class_monoid(gamma: Order) -> ClassMonoid:
                             consumed=nf)
     budget = max(nf * nf * _CENSUS_BUDGET_FACTOR, isqrt(abs(gamma.disc())) + 1)
     _check_census(budget, "class_monoid")
+    labels = quadforms.LabelMap()
     checked, forms = _census(gamma, budget)
-    pic = _census_picard(gamma, om, forms)
-    inter = intermediate_classes(gamma, om)
+    pic, h0 = _picard_pairs(gamma, om.disc(), isqrt(nf), forms, labels)
+    inter = intermediate_classes(gamma, om, labels=labels)
 
-    assembled = {}
-    identity_label = _pair_label(gamma, 1, 0)
-    for p in pic.classes:
-        for i in inter:
-            if i.pair == (1, 0):
+    assembled = {}  # label -> pair of its representative
+    identity_label = _pair_label(gamma, 1, 0, labels)
+    for p_label, p in pic.items():
+        for i in inter.values():
+            if i == (1, 0):
                 # P * Gamma = P: the Picard class itself
-                assembled.setdefault(p.label, p)
+                assembled.setdefault(p_label, p)
                 continue
-            a, b, lab = _pair_product(gamma, p.pair, i.pair)
-            if lab not in assembled:
-                assembled[lab] = _pair_class(gamma, a, b, lab)
-    # identity first, rest ordered by label
+            a, b, lab = _pair_product(gamma, p, i, labels)
+            assembled.setdefault(lab, (a, b))
+    # identity first, rest ordered by label; a representative is built for
+    # the kept classes only
     rest = sorted((lab for lab in assembled if lab != identity_label))
     ordering = [identity_label] + rest
-    classes = tuple(assembled[lab] for lab in ordering)
+    classes = tuple(_pair_class(gamma, *assembled[lab], lab)
+                    for lab in ordering)
     index_of = {lab: i for i, lab in enumerate(ordering)}
 
     # multiplication table; any product escaping the set is a violation
     table = []
-    for row in _product_labels(classes, pairs=True):
+    for row in _product_labels(classes, labels):
         if not all(lab in index_of for lab in row):
             raise FactorizationViolation(
                 "product of classes left the assembled monoid",
@@ -702,15 +741,14 @@ def class_monoid(gamma: Order) -> ClassMonoid:
         table.append(tuple(index_of[lab] for lab in row))
 
     picard_subset = tuple(i for i, c in enumerate(classes) if c.invertible)
-    inter_labels = {c.label for c in inter}
     intermediate_subset = tuple(i for i, lab in enumerate(ordering)
-                                if lab in inter_labels)
+                                if lab in inter)
 
     # census audit: each distinct census form in an assembled class
     form_to_class = {}
-    for idx, c in enumerate(classes):
-        for f in quadforms.class_forms(c.label):
-            prev = form_to_class.setdefault(f, idx)
+    for idx, lab in enumerate(ordering):
+        for form in labels[lab][1]:
+            prev = form_to_class.setdefault(form, idx)
             if prev != idx:
                 raise MethodDisagreement(
                     "two distinct classes share a canonical form",
@@ -729,14 +767,13 @@ def class_monoid(gamma: Order) -> ClassMonoid:
             operation="class_monoid")
 
     monoid = ClassMonoid(gamma, classes, tuple(table), picard_subset,
-                         intermediate_subset, nf, pic.h_maximal,
-                         checked, budget)
+                         intermediate_subset, nf, h0, checked, budget)
     _check_monoid_laws(monoid)
     return monoid
 
 
-def _product_labels(classes, pairs=False):
-    """labels[i][j] = label of the class of the product of classes[i] and
+def _product_labels(classes, labels=None):
+    """out[i][j] = label of the class of the product of classes[i] and
     classes[j]: the one place where classes are multiplied pair by pair.
     Ideal products commute, so each unordered pair is multiplied once.
 
@@ -745,26 +782,28 @@ def _product_labels(classes, pairs=False):
     the label of the product is that of their Dirichlet composition
     (quadforms.compose).  Composition respects the plain class, which for
     real fields joins a form and (-a, b, -c), because (-a, b, -c) is the
-    composition of the form with one fixed class.  Any other pair goes by
-    _pair_product if ``pairs`` is set, else as lattices: the tests keep
+    composition of the form with one fixed class.  Given a LabelMap
+    ``labels``, products are labelled through it and any other pair goes by
+    _pair_product; without one, every label is quadforms.class_label's and
+    any other pair goes as lattices: the tests keep
     class_label(ideal_product(...)) for all pairs as the oracle."""
     n = len(classes)
     forms = bool(classes) and classes[0].representative.order.degree == 2
-    labels = [[None] * n for _ in range(n)]
+    label = quadforms.class_label if labels is None else labels.label
+    out = [[None] * n for _ in range(n)]
     for i, ci in enumerate(classes):
         for j in range(i, n):
             cj = classes[j]
             if forms and ci.invertible and cj.invertible:
-                lab = quadforms.class_label(quadforms.compose(ci.label,
-                                                              cj.label))
-            elif forms and pairs:
+                lab = label(quadforms.compose(ci.label, cj.label))
+            elif forms and labels is not None:
                 lab = _pair_product(ci.representative.order, ci.pair,
-                                    cj.pair)[2]
+                                    cj.pair, labels)[2]
             else:
                 lab = class_label(ideal_product(ci.representative,
                                                 cj.representative))
-            labels[i][j] = labels[j][i] = lab
-    return labels
+            out[i][j] = out[j][i] = lab
+    return out
 
 
 def _check_monoid_laws(monoid: ClassMonoid):

@@ -410,6 +410,18 @@ class Lattice:
             else IntMatrix([])
         return cls(dim, mat, den)
 
+    @classmethod
+    def _from_hnf(cls, dim, rows, den):
+        """The lattice of integer rows over den that are already stored the
+        way __init__ stores them (HNF with positive pivots, each entry above
+        a pivot reduced mod it, no zero rows; den > 0 and coprime to the
+        entries), for callers that build that form in closed form."""
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "dim", dim)
+        object.__setattr__(lat, "basis", IntMatrix(rows))
+        object.__setattr__(lat, "den", den)
+        return lat
+
     @property
     def rank(self):
         return self.basis.rows
@@ -443,7 +455,22 @@ class Lattice:
         return not any(rem)
 
     def contains_lattice(self, other) -> bool:
-        return all(self.contains(r) for r in other.rows_q())
+        """other <= self, on integers: a basis row r / other.den of other
+        lies in self iff other.den divides r * self.den and the quotient
+        reduces to zero against self's HNF rows (the test of contains)."""
+        hrows = [list(r) for r in self.basis.entries]
+        pivots = _pivots_of(hrows)
+        sd, od = self.den, other.den
+        for row in other.basis.entries:
+            w = []
+            for x in row:
+                q, r = divmod(x * sd, od)
+                if r:
+                    return False
+                w.append(q)
+            if any(_reduce_int_vector(w, hrows, pivots)):
+                return False
+        return True
 
     def scale(self, c):
         """The lattice c * L for a nonzero rational c."""
@@ -621,6 +648,8 @@ def enumerate_intermediate_lattices(outer: Lattice, inner: Lattice,
         raise IndexTooLarge(f"quotient order {idx} exceeds budget {max_index}",
                             operation="enumerate_intermediate_lattices",
                             limit=max_index, consumed=idx)
+    if k == 1:  # inner = outer
+        return [outer]
     if k is None:
         d, _, v = snf(coords_in(outer, inner))
         diag, back = [d[i, i] for i in range(g)], inverse_unimodular(v)

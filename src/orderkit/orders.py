@@ -29,7 +29,8 @@ class Order:
     """A unital, multiplicatively closed, full-rank lattice in a number field."""
 
     __slots__ = ("field", "lattice", "assumed_maximal", "_elements",
-                 "_unital", "_omega", "_omega_data", "_disc", "_conductor")
+                 "_unital", "_structure", "_omega", "_omega_data", "_disc",
+                 "_conductor")
 
     def __init__(self, field: NumberField, lattice: Lattice,
                  assumed_maximal=False):
@@ -39,6 +40,7 @@ class Order:
         # derived data, computed on first use (the order is immutable)
         object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_unital", None)
+        object.__setattr__(self, "_structure", None)
         object.__setattr__(self, "_omega", None)  # ((p0, p1, q), omega)
         object.__setattr__(self, "_omega_data", None)
         object.__setattr__(self, "_disc", None)
@@ -124,6 +126,44 @@ class Order:
             raise MethodDisagreement("unital basis does not start with 1",
                                      operation="unital_basis_elements")
         return tuple(out)
+
+    def structure_constants(self):
+        """c[i][j], the integer coordinates of b_i * b_j in the unital basis
+        b (unital_basis_elements), computed on first use and kept.
+
+        A quadratic order has b = (1, u) with u = k + e*omega, e = +-1, so
+        u^2 = Tr(u)*u - N(u) with Tr(u) = 2k + e*t and N(u) = k^2 + e*k*t + n,
+        read off omega_data (omega^2 = t*omega - n).  Other degrees solve
+        for all the products at once."""
+        if self._structure is None:
+            object.__setattr__(self, "_structure",
+                               self._compute_structure_constants())
+        return self._structure
+
+    def _compute_structure_constants(self):
+        basis = self.unital_basis_elements()
+        g = self.degree
+        if g == 2:
+            p0, p1, q = self.omega_coords()
+            t, n = self.omega_data()
+            u0, u1 = basis[1].coords
+            e = u1 * q / p1
+            k = u0 - e * Fraction(p0, q)
+            if abs(e) != 1 or k.denominator != 1:
+                raise MethodDisagreement("unital basis is not (1, k +- omega)",
+                                         operation="structure_constants")
+            e, k = int(e), int(k)
+            square = (-(k * k + e * k * t + n), 2 * k + e * t)
+            return (((1, 0), (0, 1)), ((0, 1), square))
+        from .intmat import solve_square
+        sol = solve_square([b.coords for b in basis],
+                           [(a * b).coords for a in basis for b in basis])
+        if sol is None or any(c.denominator != 1 for r in sol for c in r):
+            raise MethodDisagreement(
+                "product of basis elements has non-integral unital "
+                "coordinates", operation="structure_constants")
+        return tuple(tuple(tuple(int(c) for c in sol[i * g + j])
+                           for j in range(g)) for i in range(g))
 
     def omega(self) -> FieldElement:
         """Canonical second generator of a quadratic order: Gamma = Z + Z*omega,
@@ -285,7 +325,8 @@ def conductor(gamma: Order, maximal: Order) -> ConductorData:
                            operation="conductor")
     if gamma.degree == 2:
         f = isqrt(gamma.disc() // maximal.disc())
-        data = ConductorData(maximal.lattice.scale(f), f * f)
+        data = ConductorData(
+            maximal.lattice if f == 1 else maximal.lattice.scale(f), f * f)
     else:
         lat = colon_lattice(gamma.lattice, maximal.basis_elements(),
                             gamma.field)

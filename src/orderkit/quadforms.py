@@ -20,8 +20,10 @@ class from _opposite_definite or _opposite_indefinite.  One walk on the
 coefficients alone (_cycle) takes the indefinite kernel's step from each
 reduced form to the next, gives the rho-cycle and holds the cycle budget;
 class_forms is reduced plus that walk, and cycle_of carries U along the
-walked cycle.  The fundamental unit is read off the automorph that
-cycle_of returns for the principal form.
+walked cycle; a LabelMap keeps the class_forms of each class it meets, so
+a computation that labels many forms walks each class once.  The
+fundamental unit is read off the automorph that cycle_of returns for the
+principal form.
 """
 
 from __future__ import annotations
@@ -246,6 +248,27 @@ def class_label(form):
     return min(class_forms(form))
 
 
+class LabelMap(dict):
+    """Reduced form -> (label, class_forms) of its plain class, for one
+    computation.  A class is walked by class_forms once, when the first of
+    its reduced forms is looked up; every canonical form of it then finds
+    the class by one dict lookup.  Keys are reduced forms; label takes any
+    primitive form and reduces it first."""
+
+    __slots__ = ()
+
+    def __missing__(self, form):
+        forms = class_forms(form)
+        entry = min(forms), forms
+        for f in forms:
+            self[f] = entry
+        return entry
+
+    def label(self, form):
+        """class_label(form), through the map."""
+        return self[reduced(form)][0]
+
+
 def _xgcd(a, b):
     """(g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
     x0, y0, x1, y1 = 1, 0, 0, 1
@@ -349,16 +372,18 @@ def reduced_indefinite_forms(d):
     return out
 
 
-def form_class_count(d):
+def form_class_count(d, labels=None):
     """Number of plain classes of primitive forms of discriminant d.
 
     For d < 0 this is the count of reduced definite forms (each class has
-    exactly one).  For d > 0 the reduced forms are partitioned by label.
+    exactly one).  For d > 0 the reduced forms are partitioned by class
+    through a LabelMap (``labels``, or a fresh one), which walks each class
+    once: a reduced form of a class already walked is a lookup.
     """
     if d < 0:
         return len(reduced_definite_forms(d))
-    labels = {class_label(f) for f in reduced_indefinite_forms(d)}
-    return len(labels)
+    labels = LabelMap() if labels is None else labels
+    return len({labels[f][0] for f in reduced_indefinite_forms(d)})
 
 
 # --- fundamental units ----------------------------------------------------------

@@ -674,12 +674,13 @@ class TestIntegerPairs:
     def check_product(self, gamma, p, q):
         prod = ideal_product(_standard_ideal(gamma, *p),
                              _standard_ideal(gamma, *q))
-        a, b, lab = ideals._pair_product(gamma, p, q)
+        a, b, lab = ideals._pair_product(gamma, p, q, quadforms.LabelMap())
         assert 0 <= b < a
         assert lab == class_label(prod)
         rep = _standard_ideal(gamma, a, b)
         assert rep.lattice == prod.primitive().lattice
-        assert ideals._pair_label(gamma, a, b) == class_label(rep)
+        assert (ideals._pair_label(gamma, a, b, quadforms.LabelMap())
+                == class_label(rep))
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(PAIR_FIELDS), st.integers(1, 6),
@@ -720,7 +721,8 @@ class TestIntegerPairs:
                 _, a, b = pair
                 assert (_standard_ideal(gamma, a, b).lattice
                         == ideal.primitive().lattice)
-                assert ideals._pair_label(gamma, a, b) == class_label(ideal)
+                assert (ideals._pair_label(gamma, a, b, quadforms.LabelMap())
+                        == class_label(ideal))
         assert seen[True] and seen[False]
         classes = intermediate_classes(gamma, om, lower_ideal=lower)
         assert [(c.label, c.invertible, c.representative.lattice)
@@ -1069,8 +1071,11 @@ class TestPicard:
         assert seen(picard_group(gamma).classes) == expected
         if budget is None:
             budget = class_monoid(gamma).census_budget
-        pic = ideals._census_picard(gamma, om, ideals._census(gamma, budget)[1])
-        assert seen(pic.classes) == expected
+        pairs, _ = ideals._picard_pairs(
+            gamma, om.disc(), math.isqrt(conductor(gamma, om).norm),
+            ideals._census(gamma, budget)[1], quadforms.LabelMap())
+        assert list(pairs.items()) == [(lab, pair)
+                                       for lab, pair, _, _ in expected]
 
     @pytest.mark.parametrize("coeffs,rows,budget", CENSUS_ORDERS)
     def test_representatives_match_first_ideal_loop(self, coeffs, rows,
@@ -1236,10 +1241,124 @@ class TestComposition:
         m = class_monoid(is_order(make_field(coeffs), rows))
         expected = product_labels_by_lattices(m.classes)
         assert ideals._product_labels(m.classes) == expected
-        assert ideals._product_labels(m.classes, pairs=True) == expected
+        assert ideals._product_labels(m.classes,
+                                      quadforms.LabelMap()) == expected
         for i, row in enumerate(m.table):
             assert [m.classes[idx].label for idx in row] == expected[i]
         for c in m.classes:
             assert c.invertible == invertible_by_colon(c.representative)
         assert any(not c.invertible for c in m.classes) == (
             m.conductor_norm > 1)
+
+
+def intermediate_by_first_lattice(gamma):
+    """Oracle: the intermediate classes as intermediate_classes built them
+    before the label map: every stable lattice between f and O_L read as a
+    pair, labelled by class_label of the lattice (quadforms.class_label of
+    its form), the first lattice of each label built as its class, sorted
+    by label."""
+    om = maximal_order(gamma.field)
+    read = ideals._lattice_reader(gamma)
+    found = {}
+    for lat in enumerate_intermediate_lattices(
+            om.lattice, conductor(gamma, om).lattice):
+        pair = read(lat)
+        if pair is None:
+            continue
+        _, a, b = pair
+        lab = class_label(FractionalIdeal(gamma, lat, check=False))
+        if lab not in found:
+            found[lab] = ideals._pair_class(gamma, a, b, lab)
+    return sorted(found.values(), key=lambda c: c.label)
+
+
+class TestBuildOnce:
+    """class_monoid walks each class once (one LabelMap per call) and builds
+    a representative for the classes it keeps only."""
+
+    def test_map_labels_match_class_label(self, corpus_monoids):
+        for e, m in corpus_monoids:
+            labels = quadforms.LabelMap()
+            _, forms = ideals._census(e.order, m.census_budget)
+            for form in forms:
+                want = quadforms.class_label(form)
+                assert labels.label(form) == labels[form][0] == want, form
+                assert labels[form][1] == quadforms.class_forms(form)
+
+    def test_one_class_forms_per_class(self, monkeypatch):
+        from orderkit.verify import build_corpus
+        walked = []
+        class_forms = quadforms.class_forms
+
+        def counted(form):
+            walked.append(class_forms(form))
+            return walked[-1]
+
+        monkeypatch.setattr(quadforms, "class_forms", counted)
+        calls = classes = 0
+        for e in build_corpus():
+            walked.clear()
+            m = class_monoid(e.order)
+            # no class is walked twice in one call
+            assert len(set(walked)) == len(walked), e.disc
+            assert {c.label for c in m.classes} <= {min(w) for w in walked}
+            calls += len(walked)
+            classes += m.size
+        # one walk per class: 4,896 class_forms calls before the map
+        assert calls == classes == 583
+
+    def test_one_representative_per_kept_class(self, monkeypatch):
+        from orderkit.verify import build_corpus
+        built = []
+        standard = ideals._standard_ideal
+
+        def counted(gamma, a, b):
+            built.append((a, b))
+            return standard(gamma, a, b)
+
+        monkeypatch.setattr(ideals, "_standard_ideal", counted)
+        total = 0
+        for e in build_corpus():
+            built.clear()
+            m = class_monoid(e.order)
+            assert len(built) == m.size
+            assert sorted(built) == sorted(c.pair for c in m.classes)
+            total += len(built)
+        assert total == 583  # 988 before, with the classes not kept
+
+    def test_intermediate_classes_match_first_lattice_route(self,
+                                                            corpus_monoids):
+        def seen(classes):
+            return [(c.label, c.pair, c.invertible, c.representative)
+                    for c in classes]
+
+        for e, m in corpus_monoids:
+            gamma = e.order
+            classes = intermediate_classes(gamma)
+            assert seen(classes) == seen(intermediate_by_first_lattice(gamma))
+            pairs = intermediate_classes(gamma, labels=quadforms.LabelMap())
+            assert pairs == {c.label: c.pair for c in classes}
+            assert sorted(m.classes[i].label
+                          for i in m.intermediate_subset) == list(pairs)
+
+    # x^2 - m, and three polynomials whose maximal orders have denominator
+    # 3, 3 and 5 over the power basis (discriminants 9*(-3), 9*5, 25*(-7))
+    HNF_FIELDS = [[-m, 0, 1] for m in PAIR_FIELDS] + [[7, 1, 1], [-11, 1, 1],
+                                                     [44, 1, 1]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(HNF_FIELDS), st.integers(1, 6),
+           st.integers(1, 500), st.integers(-500, 500))
+    @example([3, 0, 1], 1, 4, 0)   # omega = (1 + sqrt(-3)) / 2: q = 2
+    @example([1, 0, 1], 1, 3, 0)   # b*q + p0 = 0: the rows are in HNF
+    @example([7, 1, 1], 2, 6, 1)
+    def test_standard_ideal_hnf_matches_lattice_route(self, coeffs, f, a, b):
+        # the closed-form HNF of (a*q, 0), (b*q + p0, p1) over q against
+        # Lattice's HNF pass on the same rows, in Z + f*O_L
+        from orderkit.intmat import IntMatrix
+        field = make_field(coeffs)
+        w = maximal_order(field).omega() * f
+        gamma = is_order(field, [list(field.one().coords), list(w.coords)])
+        p0, p1, q = gamma.omega_coords()
+        want = Lattice(2, IntMatrix([[a * q, 0], [b * q + p0, p1]]), q)
+        assert _standard_ideal(gamma, a, b).lattice == want

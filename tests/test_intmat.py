@@ -568,3 +568,45 @@ def test_snf_invariants_against_cofactor_oracle(case):
     for k in range(1, min(m.rows, m.cols) + 1):
         prod *= d[k - 1, k - 1]
         assert prod == minors_gcd(m, k)
+
+
+# --- lattice containment on integers -----------------------------------------------
+
+def contains_lattice_by_fractions(outer, inner):
+    """Oracle for Lattice.contains_lattice: every basis row of inner, as a
+    vector of Fractions, tested by Lattice.contains."""
+    return all(outer.contains(r) for r in inner.rows_q())
+
+
+@st.composite
+def lattice_pair(draw):
+    """(outer, inner) in Q^n, n <= 3: rows of small Fractions, inner often
+    built from integer combinations of outer's rows (so often contained),
+    sometimes with a row halved or arbitrary."""
+    n = draw(st.integers(1, 3))
+    vec = st.lists(small_fraction, min_size=n, max_size=n)
+    outer = Lattice.from_rows(draw(st.lists(vec, min_size=1, max_size=n)), n)
+    rows = outer.rows_q()
+    inner = []
+    for _ in range(draw(st.integers(0, 3))):
+        cs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                           max_size=len(rows)))
+        row = [sum((c * r[j] for c, r in zip(cs, rows)), Fraction(0))
+               for j in range(n)]
+        kind = draw(st.sampled_from(["combination", "halved", "arbitrary"]))
+        if kind == "halved":
+            row = [x / 2 for x in row]
+        elif kind == "arbitrary":
+            row = draw(vec)
+        inner.append(row)
+    return outer, Lattice.from_rows(inner, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pair())
+def test_contains_lattice_matches_fraction_route(pair):
+    outer, inner = pair
+    assert outer.contains_lattice(inner) == contains_lattice_by_fractions(
+        outer, inner)
+    assert inner.contains_lattice(outer) == contains_lattice_by_fractions(
+        inner, outer)

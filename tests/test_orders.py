@@ -353,4 +353,63 @@ class TestIntegerInvariants:
         num = h0
         for p, e in factorize(f).items():
             num *= p ** (e - 1) * (p - kronecker(d0, p))
-        assert ideals._index_formula(gamma, om, h0) == num // unit_index
+        assert ideals._index_formula(d0, f, h0) == num // unit_index
+
+
+def structure_constants_by_solves(order):
+    """Oracle for Order.structure_constants: each product of two unital
+    basis elements solved for its unital coordinates on its own."""
+    from orderkit.gamma_structures import _unital_coords
+    basis = order.unital_basis_elements()
+    return tuple(tuple(tuple(_unital_coords(order, a * b)) for b in basis)
+                 for a in basis)
+
+
+class TestStructureConstants:
+    """Order.structure_constants (omega_data for quadratic orders, one solve
+    otherwise) against a solve per product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ODD_D0), st.sampled_from((1, 3, 5)),
+           st.integers(-15, 15), st.integers(1, 12))
+    @example(-4, 3, 0, 6)
+    @example(8, 3, 2, 12)
+    def test_quadratic_matches_solves(self, d0, s, k, f):
+        b1 = 2 * k + (s * s * d0) % 2
+        field = make_field([(b1 * b1 - s * s * d0) // 4, b1, 1])
+        om = maximal_order(field)
+        gamma = is_order(field, [[1, 0], [f * x for x in om.omega().coords]])
+        for order in (om, gamma):
+            consts = order.structure_constants()
+            assert consts == structure_constants_by_solves(order)
+            assert order.structure_constants() is consts  # kept
+
+    def test_corpus(self):
+        from orderkit.verify import build_corpus
+        for e in build_corpus():
+            assert (e.order.structure_constants()
+                    == structure_constants_by_solves(e.order)), e.disc
+
+    def test_other_degrees(self):
+        assert maximal_order(RATIONAL_FIELD).structure_constants() == (((1,),),)
+        cubic = make_field([-2, 0, 0, 1])
+        for rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     [[1, 0, 0], [0, 2, 0], [0, 0, 4]]):
+            order = is_order(cubic, rows)
+            assert (order.structure_constants()
+                    == structure_constants_by_solves(order))
+
+    @pytest.mark.parametrize("coeffs,rows", [([1, 0, 1], [[1, 0], [0, 3]]),
+                                             ([-5, 0, 1], [[1, 0], [0, 1]]),
+                                             ([-7, -1, 1], [[1, 0], [0, 2]])])
+    def test_any_second_basis_element(self, coeffs, rows):
+        # a unital basis (1, k + e*omega) for every k and both signs e,
+        # kept on a fresh order in place of the one it computes
+        field = make_field(coeffs)
+        for e in (1, -1):
+            for k in range(-3, 4):
+                order = is_order(field, rows)
+                u = field.from_rational(k) + order.omega() * e
+                object.__setattr__(order, "_unital", (field.one(), u))
+                assert (order.structure_constants()
+                        == structure_constants_by_solves(order)), (e, k)

@@ -176,6 +176,47 @@ def test_class_counts_match_oracle():
         assert qf.form_class_count(d) == plain_class_count_oracle(d), d
 
 
+def class_count_by_labels(d):
+    """Oracle: form_class_count of d > 0 before the label map, the number
+    of distinct class_label values of the reduced forms."""
+    return len({qf.class_label(f) for f in qf.reduced_indefinite_forms(d)})
+
+
+REAL_DISCS = [d for d in range(5, 1200)
+              if d % 4 in (0, 1) and isqrt(d) ** 2 != d]
+
+
+def test_class_count_walks_each_class_once(monkeypatch):
+    walks = []
+    cycle = qf._cycle
+
+    def counted(form):
+        walks.append(form)
+        return cycle(form)
+
+    monkeypatch.setattr(qf, "_cycle", counted)
+    for d in REAL_DISCS:
+        walks.clear()
+        h = qf.form_class_count(d)
+        assert len(walks) == 2 * h, d  # class_forms walks two cycles
+    monkeypatch.setattr(qf, "_cycle", cycle)
+    for d in REAL_DISCS[::14]:
+        assert qf.form_class_count(d) == class_count_by_labels(d) \
+            == plain_class_count_oracle(d), d
+    for d in REAL_DISCS:
+        assert qf.form_class_count(d) == class_count_by_labels(d), d
+
+
+def test_label_map_matches_class_label():
+    rng = random.Random(18)
+    labels = qf.LabelMap()
+    for _ in range(300):
+        f = random_form(rng, definite=rng.random() < 0.5)
+        assert labels.label(f) == qf.class_label(f)
+        red = qf.reduced(f)
+        assert labels[red] == (qf.class_label(f), qf.class_forms(f))
+
+
 def test_class_label_consistency():
     rng = random.Random(19)
     for _ in range(60):
