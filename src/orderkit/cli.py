@@ -3,18 +3,24 @@ matrix-structure counting, and the verification suite.
 
 Conventions: field polynomials are comma-separated integer coefficients,
 constant term first; order bases are semicolon-separated rows with an
-optional /denominator suffix.  Output is JSON (keys sorted, canonical
-formatting) or a plain table.  Exit codes: 0 success, 1 usage error,
-2 domain error, 3 budget exhaustion.
+optional /denominator suffix.  Output is JSON or a plain table.  Exit
+codes: 0 success, 1 usage error, 2 domain error, 3 budget exhaustion.
+
+JSON is written by _json_text, which gives the bytes of
+``json.dumps(payload, sort_keys=True, indent=2, default=str)`` (keys sorted,
+two-space indent, ASCII escapes, other types through str) without the pure
+Python encoder that json.dumps falls back to when it indents.  The tests
+hold it to json.dumps byte for byte, and the golden files and sha256 pins
+in tests/test_cli.py fix the output.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import bounds as bounds_mod
 from .errors import InvalidInput, OrderkitError
@@ -102,9 +108,51 @@ def _merge_config(args, actions, config_path):
 
 def _emit(payload, fmt):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2, default=str))
+        print(_json_text(payload))
     else:
         _print_table(payload)
+
+
+# json's spelling of the floats that have no JSON literal
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, pad="\n"):
+    """json.dumps(value, sort_keys=True, indent=2, default=str), for string
+    keys; ``pad`` is a newline and the indent of the line value starts on.  A
+    list of plain ints or of strings is joined in one step."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            body = sep.join(map(int.__repr__, value))
+        elif all(type(x) is str for x in value):
+            body = sep.join(map(_quote, value))
+        else:
+            body = sep.join([_json_text(x, inner) for x in value])
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + sep.join([
+            _quote(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(value.items())]) + pad + "}"
+    return _quote(str(value))
 
 
 def _print_table(payload, indent=0):
@@ -266,7 +314,9 @@ def _cmd_class_monoid(args):
             "id": idx,
             "representative": [list(map(str, r))
                                for r in c.representative.lattice.rows_q()],
-            "norm": str(c.representative.norm_index()),
+            # the index a of [a, b + omega] is its norm
+            "norm": str(c.pair[0] if c.pair else
+                        c.representative.norm_index()),
             "invertible": c.invertible,
         })
     return {

@@ -783,18 +783,24 @@ def _product_labels(classes, labels=None):
     (quadforms.compose).  Composition respects the plain class, which for
     real fields joins a form and (-a, b, -c), because (-a, b, -c) is the
     composition of the form with one fixed class.  Given a LabelMap
-    ``labels``, products are labelled through it and any other pair goes by
-    _pair_product; without one, every label is quadforms.class_label's and
-    any other pair goes as lattices: the tests keep
-    class_label(ideal_product(...)) for all pairs as the oracle."""
+    ``labels``, the Picard block is read off the rows of its generators
+    (_picard_rows), other products are labelled through the map and any
+    other pair goes by _pair_product; without one, every Picard pair is
+    composed, every label is quadforms.class_label's and any other pair goes
+    as lattices: the tests keep class_label(ideal_product(...)) for all
+    pairs as the oracle."""
     n = len(classes)
     forms = bool(classes) and classes[0].representative.order.degree == 2
     label = quadforms.class_label if labels is None else labels.label
     out = [[None] * n for _ in range(n)]
+    by_rows = (forms and labels is not None
+               and _picard_rows(classes, labels, out))
     for i, ci in enumerate(classes):
         for j in range(i, n):
             cj = classes[j]
             if forms and ci.invertible and cj.invertible:
+                if by_rows:
+                    continue
                 lab = label(quadforms.compose(ci.label, cj.label))
             elif forms and labels is not None:
                 lab = _pair_product(ci.representative.order, ci.pair,
@@ -804,6 +810,51 @@ def _product_labels(classes, labels=None):
                                                 cj.representative))
             out[i][j] = out[j][i] = lab
     return out
+
+
+def _picard_rows(classes, labels, out):
+    """Fill out[x][y] for the invertible classes x, y of a quadratic order
+    from one composed row per generator of Pic; False, with the Picard
+    block left to the pairwise fill, if a composed label leaves Pic.
+
+    The identity's row is known.  Generators are picked greedily, each
+    outside the closure of those picked so far (as in _check_monoid_laws).
+    The row of g is composed, g * c for every class c of Pic; the row of
+    x = g * y follows from x * c = g * (y * c), and the finite group is the
+    closure of its generators under left multiplication: |G| |P|
+    compositions instead of |P| (|P| + 1) / 2."""
+    pic = [i for i, c in enumerate(classes) if c.invertible]
+    pic_labels = [classes[i].label for i in pic]
+    where = {lab: k for k, lab in enumerate(pic_labels)}
+    e = where.get(_pair_label(classes[0].representative.order, 1, 0, labels))
+    if e is None:
+        return False
+    # position in pic -> positions of its products with the classes of pic
+    rows = {e: list(range(len(pic)))}
+    gens = []
+    for k, lab in enumerate(pic_labels):
+        if k in rows:
+            continue
+        row = [where.get(labels.label(quadforms.compose(lab, c)))
+               for c in pic_labels]
+        if None in row:
+            return False
+        rows[k] = row
+        gens.append(row)
+        todo = [k]
+        while todo:
+            y = todo.pop()
+            row_y = rows[y]
+            for row_g in gens:
+                x = row_g[y]
+                if x not in rows:
+                    rows[x] = [row_g[v] for v in row_y]
+                    todo.append(x)
+    for k, i in enumerate(pic):
+        out_i = out[i]
+        for j, pos in zip(pic, rows[k]):
+            out_i[j] = pic_labels[pos]
+    return True
 
 
 def _check_monoid_laws(monoid: ClassMonoid):

@@ -2,7 +2,9 @@
 
 Polynomials are coefficient lists, constant term first.  All arithmetic is
 exact: Fractions for field elements, integers for resultants and
-discriminants, Sturm sequences for signatures.
+discriminants.  The signature of a quadratic field is read off the sign of
+its polynomial discriminant; higher degrees count real roots by Sturm
+sequences (real_root_count, also the tests' oracle in degree 2).
 
 Element arithmetic in a quadratic field Q[t]/(t^2 + b1 t + b0) uses closed
 forms: products by the relation t^2 = -b1 t - b0, the norm and trace as
@@ -300,7 +302,12 @@ class NumberField:
         object.__setattr__(self, "degree", n)
         object.__setattr__(self, "poly_disc",
                            poly_discriminant(coeffs) if n > 1 else 1)
-        r = real_root_count(coeffs)
+        if n == 2:
+            # a monic quadratic has 1 + sign(disc) distinct real roots
+            d = self.poly_disc
+            r = 1 + (d > 0) - (d < 0)
+        else:
+            r = 1 if n == 1 else real_root_count(coeffs)
         object.__setattr__(self, "signature", (r, (n - r) // 2))
         # x^k mod p for k < 2n-1, used to reduce products; integer since p monic.
         table = []

@@ -4,9 +4,33 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orderkit import gamma_structures
+from orderkit import cli, gamma_structures
 from orderkit.cli import main, parse_basis, parse_poly, UsageError
+
+
+def json_dumps(payload):
+    """The oracle of cli._json_text."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=str)
+
+
+@pytest.fixture(autouse=True)
+def writer_matches_json_dumps(monkeypatch):
+    """Every JSON payload a test here prints is held to json.dumps byte for
+    byte; the list of them is the fixture's value."""
+    emitted = []
+    emit = cli._emit
+
+    def checked(payload, fmt):
+        if fmt == "json":
+            assert cli._json_text(payload) == json_dumps(payload)
+            emitted.append(payload)
+        emit(payload, fmt)
+
+    monkeypatch.setattr(cli, "_emit", checked)
+    return emitted
 
 
 def run_cli(capsys, *argv):
@@ -349,6 +373,69 @@ class TestGoldenOutputs:
         rc, out, _ = run_cli(capsys, *argv)
         assert rc == 0
         assert out == (GOLDEN / name).read_text()
+
+
+# JSON values of every kind json.dumps writes: str with non-ASCII, quotes
+# and control characters, int, bool, None, float (non-finite too), Fraction
+# through default=str, nested and empty lists, tuples and dicts
+_json_scalars = (st.text() | st.integers() | st.booleans() | st.none()
+                 | st.floats() | st.fractions()
+                 | st.sampled_from(["", "\"", "\\", "\x00\x1f\x7f", "\u00e9\u2603",
+                                    "\U0001f600", "\n\t\r"]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=6)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in GOLDEN.glob("*.json")))
+    def test_golden_payloads(self, name):
+        text = (GOLDEN / name).read_text()
+        payload = json.loads(text)
+        assert cli._json_text(payload) + "\n" == json_dumps(payload) + "\n" \
+            == text
+
+    @pytest.mark.parametrize("argv", [
+        ("order-info", "--field=-2,0,1", "--order-basis=1,0;0,3"),
+        ("order-info", "--field=5,1,1"),
+        ("class-monoid", "--field=1,0,1", "--order-basis=1,0;0,6"),
+        ("gamma-count", "--gamma-field=-2,0,1", "--gamma-basis=1,0;0,2",
+         "--target-field=-2,0,1", "--target-n=1"),
+    ] + [("bound", f"--formula={fid}", "--g=2", "--excluded-primes=2,3")
+         for fid in cli.FORMULAS])
+    def test_every_subcommand(self, capsys, writer_matches_json_dumps,
+                              argv):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        (payload,) = writer_matches_json_dumps
+        assert out == json_dumps(payload) + "\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(_json_values)
+    def test_random_payloads(self, value):
+        assert cli._json_text(value) == json_dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers()) | st.lists(st.text()),
+           st.integers(0, 3))
+    def test_flat_lists_at_depth(self, flat, depth):
+        value = flat
+        for k in range(depth):
+            value = {f"k{k}": [value, k]}
+        assert cli._json_text(value) == json_dumps(value)
+
+
+class TestClassMonoidNorm:
+    def test_pair_index_is_the_norm(self, corpus_monoids):
+        # class-monoid prints the index a of [a, b + omega] as its norm
+        for e, m in corpus_monoids:
+            for c in m.classes:
+                assert c.pair is not None, e.disc
+                assert c.representative.norm_index() == c.pair[0], e.disc
 
 
 class TestGammaCount:

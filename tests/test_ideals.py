@@ -1251,6 +1251,86 @@ class TestComposition:
             m.conductor_norm > 1)
 
 
+def picard_generators(m):
+    """The generators of Pic picked greedily off the table, each outside
+    the closure of those before it (identity first, as class_monoid lists
+    it)."""
+    t = m.table
+    closure, gens = {0}, []
+    for g in m.picard_subset:
+        if g in closure:
+            continue
+        gens.append(g)
+        todo = [g]
+        while todo:
+            a = todo.pop()
+            if a not in closure:
+                closure.add(a)
+                todo.extend(t[a][b] for b in closure)
+    return gens
+
+
+class TestPicardRows:
+    """With a LabelMap, the Picard block of the table is read off one
+    composed row per generator; the pairwise fill without one is the
+    oracle."""
+
+    def test_corpus_matches_pairwise(self, corpus_monoids):
+        for e, m in corpus_monoids:
+            assert (ideals._product_labels(m.classes, quadforms.LabelMap())
+                    == ideals._product_labels(m.classes)), e.disc
+
+    def test_class_number_350_matches_pairwise(self):
+        m = class_monoid(maximal_order(make_field([1000003, 12, 1])))
+        assert len(m.picard_subset) == m.size == 350
+        assert (ideals._product_labels(m.classes, quadforms.LabelMap())
+                == ideals._product_labels(m.classes))
+
+    @pytest.mark.parametrize("coeffs,rows", [
+        ([105, 0, 1], [[1, 0], [0, 1]]),    # Pic = (Z/2)^3
+        ([71, 0, 1], [[1, 0], [0, 1]]),     # Pic = Z/7
+        ([14, 0, 1], [[1, 0], [0, 1]]),     # Pic = Z/4
+        ([1, 0, 1], [[1, 0], [0, 6]]),      # Z[6i], non-maximal
+        ([-79, 0, 1], [[1, 0], [0, 1]]),    # real, Pic = Z/3
+        ([-2, 0, 1], [[1, 0], [0, 6]]),     # real, conductor 6
+    ])
+    def test_compositions_counted(self, monkeypatch, coeffs, rows):
+        m = class_monoid(is_order(make_field(coeffs), rows))
+        composed = []
+        compose = quadforms.compose
+
+        def counted(f1, f2):
+            composed.append((f1, f2))
+            return compose(f1, f2)
+
+        monkeypatch.setattr(quadforms, "compose", counted)
+        p, g = len(m.picard_subset), len(picard_generators(m))
+        assert 2 ** g <= p
+        ideals._product_labels(m.classes, quadforms.LabelMap())
+        assert len(composed) == g * p
+        composed.clear()
+        class_monoid(m.order)
+        assert len(composed) == g * p
+        composed.clear()
+        ideals.verify_monoid_table(m)
+        assert len(composed) == p * (p + 1) // 2
+
+    @pytest.mark.parametrize("coeffs,rows", [
+        ([71, 0, 1], [[1, 0], [0, 1]]),
+        ([1, 0, 1], [[1, 0], [0, 6]]),
+        ([-2, 0, 1], [[1, 0], [0, 6]]),
+    ])
+    def test_label_outside_pic_is_a_violation(self, monkeypatch, coeffs,
+                                              rows):
+        gamma = is_order(make_field(coeffs), rows)
+        outside = [c.label for c in class_monoid(gamma).classes
+                   if not c.invertible] or [(1, 1, 1)]
+        monkeypatch.setattr(quadforms, "compose",
+                            lambda f1, f2: outside[0])
+        with pytest.raises(FactorizationViolation):
+            class_monoid(gamma)
+
+
 def intermediate_by_first_lattice(gamma):
     """Oracle: the intermediate classes as intermediate_classes built them
     before the label map: every stable lattice between f and O_L read as a

@@ -153,6 +153,51 @@ class TestSturm:
             assert real_root_count(p) == self.bisection_root_count(p)
 
 
+class TestSignature:
+    """Degree 2 reads the signature off the sign of the discriminant; higher
+    degrees count real roots by Sturm, which stays the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 8),
+           st.sampled_from([1, -1]))
+    def test_quadratic_matches_sturm(self, b1, m, sign):
+        # disc = b1^2 - 4*b0 = (b1^2 mod 4) + 4*sign*m has the drawn sign
+        b0 = b1 * b1 // 4 - sign * m
+        disc = b1 * b1 - 4 * b0
+        assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+        f = make_field([b0, b1, 1])
+        r = real_root_count([b0, b1, 1])
+        assert r == (2 if sign > 0 else 0)
+        assert f.signature == (r, (2 - r) // 2)
+
+    def test_quadratic_needs_no_sturm(self, monkeypatch):
+        from orderkit import numberfield
+        monkeypatch.setattr(numberfield, "real_root_count",
+                            lambda p: pytest.fail("Sturm in degree 2"))
+        assert make_field([5, 1, 1]).signature == (0, 1)
+        assert make_field([-3, 1, 1]).signature == (2, 0)
+        assert make_field([7, 1]).signature == (1, 0)
+
+    @pytest.mark.parametrize("p,signature", [
+        ([-2, 0, 0, 1], (1, 1)),
+        ([-1, -3, 0, 1], (3, 0)),
+        ([-2, 0, 0, 0, 1], (2, 1)),
+        ([1, 0, 0, 0, 1], (0, 2)),
+    ])
+    def test_higher_degree_goes_through_sturm(self, monkeypatch, p,
+                                              signature):
+        from orderkit import numberfield
+        calls = []
+
+        def counted(q):
+            calls.append(list(q))
+            return real_root_count(q)
+
+        monkeypatch.setattr(numberfield, "real_root_count", counted)
+        assert make_field(p).signature == signature
+        assert calls == [p]
+
+
 class TestArithmetic:
     def test_norm_trace_examples(self, gaussian_field, field_sqrt2,
                                  field_minus5):
