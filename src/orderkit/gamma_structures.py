@@ -155,19 +155,13 @@ class RingMorphism:
         return hash((self.source, self.target, self.images))
 
 
-def _unital_coords(order: Order, e: FieldElement, integral=True):
+def _unital_coords(order: Order, e: FieldElement):
+    """The rational coordinates of e on the order's unital basis."""
     basis = order.unital_basis_elements()
     sol = solve_square([b.coords for b in basis], [e.coords])
     if sol is None:
         raise ValueError("element outside the span of the order")
-    sol = sol[0]
-    if integral:
-        if any(c.denominator != 1 for c in sol):
-            raise MethodDisagreement(
-                "element of the order has non-integral unital coordinates",
-                operation="_unital_coords")
-        return [int(c) for c in sol]
-    return sol
+    return sol[0]
 
 
 @dataclass(frozen=True)
@@ -345,7 +339,7 @@ def structure_to_ideal(rho: RingMorphism) -> FractionalIdeal:
     theta_mats = []
     theta_pow = l.one()
     for _ in range(g):
-        coords = _unital_coords(gamma, theta_pow, integral=False)
+        coords = _unital_coords(gamma, theta_pow)
         m = None
         for c, im in zip(coords, rho.images):
             term = _mat_scale(im, c)

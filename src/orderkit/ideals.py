@@ -12,7 +12,10 @@ the fallback and as the oracle route in the tests.
 
 class_monoid carries a quadratic class as the pair (a, b) of its
 representative [a, b + omega] and multiplies, labels and tests pairs in
-integers; the lattice route is their oracle (tests, verify_monoid_table).
+integers, composing forms for the Picard block of its table; the lattice
+route is their oracle (tests, verify_monoid_table).  Each fill of a table
+has one owner: class_monoid's reads the pairs and the LabelMap,
+verify_monoid_table's shares neither.
 Each class_monoid or picard_group call keeps one quadforms.LabelMap, from
 canonical form to class: every class's rho-cycles are walked once, and Pic,
 the intermediate classes, the products, the audit and h(O_L) all read the
@@ -27,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import mul
+from operator import itemgetter, mul
 
 from . import quadforms
 from .errors import (
@@ -460,27 +463,12 @@ class PicardGroup:
     conductor_norm: int
 
 
-def class_number_formula(gamma: Order) -> int:
-    """|Pic(Gamma)| by the classical index formula for quadratic orders:
-
-        h(Gamma) = h(O) * prod_{p | f} p^(e_p - 1) (p - (d0/p)) / [O^x : Gamma^x]
-
-    with f the integer conductor [O : Gamma] and d0 the field discriminant.
-    """
-    if gamma.degree == 1:
-        return 1
-    if gamma.degree != 2:
-        raise UnsupportedDegree("index formula needs a quadratic order",
-                                operation="class_number_formula")
-    om = maximal_order(gamma.field)
-    d0 = om.disc()
-    return _index_formula(d0, isqrt(conductor(gamma, om).norm),
-                          quadforms.form_class_count(d0))
-
-
 def _index_formula(d0: int, f_idx: int, h0: int) -> int:
-    """class_number_formula of the quadratic order of conductor index f_idx
-    in the maximal order of discriminant d0, given h0 = h(O_L)."""
+    """|Pic| of the quadratic order of conductor index f_idx in the maximal
+    order of discriminant d0, given h0 = h(O_L), by the classical formula
+
+        h = h0 * prod_{p | f_idx} p^(e_p - 1) (p - (d0/p)) / [O_L^x : Gamma^x]
+    """
     num = h0
     for p, e in factorize(f_idx).items():
         num *= p ** (e - 1) * (p - kronecker(d0, p))
@@ -492,7 +480,7 @@ def _index_formula(d0: int, f_idx: int, h0: int) -> int:
         u_idx = least_unit_power(d0, f_idx)[0]
     if num % u_idx:
         raise MethodDisagreement("index formula gave a non-integer",
-                                 operation="class_number_formula")
+                                 operation="_index_formula")
     return num // u_idx
 
 
@@ -672,10 +660,13 @@ class ClassMonoid:
 def class_monoid(gamma: Order) -> ClassMonoid:
     """C = Pic * {intermediate classes}, audited by a stable-sublattice census.
 
-    Classes carry the pairs (a, b) of their representatives [a, b + omega]
-    and are multiplied as pairs (_pair_product), two Picard classes in the
-    table by composing forms (_product_labels); verify_monoid_table redoes
-    the table as lattices.  A product outside the assembled classes is a
+    Classes carry the pairs (a, b) of their representatives [a, b + omega].
+    The table has two fills, each with one owner.  class_monoid fills its
+    own: the Picard block from one composed row per generator of Pic
+    (_picard_rows), every other unordered pair once as pairs
+    (_pair_product).  verify_monoid_table owns the independent fill, every
+    Picard pair composed and every other pair multiplied as lattices, and
+    is the oracle of this one.  A product outside the assembled classes is a
     FactorizationViolation; the monoid laws and the group laws of the Picard
     subset are checked on the table.  P times the order itself is P.
     One census walk (_census) covers every primitive stable sublattice of
@@ -730,17 +721,27 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     classes = tuple(_pair_class(gamma, *assembled[lab], lab)
                     for lab in ordering)
     index_of = {lab: i for i, lab in enumerate(ordering)}
+    picard_subset = tuple(i for i, c in enumerate(classes) if c.invertible)
 
-    # multiplication table; any product escaping the set is a violation
+    # multiplication table, each unordered pair multiplied once (products
+    # commute); any product escaping the set is a violation
+    n = len(classes)
+    out = [[None] * n for _ in range(n)]
+    _picard_rows(classes, picard_subset, labels, out)
+    for i, ci in enumerate(classes):
+        out_i = out[i]
+        for j in range(i, n):
+            if out_i[j] is None:
+                out_i[j] = out[j][i] = _pair_product(
+                    gamma, ci.pair, classes[j].pair, labels)[2]
     table = []
-    for row in _product_labels(classes, labels):
+    for row in out:
         if not all(lab in index_of for lab in row):
             raise FactorizationViolation(
                 "product of classes left the assembled monoid",
                 operation="class_monoid")
         table.append(tuple(index_of[lab] for lab in row))
 
-    picard_subset = tuple(i for i, c in enumerate(classes) if c.invertible)
     intermediate_subset = tuple(i for i, lab in enumerate(ordering)
                                 if lab in inter)
 
@@ -772,50 +773,18 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     return monoid
 
 
-def _product_labels(classes, labels=None):
-    """out[i][j] = label of the class of the product of classes[i] and
-    classes[j]: the one place where classes are multiplied pair by pair.
-    Ideal products commute, so each unordered pair is multiplied once.
-
-    In a quadratic order two invertible classes are multiplied in form
-    space: their labels are primitive forms of the order's discriminant, and
-    the label of the product is that of their Dirichlet composition
-    (quadforms.compose).  Composition respects the plain class, which for
-    real fields joins a form and (-a, b, -c), because (-a, b, -c) is the
-    composition of the form with one fixed class.  Given a LabelMap
-    ``labels``, the Picard block is read off the rows of its generators
-    (_picard_rows), other products are labelled through the map and any
-    other pair goes by _pair_product; without one, every Picard pair is
-    composed, every label is quadforms.class_label's and any other pair goes
-    as lattices: the tests keep class_label(ideal_product(...)) for all
-    pairs as the oracle."""
-    n = len(classes)
-    forms = bool(classes) and classes[0].representative.order.degree == 2
-    label = quadforms.class_label if labels is None else labels.label
-    out = [[None] * n for _ in range(n)]
-    by_rows = (forms and labels is not None
-               and _picard_rows(classes, labels, out))
-    for i, ci in enumerate(classes):
-        for j in range(i, n):
-            cj = classes[j]
-            if forms and ci.invertible and cj.invertible:
-                if by_rows:
-                    continue
-                lab = label(quadforms.compose(ci.label, cj.label))
-            elif forms and labels is not None:
-                lab = _pair_product(ci.representative.order, ci.pair,
-                                    cj.pair, labels)[2]
-            else:
-                lab = class_label(ideal_product(ci.representative,
-                                                cj.representative))
-            out[i][j] = out[j][i] = lab
-    return out
-
-
-def _picard_rows(classes, labels, out):
+def _picard_rows(classes, picard_subset, labels, out):
     """Fill out[x][y] for the invertible classes x, y of a quadratic order
-    from one composed row per generator of Pic; False, with the Picard
-    block left to the pairwise fill, if a composed label leaves Pic.
+    (picard_subset, led by the identity class 0) from one composed row per
+    generator of Pic; a composed label outside Pic is a
+    FactorizationViolation.
+
+    Two invertible classes are multiplied in form space: their labels are
+    primitive forms of the order's discriminant, and the label of the
+    product is that of their Dirichlet composition (quadforms.compose),
+    read through the LabelMap ``labels``.  Composition respects the plain
+    class, which for real fields joins a form and (-a, b, -c), because
+    (-a, b, -c) is the composition of the form with one fixed class.
 
     The identity's row is known.  Generators are picked greedily, each
     outside the closure of those picked so far (as in _check_monoid_laws).
@@ -823,14 +792,10 @@ def _picard_rows(classes, labels, out):
     x = g * y follows from x * c = g * (y * c), and the finite group is the
     closure of its generators under left multiplication: |G| |P|
     compositions instead of |P| (|P| + 1) / 2."""
-    pic = [i for i, c in enumerate(classes) if c.invertible]
-    pic_labels = [classes[i].label for i in pic]
+    pic_labels = [classes[i].label for i in picard_subset]
     where = {lab: k for k, lab in enumerate(pic_labels)}
-    e = where.get(_pair_label(classes[0].representative.order, 1, 0, labels))
-    if e is None:
-        return False
-    # position in pic -> positions of its products with the classes of pic
-    rows = {e: list(range(len(pic)))}
+    # position in picard_subset -> positions of its products with Pic
+    rows = {0: list(range(len(pic_labels)))}
     gens = []
     for k, lab in enumerate(pic_labels):
         if k in rows:
@@ -838,7 +803,9 @@ def _picard_rows(classes, labels, out):
         row = [where.get(labels.label(quadforms.compose(lab, c)))
                for c in pic_labels]
         if None in row:
-            return False
+            raise FactorizationViolation(
+                "product of classes left the assembled monoid",
+                operation="class_monoid")
         rows[k] = row
         gens.append(row)
         todo = [k]
@@ -850,11 +817,10 @@ def _picard_rows(classes, labels, out):
                 if x not in rows:
                     rows[x] = [row_g[v] for v in row_y]
                     todo.append(x)
-    for k, i in enumerate(pic):
+    for k, i in enumerate(picard_subset):
         out_i = out[i]
-        for j, pos in zip(pic, rows[k]):
+        for j, pos in zip(picard_subset, rows[k]):
             out_i[j] = pic_labels[pos]
-    return True
 
 
 def _check_monoid_laws(monoid: ClassMonoid):
@@ -881,9 +847,10 @@ def _check_monoid_laws(monoid: ClassMonoid):
     for g in range(n):
         if g in closure:
             continue
-        tg = t[g]
+        # row x read through row g; g > 0, so n > 1 and it reads a tuple
+        row_through_g = itemgetter(*t[g])
         for tx in t:
-            if t[tx[g]] != tuple(tx[v] for v in tg):
+            if t[tx[g]] != row_through_g(tx):
                 raise FactorizationViolation("table not associative",
                                              operation="class_monoid")
         todo = [g]
@@ -901,16 +868,34 @@ def _check_monoid_laws(monoid: ClassMonoid):
 
 
 def verify_monoid_table(monoid: ClassMonoid):
-    """Recompute every table entry with _product_labels (forms composed for
-    two invertible quadratic classes, else lattice products, independent of
-    class_monoid's pair products), then check the monoid and Picard group
-    laws on the table; raises FactorizationViolation on any mismatch.
+    """Recompute every table entry independently of class_monoid's fill,
+    then check the monoid and Picard group laws on the table; raises
+    FactorizationViolation on any mismatch.
+
+    Two invertible classes of a quadratic order are multiplied by composing
+    their labels (quadforms.compose, labelled by quadforms.class_label), any
+    other pair as lattices (class_label of ideal_product), with no LabelMap
+    and no pair arithmetic.  Each unordered pair is computed once, and the
+    entries are checked in row-major order.
 
     This is the hook the fault-injection negative control goes through."""
-    labels = _product_labels(monoid.classes)
-    for i, row in enumerate(labels):
-        for j, lab in enumerate(row):
-            if monoid.classes[monoid.table[i][j]].label != lab:
+    classes, table = monoid.classes, monoid.table
+    forms = classes[0].representative.order.degree == 2
+    found = []  # found[i][j]: recomputed label of classes[i] * classes[j]
+    for i, ci in enumerate(classes):
+        row = []
+        found.append(row)
+        for j, cj in enumerate(classes):
+            if j < i:
+                lab = found[j][i]
+            elif forms and ci.invertible and cj.invertible:
+                lab = quadforms.class_label(
+                    quadforms.compose(ci.label, cj.label))
+            else:
+                lab = class_label(ideal_product(ci.representative,
+                                                cj.representative))
+            row.append(lab)
+            if classes[table[i][j]].label != lab:
                 raise FactorizationViolation(
                     f"table entry ({i},{j}) does not match its recomputed "
                     f"product", operation="verify_monoid_table")

@@ -289,13 +289,13 @@ class NumberField:
     __slots__ = ("coeffs", "degree", "poly_disc", "signature", "_pow_table",
                  "_maximal_order")
 
-    def __init__(self, coeffs, _validated=False):
+    def __init__(self, coeffs):
         coeffs = [int(c) for c in poly_trim(list(coeffs))]
         n = poly_deg(coeffs)
         if n < 1 or coeffs[-1] != 1:
             raise NotMonic("defining polynomial must be monic of degree >= 1",
                            operation="make_field")
-        if not _validated and not is_irreducible(coeffs):
+        if not is_irreducible(coeffs):
             raise Reducible("defining polynomial factors over Q",
                             operation="make_field")
         object.__setattr__(self, "coeffs", tuple(coeffs))

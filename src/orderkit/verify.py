@@ -316,9 +316,9 @@ class SuiteReport:
     def passed(self):
         return all(r.passed for r in self.results)
 
-    def lines(self, show_orders=True):
+    def lines(self):
         out = [f"verification corpus: {self.corpus_size} quadratic orders"]
-        if show_orders and self.per_order:
+        if self.per_order:
             out.append("  disc  cond  N(f)  |C|  |Pic|  |I|  census")
             for row in self.per_order:
                 out.append("  {:>5} {:>4} {:>5} {:>4} {:>6} {:>4} {:>7}".format(*row))

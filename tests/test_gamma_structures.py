@@ -105,6 +105,7 @@ def validate_by_field_elements(rho):
     for i, a in enumerate(basis):
         for j, b in enumerate(basis[i:], start=i):
             coords = gamma_structures._unital_coords(rho.source, a * b)
+            assert all(c.denominator == 1 for c in coords), (a, b, coords)
             want = None
             for c, m in zip(coords, rho.images):
                 term = gamma_structures._mat_scale(m, c)

@@ -1238,13 +1238,13 @@ class TestComposition:
         ([-2, 0, 1], [[1, 0], [0, 6]]),     # Z[6 sqrt(2)], real, conductor 6
     ])
     def test_table_matches_lattice_products(self, coeffs, rows):
+        # class_monoid's table matches the lattice products, and so does
+        # verify_monoid_table's fill, which checks every entry of it
         m = class_monoid(is_order(make_field(coeffs), rows))
         expected = product_labels_by_lattices(m.classes)
-        assert ideals._product_labels(m.classes) == expected
-        assert ideals._product_labels(m.classes,
-                                      quadforms.LabelMap()) == expected
         for i, row in enumerate(m.table):
             assert [m.classes[idx].label for idx in row] == expected[i]
+        ideals.verify_monoid_table(m)
         for c in m.classes:
             assert c.invertible == invertible_by_colon(c.representative)
         assert any(not c.invertible for c in m.classes) == (
@@ -1270,21 +1270,55 @@ def picard_generators(m):
     return gens
 
 
+_LATTICE_LABELS = {}
+
+
+def first_mismatch_by_lattices(k, m, table):
+    """Oracle: the first (i, j), row by row, where ``table`` differs from
+    the lattice products of the classes of m, the k-th corpus monoid."""
+    if k not in _LATTICE_LABELS:
+        _LATTICE_LABELS[k] = product_labels_by_lattices(m.classes)
+    expected = _LATTICE_LABELS[k]
+    return next((i, j) for i, row in enumerate(table)
+                for j, idx in enumerate(row)
+                if m.classes[idx].label != expected[i][j])
+
+
 class TestPicardRows:
-    """With a LabelMap, the Picard block of the table is read off one
-    composed row per generator; the pairwise fill without one is the
-    oracle."""
+    """class_monoid reads the Picard block of its table off one composed
+    row per generator; verify_monoid_table's fill, every Picard pair
+    composed and every other pair multiplied as lattices, is the oracle."""
 
     def test_corpus_matches_pairwise(self, corpus_monoids):
-        for e, m in corpus_monoids:
-            assert (ideals._product_labels(m.classes, quadforms.LabelMap())
-                    == ideals._product_labels(m.classes)), e.disc
+        for _e, m in corpus_monoids:
+            ideals.verify_monoid_table(m)
 
     def test_class_number_350_matches_pairwise(self):
         m = class_monoid(maximal_order(make_field([1000003, 12, 1])))
         assert len(m.picard_subset) == m.size == 350
-        assert (ideals._product_labels(m.classes, quadforms.LabelMap())
-                == ideals._product_labels(m.classes))
+        ideals.verify_monoid_table(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+           st.integers(0, 10 ** 6), st.integers(1, 10 ** 6))
+    @example(0, 0, 1, 1)        # upper triangle
+    @example(0, 1, 0, 1)        # lower triangle
+    def test_moved_entry_is_named(self, corpus_monoids, pick, i, j, shift):
+        # one table entry moved to another class: verify_monoid_table names
+        # the first entry, row by row, that the lattice products disown
+        big = [(k, m) for k, (_e, m) in enumerate(corpus_monoids)
+               if m.size > 1]
+        k, m = big[pick % len(big)]
+        n = m.size
+        i, j = i % n, j % n
+        table = [list(row) for row in m.table]
+        table[i][j] = (table[i][j] + 1 + shift % (n - 1)) % n
+        faulty = replace(m, table=tuple(map(tuple, table)))
+        assert first_mismatch_by_lattices(k, m, faulty.table) == (i, j)
+        with pytest.raises(FactorizationViolation,
+                           match=rf"^table entry \({i},{j}\) does not match "
+                                 r"its recomputed product$"):
+            ideals.verify_monoid_table(faulty)
 
     @pytest.mark.parametrize("coeffs,rows", [
         ([105, 0, 1], [[1, 0], [0, 1]]),    # Pic = (Z/2)^3
@@ -1306,9 +1340,6 @@ class TestPicardRows:
         monkeypatch.setattr(quadforms, "compose", counted)
         p, g = len(m.picard_subset), len(picard_generators(m))
         assert 2 ** g <= p
-        ideals._product_labels(m.classes, quadforms.LabelMap())
-        assert len(composed) == g * p
-        composed.clear()
         class_monoid(m.order)
         assert len(composed) == g * p
         composed.clear()
@@ -1327,7 +1358,8 @@ class TestPicardRows:
                    if not c.invertible] or [(1, 1, 1)]
         monkeypatch.setattr(quadforms, "compose",
                             lambda f1, f2: outside[0])
-        with pytest.raises(FactorizationViolation):
+        with pytest.raises(FactorizationViolation,
+                           match="left the assembled monoid"):
             class_monoid(gamma)
 
 

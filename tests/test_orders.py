@@ -358,10 +358,16 @@ class TestIntegerInvariants:
 
 def structure_constants_by_solves(order):
     """Oracle for Order.structure_constants: each product of two unital
-    basis elements solved for its unital coordinates on its own."""
+    basis elements solved for its unital coordinates on its own, which are
+    integers because the order is a ring."""
     from orderkit.gamma_structures import _unital_coords
+
+    def integral(coords):
+        assert all(c.denominator == 1 for c in coords), coords
+        return tuple(map(int, coords))
+
     basis = order.unital_basis_elements()
-    return tuple(tuple(tuple(_unital_coords(order, a * b)) for b in basis)
+    return tuple(tuple(integral(_unital_coords(order, a * b)) for b in basis)
                  for a in basis)
 
 
