@@ -5,15 +5,20 @@ Fractional ideals of an order form a commutative monoid under multiplication
 once you pass to equivalence classes; the invertible ones are the Picard
 group.  The monoid decomposes as Pic times the classes squeezed between the
 conductor and the maximal order, and a brute-force census of stable
-sublattices confirms nothing was missed.
+sublattices confirms nothing was missed.  Two ideals share a class when one
+is a scaling of the other, and is_equivalent returns that scaling.
 """
 
 from orderkit.ideals import (
+    FractionalIdeal,
     class_monoid,
     intermediate_classes,
+    is_equivalent,
     is_invertible,
     picard_group,
+    unit_ideal,
 )
+from orderkit.intmat import Lattice
 from orderkit.numberfield import make_field
 from orderkit.orders import is_order, maximal_order
 
@@ -52,3 +57,15 @@ tour([5, 0, 1], None, "Z[sqrt -5] (maximal, h = 2)")
 
 # And a real quadratic suborder.
 tour([-2, 0, 1], [[1, 0], [0, 3]], "Z[3 sqrt 2]")
+
+# Two ideals of Z[sqrt -5] in the non-principal class: is_equivalent returns
+# the scaling element x with (3, 1 + sqrt-5) = x (2, 1 + sqrt-5), and None
+# against the unit ideal, whose class is the other one.
+z5 = maximal_order(make_field([5, 0, 1]))
+p2 = FractionalIdeal(z5, Lattice.from_rows([[2, 0], [1, 1]], 2))
+p3 = FractionalIdeal(z5, Lattice.from_rows([[3, 0], [1, 1]], 2))
+x0, x1 = is_equivalent(p2, p3).coords
+print("=== equivalence in Z[sqrt -5] ===")
+print(f"(3, 1+sqrt-5) = x (2, 1+sqrt-5) with "
+      f"x = {x0} {'-' if x1 < 0 else '+'} {abs(x1)} sqrt-5")
+print("(2, 1+sqrt-5) ~ (1):", is_equivalent(p2, unit_ideal(z5)))

@@ -77,10 +77,8 @@ from .gamma_structures import (
     GammaStructure,
     MatrixOrder,
     RingMorphism,
-    are_conjugate,
     compatibility_of,
     count_structures,
-    quotient_size,
     structure_to_ideal_class,
     structures_from_ideal_classes,
     transfer_inequality_check,

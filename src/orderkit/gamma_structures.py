@@ -26,9 +26,7 @@ from .errors import (
 from .intmat import (
     IntMatrix,
     Lattice,
-    lattice_index,
     left_kernel,
-    snf,
     solve_square,
 )
 from .numberfield import FieldElement, NumberField, roots_in_field
@@ -383,19 +381,6 @@ def structure_to_ideal_class(rho: RingMorphism,
     return idx, monoid.classes[idx].label
 
 
-def are_conjugate(rho1: RingMorphism, rho2: RingMorphism,
-                  monoid: ClassMonoid | None = None) -> bool:
-    """Conjugacy under GL_n(O_K): equal embeddings and equal ideal classes."""
-    if rho1.source != rho2.source or rho1.target != rho2.target:
-        raise ValueError("morphisms must share source and target")
-    if compatibility_of(rho1)[0] != compatibility_of(rho2)[0]:
-        return False
-    if monoid is None:
-        monoid = class_monoid(rho1.source)
-    return (structure_to_ideal_class(rho1, monoid)[0]
-            == structure_to_ideal_class(rho2, monoid)[0])
-
-
 @dataclass(frozen=True)
 class StructureCount:
     count: int
@@ -435,28 +420,6 @@ def count_structures(gamma: Order, target: MatrixOrder,
             operation="count_structures")
     return StructureCount(total, bound, tuple(per), nf, h_gamma, len(embs),
                           tuple(structures))
-
-
-def quotient_size(target: MatrixOrder, d: int) -> int:
-    """|R / dR| = d^rank, cross-checked by the Smith form of scaling by d."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    m = target.rank
-    out = d ** m
-    diag, _, _ = snf(IntMatrix.identity(m) * d)
-    prod = 1
-    for i in range(m):
-        prod *= diag[i, i]
-    if prod != out:
-        raise MethodDisagreement(f"Smith form gives |R/dR| = {prod}, not {out}",
-                                 operation="quotient_size")
-    # and as a lattice index, through the generic machinery
-    std = Lattice.from_rows([[1 if i == j else 0 for j in range(m)]
-                             for i in range(m)])
-    if lattice_index(std, std.scale(d)) != out:
-        raise MethodDisagreement(f"lattice index of d R is not {out}",
-                                 operation="quotient_size")
-    return out
 
 
 def _commutation_rows(m1, m2):

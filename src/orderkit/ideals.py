@@ -7,8 +7,8 @@ quadratic order the census is one walk (_census) that yields the reduced
 forms of its ideals; class_monoid reads Pic, the audit and census_checked
 off that one walk, and picard_group reads Pic off a shorter one.  Class
 identity for quadratic orders is decided through oriented binary quadratic
-forms (see quadforms); a generic norm-constrained element search remains as
-the fallback and as the oracle route in the tests.
+forms (see quadforms); class_label and is_equivalent raise UnsupportedDegree
+above degree 2.
 
 class_monoid carries a quadratic class as the pair (a, b) of its
 representative [a, b + omega] and multiplies, labels and tests pairs in
@@ -26,11 +26,10 @@ Nothing outlives the call.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as _field
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import quadforms
 from .errors import (
@@ -39,17 +38,15 @@ from .errors import (
     MethodDisagreement,
     NotFullRank,
     OrderMismatch,
-    SearchBudgetExceeded,
     UnsupportedDegree,
 )
 from .intmat import (
     Lattice,
     _det_bareiss,
     enumerate_intermediate_lattices,
-    solve_square,
 )
 from .modular import factorize, kronecker, quadratic_roots_upto
-from .numberfield import FieldElement, integral_norm
+from .numberfield import FieldElement
 from .orders import (
     Order,
     _lattice_times_element,
@@ -66,8 +63,6 @@ _MAX_INDEX = 100_000
 _CENSUS_BUDGET_FACTOR = 16
 # Largest census index, checked before any census starts.
 _MAX_CENSUS = 100_000
-# Coefficient budget of the generic equivalence search (degree >= 3).
-_EQUIVALENCE_BUDGET = 4000
 
 
 class FractionalIdeal:
@@ -111,19 +106,6 @@ class FractionalIdeal:
     def norm_index(self) -> Fraction:
         """Generalized index [Gamma : I] (covolume ratio), a positive rational."""
         return _covolume(self.lattice) / _covolume(self.order.lattice)
-
-    def primitive(self) -> "FractionalIdeal":
-        """The scaling of I that is integral with coordinate content 1."""
-        c = solve_square(self.order.lattice.rows_q(), self.lattice.rows_q())
-        den = 1
-        for row in c:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        g = 0
-        for row in c:
-            for x in row:
-                g = gcd(g, int(x * den))
-        return self.scale(Fraction(den, g))
 
 
 def _covolume(lat: Lattice) -> Fraction:
@@ -264,70 +246,28 @@ def _aligned_element(i: FractionalIdeal, j: FractionalIdeal):
 def is_equivalent(i: FractionalIdeal, j: FractionalIdeal):
     """A nonzero x with J = x*I, or None when no such x exists.
 
-    Quadratic orders are decided exactly through canonical forms; other
-    degrees fall back to a norm-constrained search over (J : I) and report
-    SearchBudgetExceeded rather than claiming inequivalence.
+    Quadratic orders are decided exactly: equal canonical forms
+    (class_label), then the scaling read off aligned reduced forms.  Orders
+    of degree >= 3 raise UnsupportedDegree, as class_label does.
     """
     if i.order != j.order:
         raise OrderMismatch("ideals of different orders",
                             operation="is_equivalent")
+    g = i.order.degree
+    if g > 2:
+        raise UnsupportedDegree("equivalence decided for degree <= 2",
+                                operation="is_equivalent")
     if i.lattice == j.lattice:
         return i.order.field.one()
-    g = i.order.degree
     if g == 1:
-        a = i.elements()[0]
-        b = j.elements()[0]
-        return b / a
-    if g == 2:
-        if class_label(i) != class_label(j):
-            return None
-        x = _aligned_element(i, j)
-        if x is None:
-            raise MethodDisagreement(
-                "equal class labels but alignment failed",
-                operation="is_equivalent")
-        return x
-    return _search_equivalence(i, j)
-
-
-def _search_equivalence(i, j):
-    """Generic route: x in (J : I) with |N(x)| = covolume ratio, box search
-    over at most 8 * _EQUIVALENCE_BUDGET coefficient vectors.
-
-    A candidate is kept as its integer coordinates v = den * x over the
-    colon lattice's denominator, so |N(x)| = ratio reads |N(v)| =
-    ratio * den^g; only a candidate of the right norm becomes an element."""
-    field = i.order.field
-    col = colon_ideal(j, i).lattice
-    den, cols = col.den, list(zip(*col.basis.entries))
-    g = i.order.degree
-    target = j.norm_index() / i.norm_index() * den ** g
-    radius = 4
-    tested = 0
-    while radius <= 64:
-        for combo in itertools.product(range(-radius, radius + 1), repeat=g):
-            if all(c == 0 for c in combo):
-                continue
-            tested += 1
-            if tested > _EQUIVALENCE_BUDGET * 8:
-                raise SearchBudgetExceeded("equivalence search budget exhausted",
-                                           operation="is_equivalent",
-                                           limit=_EQUIVALENCE_BUDGET * 8,
-                                           consumed=tested)
-            v = [sum(map(mul, combo, column)) for column in cols]
-            if not any(v) or abs(integral_norm(field, v)) != target:
-                continue
-            x = field.element([Fraction(c, den) for c in v])
-            if i.scale(x).lattice == j.lattice:
-                return x
-        radius *= 2
-        if field.signature[0] == 0 and g == 2:
-            break  # imaginary quadratic: the first ball is already complete
-    if field.signature == (0, 1):
+        return j.elements()[0] / i.elements()[0]
+    if class_label(i) != class_label(j):
         return None
-    raise SearchBudgetExceeded(
-        "cannot certify inequivalence for this signature",
-        operation="is_equivalent")
+    x = _aligned_element(i, j)
+    if x is None:
+        raise MethodDisagreement("equal class labels but alignment failed",
+                                 operation="is_equivalent")
+    return x
 
 
 # --- class sets ---------------------------------------------------------------
@@ -405,8 +345,7 @@ def _pair_product(gamma: Order, p, q, labels):
 
 
 def intermediate_classes(gamma: Order, maximal: Order | None = None,
-                         max_index=_MAX_INDEX, lower_ideal=None, *,
-                         labels=None):
+                         lower_ideal=None, *, labels=None):
     """The classes with a representative I satisfying f <= I <= O_L.
 
     ``lower_ideal`` optionally replaces the conductor by a smaller ideal of
@@ -436,8 +375,7 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
                             gamma.field) is not None:
             raise OrderMismatch("replacement ideal must be stable under the "
                                 "maximal order", operation="intermediate_classes")
-    lattices = enumerate_intermediate_lattices(maximal.lattice, lower,
-                                               max_index=max_index)
+    lattices = enumerate_intermediate_lattices(maximal.lattice, lower)
     if gamma.degree == 1:  # every fractional ideal of Z is principal
         return [IdealClass(unit_ideal(gamma), True, (1,))]
     as_pairs = labels is not None

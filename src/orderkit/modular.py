@@ -1,10 +1,11 @@
 """Factoring and congruences, for every other module.
 
-factorize and prime_powers split integers (a smallest-prime-factor table
-below 2^18, Pollard-Brent rho above); quadratic_roots Hensel-lifts the roots
-of b^2 + t*b + n mod p^k, sqrts_mod joins those of y^2 - a by CRT for one
-modulus and quadratic_roots_upto those of b^2 + t*b + n for every modulus
-up to a bound.  Other modules call these and read none of the tables.
+factorize splits integers (a smallest-prime-factor table below 2^18,
+Pollard-Brent rho above); quadratic_roots Hensel-lifts the roots of
+b^2 + t*b + n mod p^k, sqrts_mod joins those of y^2 - a by CRT for one
+modulus (its prime powers from factorize) and quadratic_roots_upto those of
+b^2 + t*b + n for every modulus up to a bound.  Other modules call these and
+read none of the tables.
 """
 from __future__ import annotations
 
@@ -215,28 +216,6 @@ def _tonelli_shanks(a, p):
     return r
 
 
-def prime_powers(n: int):
-    """[(p, p^k)] for the prime powers exactly dividing n >= 1, p ascending.
-
-    Below _SPF_CAP the smallest-prime-factor table splits n, with no dict;
-    from the cap on, factorize does.
-    """
-    if n >= _SPF_CAP:
-        return [(p, p ** k) for p, k in factorize(n).items()]
-    if len(_SPF) <= n:  # skips a call per a in the census
-        _grow_spf(n)
-    spf = _SPF  # read after _grow_spf, which may rebind it
-    out = []
-    while n > 1:
-        p = pk = spf[n]
-        n //= p
-        while spf[n] == p:  # spf[1] = 1 ends the run
-            pk *= p
-            n //= p
-        out.append((p, pk))
-    return out
-
-
 def quadratic_roots(t, n, p, pk, known):
     """The roots b in [0, p^k) of f(b) = b^2 + t*b + n mod pk = p^k, p prime.
 
@@ -281,7 +260,8 @@ def sqrts_mod(a: int, m: int):
     are joined by CRT; a p^k with no root ends the work at once.
     """
     ys, m0, known = [0], 1, {}
-    for p, pk in prime_powers(m):
+    for p, k in factorize(m).items():
+        pk = p ** k
         rs = quadratic_roots(0, -a, p, pk, known)
         if not rs:
             return []

@@ -116,8 +116,12 @@ def resultant(p, q) -> int:
 
 
 def poly_discriminant(p) -> int:
-    """Discriminant of a monic integer polynomial."""
+    """Discriminant of a monic integer polynomial: b1^2 - 4*b0 for
+    x^2 + b1*x + b0, else (-1)^(n(n-1)/2) Res(p, p') by the Sylvester
+    determinant."""
     n = poly_deg(p)
+    if n == 2:
+        return p[1] * p[1] - 4 * p[0]
     r = resultant(p, poly_derivative(p))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * r

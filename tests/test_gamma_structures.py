@@ -12,7 +12,6 @@ from orderkit import gamma_structures, verify
 from orderkit.gamma_structures import (
     MatrixOrder,
     RingMorphism,
-    are_conjugate,
     centralizer_dimension,
     compatibility_of,
     conjugating_unimodular,
@@ -21,7 +20,6 @@ from orderkit.gamma_structures import (
     count_structures,
     embeddings_into,
     integer_matrix_roots,
-    quotient_size,
     structure_to_ideal_class,
     structures_from_ideal_classes,
     transfer_inequality_check,
@@ -46,6 +44,18 @@ def _random_unimodular(rng, n=2, steps=8):
         for k in range(n):
             m[i][k] += c * m[j][k]
     return IntMatrix(m)
+
+
+def are_conjugate(rho1, rho2, monoid=None):
+    """Conjugacy under GL_n(O_K): equal embeddings and equal ideal classes."""
+    if rho1.source != rho2.source or rho1.target != rho2.target:
+        raise ValueError("morphisms must share source and target")
+    if compatibility_of(rho1)[0] != compatibility_of(rho2)[0]:
+        return False
+    if monoid is None:
+        monoid = class_monoid(rho1.source)
+    return (structure_to_ideal_class(rho1, monoid)[0]
+            == structure_to_ideal_class(rho2, monoid)[0])
 
 
 def _conjugate(rho, u):
@@ -362,14 +372,6 @@ class TestBruteForceOracle:
             rhs = (m2[0][0] * p + m2[0][1] * r, m2[0][0] * q + m2[0][1] * s,
                    m2[1][0] * p + m2[1][1] * r, m2[1][0] * q + m2[1][1] * s)
             assert lhs == rhs
-
-
-class TestQuotientSize:
-    def test_examples(self, gaussian_field):
-        assert quotient_size(MatrixOrder(RATIONAL_FIELD, 1), 7) == 7
-        assert quotient_size(MatrixOrder(RATIONAL_FIELD, 2), 2) == 16
-        assert quotient_size(MatrixOrder(gaussian_field, 1), 2) == 4
-        assert quotient_size(MatrixOrder(gaussian_field, 2), 3) == 3 ** 8
 
 
 class TestTransfer:

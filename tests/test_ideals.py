@@ -15,9 +15,13 @@ from orderkit.errors import (
     FactorizationViolation,
     IndexTooLarge,
     OrderMismatch,
-    SearchBudgetExceeded,
+    UnsupportedDegree,
 )
-from orderkit.intmat import Lattice, enumerate_intermediate_lattices
+from orderkit.intmat import (
+    Lattice,
+    enumerate_intermediate_lattices,
+    solve_square,
+)
 from orderkit.numberfield import make_field
 from orderkit.orders import (
     conductor,
@@ -277,22 +281,20 @@ def invertible_by_colon(i):
     return ideal_product(i, inv).lattice == i.order.lattice
 
 
-def search_by_field_elements(i, j):
-    """Oracle: the box search of _search_equivalence with every candidate
-    built as x = x + b * c over the colon basis' FieldElements."""
-    ratio = j.norm_index() / i.norm_index()
-    basis = colon_ideal(j, i).elements()
-    g = i.order.degree
-    for radius in (4, 8, 16, 32, 64):
-        for combo in itertools.product(range(-radius, radius + 1), repeat=g):
-            x = i.order.field.zero()
-            for c, b in zip(combo, basis):
-                x = x + b * c
-            if x.is_zero() or abs(x.norm()) != ratio:
-                continue
-            if i.scale(x).lattice == j.lattice:
-                return x
-    return None
+def primitive(ideal):
+    """The scaling of an ideal that is integral with coordinate content 1:
+    its coordinates over the order's basis, cleared of their common
+    denominator and divided by their content."""
+    c = solve_square(ideal.order.lattice.rows_q(), ideal.lattice.rows_q())
+    den = 1
+    for row in c:
+        for x in row:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+    g = 0
+    for row in c:
+        for x in row:
+            g = math.gcd(g, int(x * den))
+    return ideal.scale(Fraction(den, g))
 
 
 def product_labels_by_lattices(classes):
@@ -313,7 +315,7 @@ def picard_by_lattices(gamma):
             continue
         lab = quadforms.class_label(form)
         if lab not in found:
-            rep = ideal.primitive()
+            rep = primitive(ideal)
             found[lab] = IdealClass(rep, invertible_by_colon(rep), lab)
     return tuple(sorted(found.values(), key=lambda c: c.label))
 
@@ -483,43 +485,16 @@ class TestEquivalence:
         x = is_equivalent(g, ps)
         assert x is not None and g.scale(x).lattice == ps.lattice
 
-    def test_budget_vs_negative_distinct(self):
-        # cubic field: inequivalence cannot be certified by the generic
-        # search, and exhaustion is a budget error, never "not equivalent"
+    def test_cubic_is_unsupported(self):
         f = make_field([-1, -1, 0, 1])
         om = maximal_order(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         g = unit_ideal(om)
-        el = f.element([1, 1, 0])
-        pr = principal_ideal(om, el)
-        x = is_equivalent(g, pr)  # positive case still found by search
-        assert x is not None and g.scale(x).lattice == pr.lattice
         p23 = generated_ideal(om, [f.from_rational(23),
                                    f.element([-3, 1, 0])])
         assert p23.norm_index() == 23
-        # that prime turns out principal with a small generator; the search
-        # finds and verifies it
-        y = is_equivalent(g, p23)
-        assert y is not None and g.scale(y).lattice == p23.lattice
-        # the maximal order viewed as a module over Z[2 theta] has no scaling
-        # witness; exhausting the box is a budget error, not a "no"
-        from orderkit.orders import scaled_subring
-        gp = scaled_subring(om, 2)
-        i_o = FractionalIdeal(gp, om.lattice)
-        with pytest.raises(SearchBudgetExceeded):
-            is_equivalent(unit_ideal(gp), i_o)
-
-    @pytest.mark.parametrize("coeffs", [[-1, -1, 0, 1], [-2, 0, 0, 1],
-                                        [-3, 1, 0, 1]])
-    def test_integer_search_matches_element_search(self, coeffs):
-        f = make_field(coeffs)
-        gamma = is_order(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        g = unit_ideal(gamma)
-        for el in ([1, 1, 0], [2, -1, 1], [3, 0, 1]):
-            pr = principal_ideal(gamma, f.element(el))
-            for i, j in ((g, pr), (pr, g)):
-                x = ideals._search_equivalence(i, j)
-                assert x == search_by_field_elements(i, j)
-                assert i.scale(x).lattice == j.lattice
+        for j in (g, principal_ideal(om, f.element([1, 1, 0])), p23):
+            with pytest.raises(UnsupportedDegree):
+                is_equivalent(g, j)
 
     def test_principal_classes_scalars(self, z_sqrt_minus5, field_minus5):
         rng = random.Random(99)
@@ -653,7 +628,7 @@ def order_with_census(m, f):
 def intermediate_by_lattices(gamma, lower):
     """Oracle: the intermediate classes above ``lower`` with each lattice
     tested by escaping_product, labelled by class_label and represented by
-    its primitive() scaling."""
+    its primitive scaling."""
     om = maximal_order(gamma.field)
     found = {}
     for lat in enumerate_intermediate_lattices(om.lattice, lower):
@@ -663,7 +638,7 @@ def intermediate_by_lattices(gamma, lower):
         ideal = FractionalIdeal(gamma, lat, check=False)
         lab = class_label(ideal)
         if lab not in found:
-            rep = ideal.primitive()
+            rep = primitive(ideal)
             found[lab] = (lab, invertible_by_colon(rep), rep.lattice)
     return sorted(found.values())
 
@@ -678,7 +653,7 @@ class TestIntegerPairs:
         assert 0 <= b < a
         assert lab == class_label(prod)
         rep = _standard_ideal(gamma, a, b)
-        assert rep.lattice == prod.primitive().lattice
+        assert rep.lattice == primitive(prod).lattice
         assert (ideals._pair_label(gamma, a, b, quadforms.LabelMap())
                 == class_label(rep))
 
@@ -720,7 +695,7 @@ class TestIntegerPairs:
                 ideal = FractionalIdeal(gamma, lat, check=False)
                 _, a, b = pair
                 assert (_standard_ideal(gamma, a, b).lattice
-                        == ideal.primitive().lattice)
+                        == primitive(ideal).lattice)
                 assert (ideals._pair_label(gamma, a, b, quadforms.LabelMap())
                         == class_label(ideal))
         assert seen[True] and seen[False]
@@ -1189,7 +1164,7 @@ class TestClassMonoid:
                 raise AssertionError(f"{name} called")
             return fn
 
-        monkeypatch.setattr(modular, "prime_powers", refuse("prime_powers"))
+        monkeypatch.setattr(modular, "sqrts_mod", refuse("sqrts_mod"))
         for module in (orders, ideals):
             monkeypatch.setattr(module, "colon_lattice",
                                 refuse("colon_lattice"))

@@ -71,13 +71,6 @@ def test_sqrts_mod_matches_scan(a, m):
                                        if (y * y - a) % m == 0]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 1 << 40))
-def test_prime_powers_match_factorize(n):
-    assert modular.prime_powers(n) == [(p, p ** k) for p, k
-                                       in modular.factorize(n).items()]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-40, 40), st.integers(-400, 400), st.integers(1, 400))
 @example(0, 36, 400)   # d = -144: Z[6i]

@@ -14,9 +14,11 @@ from orderkit.numberfield import (
     is_irreducible,
     make_field,
     normal_closure_degree,
+    poly_derivative,
     poly_discriminant,
     poly_eval,
     real_root_count,
+    resultant,
     roots_in_field,
     squarefree_part,
 )
@@ -147,7 +149,6 @@ class TestSturm:
         for _ in range(40):
             deg = rng.randint(1, 5)
             p = [rng.randint(-5, 5) for _ in range(deg)] + [1]
-            from orderkit.numberfield import resultant, poly_derivative
             if resultant(p, poly_derivative(p)) == 0:
                 continue  # oracle assumes simple roots
             assert real_root_count(p) == self.bisection_root_count(p)
@@ -332,6 +333,14 @@ class TestNormalClosure:
                 m, _ = squarefree_part(poly_discriminant(poly))
                 expected = (3, True) if m == 1 else (6, True)
                 assert normal_closure_degree(make_field(poly)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 6, 10 ** 6))
+def test_quadratic_disc_matches_sylvester(b0, b1):
+    # the closed form b1^2 - 4*b0 against -Res(p, p'), the route of degree >= 3
+    poly = [b0, b1, 1]
+    assert poly_discriminant(poly) == -resultant(poly, poly_derivative(poly))
 
 
 signed_integer = st.one_of(
