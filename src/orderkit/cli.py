@@ -77,16 +77,20 @@ def _merge_config(args, actions, config_path):
     if not config_path:
         return {}
     merged = {}
-    with open(config_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            merged[key] = value.strip()
+    try:
+        with open(config_path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(f"cannot read config {config_path!r}: {err}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        merged[key] = value.strip()
     for key, value in merged.items():
         if not hasattr(args, key):
             raise UsageError(f"unknown config key {key!r}")

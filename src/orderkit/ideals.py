@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import itemgetter
 
-from . import quadforms
+from . import intmat, quadforms
 from .errors import (
     FactorizationViolation,
     IndexTooLarge,
@@ -57,12 +57,13 @@ from .orders import (
     maximal_order,
 )
 
-# Largest quotient N(f) = [O_L : f] whose intermediate lattices are enumerated.
-_MAX_INDEX = 100_000
 # The census audits stable sublattices up to index N(f)^2 times this factor.
 _CENSUS_BUDGET_FACTOR = 16
 # Largest census index, checked before any census starts.
 _MAX_CENSUS = 100_000
+# Most unordered products |C| (|C| + 1) / 2 of a class monoid's table, checked
+# before the fill: |C| <= 999, a table of about 10^6 entries.
+_MAX_TABLE = 500_000
 
 
 class FractionalIdeal:
@@ -438,7 +439,8 @@ def picard_group(gamma: Order) -> PicardGroup:
         raise UnsupportedDegree("picard_group implemented for degree <= 2",
                                 operation="picard_group")
     bound = isqrt(abs(gamma.disc())) + 1
-    _check_census(bound, "picard_group")
+    _check_budget(f"census up to index {bound}", bound, _MAX_CENSUS,
+                  "picard_group")
     om = maximal_order(gamma.field)
     nf = conductor(gamma, om).norm
     pairs, h0 = _picard_pairs(gamma, om.disc(), isqrt(nf),
@@ -474,12 +476,12 @@ def _picard_pairs(gamma: Order, d0, f_idx, forms, labels):
     return dict(sorted(pairs.items())), h0
 
 
-def _check_census(budget, operation):
-    """IndexTooLarge when a census up to index ``budget`` is over budget."""
-    if budget > _MAX_CENSUS:
-        raise IndexTooLarge(f"census up to index {budget} exceeds budget "
-                            f"{_MAX_CENSUS}", operation=operation,
-                            limit=_MAX_CENSUS, consumed=budget)
+def _check_budget(what, consumed, limit, operation):
+    """IndexTooLarge "<what> exceeds budget <limit>" if consumed > limit."""
+    if consumed > limit:
+        raise IndexTooLarge(f"{what} exceeds budget {limit}",
+                            operation=operation, limit=limit,
+                            consumed=consumed)
 
 
 def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
@@ -613,8 +615,9 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     lands in an assembled class (else naming the form's first ideal) and
     that every assembled class is hit: the executable form of the product
     decomposition, with FactorizationViolation as the fatal signal.  An
-    index N(f) above _MAX_INDEX, or a census index above _MAX_CENSUS, raises
-    IndexTooLarge before any class is built.
+    index N(f) above intmat._MAX_INDEX, or a census index above _MAX_CENSUS,
+    raises IndexTooLarge before any class is built; so does a table of more
+    than _MAX_TABLE products, once the classes are counted.
 
     One LabelMap serves the whole call, so each class is walked by
     quadforms.class_forms once; Pic and the intermediate classes come back
@@ -631,12 +634,11 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     nf = conductor(gamma, om).norm
     # N(f) = [O_L : f] is the quotient that intermediate_classes enumerates;
     # every class has a reduced form whose a is at most isqrt(|disc|)
-    if nf > _MAX_INDEX:
-        raise IndexTooLarge(f"quotient order {nf} exceeds budget {_MAX_INDEX}",
-                            operation="class_monoid", limit=_MAX_INDEX,
-                            consumed=nf)
+    _check_budget(f"quotient order {nf}", nf, intmat._MAX_INDEX,
+                  "class_monoid")
     budget = max(nf * nf * _CENSUS_BUDGET_FACTOR, isqrt(abs(gamma.disc())) + 1)
-    _check_census(budget, "class_monoid")
+    _check_budget(f"census up to index {budget}", budget, _MAX_CENSUS,
+                  "class_monoid")
     labels = quadforms.LabelMap()
     checked, forms = _census(gamma, budget)
     pic, h0 = _picard_pairs(gamma, om.disc(), isqrt(nf), forms, labels)
@@ -652,6 +654,10 @@ def class_monoid(gamma: Order) -> ClassMonoid:
                 continue
             a, b, lab = _pair_product(gamma, p, i, labels)
             assembled.setdefault(lab, (a, b))
+    n = len(assembled)
+    products = n * (n + 1) // 2
+    _check_budget(f"table of {n} classes with {products} products", products,
+                  _MAX_TABLE, "class_monoid")
     # identity first, rest ordered by label; a representative is built for
     # the kept classes only
     rest = sorted((lab for lab in assembled if lab != identity_label))
@@ -663,7 +669,6 @@ def class_monoid(gamma: Order) -> ClassMonoid:
 
     # multiplication table, each unordered pair multiplied once (products
     # commute); any product escaping the set is a violation
-    n = len(classes)
     out = [[None] * n for _ in range(n)]
     _picard_rows(classes, picard_subset, labels, out)
     for i, ci in enumerate(classes):

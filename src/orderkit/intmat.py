@@ -630,8 +630,12 @@ def _multiplier(outer: Lattice, inner: Lattice):
     return k
 
 
+# Largest quotient [outer : inner] whose intermediate lattices are listed.
+_MAX_INDEX = 100_000
+
+
 def enumerate_intermediate_lattices(outer: Lattice, inner: Lattice,
-                                    max_index=100_000,
+                                    max_index=_MAX_INDEX,
                                     max_subgroups=100_000):
     """Every lattice M with inner <= M <= outer, each exactly once, sorted.
 

@@ -24,6 +24,10 @@ walked cycle; a LabelMap keeps the class_forms of each class it meets, so
 a computation that labels many forms walks each class once.  The
 fundamental unit is read off the automorph that cycle_of returns for the
 principal form.
+
+reduced_forms lists the reduced primitive forms of a discriminant d on
+the census's root walk (modular.quadratic_roots_upto), in O(sqrt|d|)
+moduli; form_class_count counts their classes, h(O_L) for class_monoid.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .errors import MethodDisagreement, SearchBudgetExceeded
+from .modular import quadratic_roots_upto
 
 # Longest rho-cycle that _cycle walks before giving up.
 _MAX_CYCLE = 100_000
@@ -42,8 +47,7 @@ def disc_of(form):
 
 
 def content(form):
-    a, b, c = form
-    return gcd(gcd(abs(a), abs(b)), abs(c))
+    return gcd(*form)
 
 
 def _mat_mul(m1, m2):
@@ -61,15 +65,6 @@ def _mat_mul(m1, m2):
 
 # rho steps the indefinite kernel takes before it gives up
 _MAX_REDUCTION_STEPS = 10_000
-
-
-def is_reduced_indefinite(form, s=None):
-    """|sqrt(D) - 2|a|| < b < sqrt(D), checked with exact integer arithmetic:
-    the indefinite kernel leaves exactly the reduced forms unchanged."""
-    a, b, c = form
-    d = b * b - 4 * a * c
-    s = isqrt(d) if s is None else s
-    return _reduce_indefinite(a, b, c, d, s) == (a, b, c)
 
 
 def _reduce_definite(a, b, c, d=None, s=None, ops=None):
@@ -324,51 +319,40 @@ def reduced_reps_with_transforms(form):
 
 # --- class numbers -------------------------------------------------------------
 
-def reduced_definite_forms(d):
-    """All reduced primitive positive definite forms of discriminant d < 0."""
-    if d >= 0 or d % 4 not in (0, 1):
-        raise ValueError(f"not a negative discriminant: {d}")
-    out = []
-    a = 1
-    while 3 * a * a <= -d:
-        for b in range(-a + 1, a + 1):
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if gcd(gcd(a, abs(b)), c) != 1:
-                continue
-            out.append((a, b, c))
-        a += 1
-    return out
+def reduced_forms(d):
+    """All reduced primitive forms of discriminant d, sorted: positive
+    definite ones for d < 0, both signs of a for a non-square d > 0.
 
-
-def reduced_indefinite_forms(d):
-    """All reduced primitive forms of non-square discriminant d > 0."""
-    s = isqrt(d)
-    if d <= 0 or d % 4 not in (0, 1) or s * s == d:
-        raise ValueError(f"not a positive non-square discriminant: {d}")
+    A form (a, b, c) of discriminant d has b = 2r + e, e = d mod 2, for a
+    root r of r^2 + e*r + (e - d)/4 mod a (Cohen, GTM 138, 5.3-5.6).
+    d < 0: a <= isqrt(|d|/3), b is taken into (-a, a], then c >= a, with
+    b >= 0 when a = c.  d > 0: a <= s = isqrt(d), b steps by 2a through
+    max(2a - s, s + 1 - 2a, 1) <= b <= s, that is |sqrt(d) - 2a| < b <
+    sqrt(d), and (a, b, c) gives (-a, b, -c) too."""
+    s = isqrt(abs(d))
+    if d % 4 > 1 or d == 0 or d > 0 and s * s == d:
+        raise ValueError(f"not a negative or non-square discriminant: {d}")
+    e = d & 1
     out = []
-    for b in range(1, s + 1):
-        if (d - b) % 2:
-            continue
-        num = b * b - d  # = 4ac < 0
-        lo = (s - b) // 2 + 1  # |a| > (sqrt(D)-b)/2
-        hi = (s + b) // 2      # |a| < (sqrt(D)+b)/2 -> |a| <= floor
-        for aa in range(max(lo, 1), hi + 1):
-            if num % (4 * aa):
-                continue
-            for a in (aa, -aa):
-                c = num // (4 * a)
-                f = (a, b, c)
-                if content(f) != 1:
-                    continue
-                if is_reduced_indefinite(f, s):
-                    out.append(f)
+    if d < 0:
+        for a, rs in quadratic_roots_upto(e, (e - d) // 4, isqrt(-d // 3)):
+            for r in rs:
+                b = 2 * r + e
+                if b > a:
+                    b -= 2 * a
+                c = (b * b - d) // (4 * a)
+                if c >= a and (b >= 0 or a != c) and gcd(a, b, c) == 1:
+                    out.append((a, b, c))
+    else:
+        for a, rs in quadratic_roots_upto(e, (e - d) // 4, s):
+            two_a = 2 * a
+            lo = max(two_a - s, s + 1 - two_a, 1)
+            for r in rs:
+                for b in range(lo + (2 * r + e - lo) % two_a, s + 1, two_a):
+                    c = (b * b - d) // (4 * a)
+                    if gcd(a, b, c) == 1:
+                        out += (a, b, c), (-a, b, -c)
+    out.sort()
     return out
 
 
@@ -380,10 +364,11 @@ def form_class_count(d, labels=None):
     through a LabelMap (``labels``, or a fresh one), which walks each class
     once: a reduced form of a class already walked is a lookup.
     """
+    forms = reduced_forms(d)
     if d < 0:
-        return len(reduced_definite_forms(d))
+        return len(forms)
     labels = LabelMap() if labels is None else labels
-    return len({labels[f][0] for f in reduced_indefinite_forms(d)})
+    return len({labels[f][0] for f in forms})
 
 
 # --- fundamental units ----------------------------------------------------------

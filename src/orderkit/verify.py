@@ -340,9 +340,10 @@ def run_suite(max_abs_disc=200, max_conductor=6, conjugations=20,
     t0 = time.time()
     monoids = [class_monoid(e.order) for e in corpus]
     build_seconds = time.time() - t0
-    if inject_fault:
-        victim_idx, faulty = _inject_fault(monoids)
-        monoids[victim_idx] = faulty
+    # with no monoid of size > 1 to corrupt, the negative control fails
+    injected = _inject_fault(monoids) if inject_fault else None
+    if injected:
+        monoids[injected[0]] = injected[1]
     # the census audit runs inside class_monoid, so its line carries the build
     lenstra = check_lenstra_factorization(corpus, monoids)
     results = [
@@ -355,7 +356,7 @@ def run_suite(max_abs_disc=200, max_conductor=6, conjugations=20,
         check_bound_evaluators(),
         check_conductor_comparison(corpus),
         _audit_tables(monoids),
-        check_negative_control(monoids[:8]) if not inject_fault
+        check_negative_control(monoids[:8]) if not injected
         else CheckResult("negative-control", True, 0.0,
                          "skipped: fault injected in main tables instead"),
     ]

@@ -529,6 +529,44 @@ class TestScale:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestLargeDiscriminants:
+    """|disc| near 4 * 10^8 and 8 * 10^9: h(O_L) comes from the reduced
+    forms listed on the root walk, and a table too large to fill stops
+    before the fill."""
+
+    def test_real_field_answers_in_time(self, capsys):
+        # 5.8 s when h(O_L) scanned O(|d|) pairs; same bytes
+        t0 = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "class-monoid", "--field=-100000007,0,1")
+        assert time.perf_counter() - t0 < 2.0
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "46f993f9f1f76a9b55e8eb496b094aad2df92cbee8063f3561942028fd232ea0")
+
+    def test_large_real_field_answers(self, capsys):
+        t0 = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "class-monoid",
+                             "--field=-2000000011,0,1")
+        assert time.perf_counter() - t0 < 10.0
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["size"] == 3
+        assert payload["picard_subset"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("argv", [
+        ("class-monoid", "--field=2000000011,0,1"),
+        ("gamma-count", "--gamma-field=2000000011,0,1", "--target-n=2"),
+    ])
+    def test_table_budget_trips_before_the_fill(self, capsys, argv):
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 10.0
+        assert rc == 3 and out == ""
+        assert err == ("error [ideals.class_monoid] IndexTooLarge: table of "
+                       "8107 classes with 32865778 products exceeds budget "
+                       "500000 (limit 500000, consumed 32865778)\n")
+
+
 class TestConfigAndUsage:
     def test_usage_error_exit_1(self, capsys):
         rc, _, err = run_cli(capsys, "bound", "--formula", "no-such")

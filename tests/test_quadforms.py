@@ -2,7 +2,7 @@ import random
 import re
 import time
 from collections import deque
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -55,6 +55,98 @@ def random_form(rng, definite):
             return (a, b, c)
 
 
+# --- the reduced-form scans, the oracle of quadforms.reduced_forms ---------------
+# Each scans about |d| / 4 pairs (a, b): O(|d|) where the root walk of
+# reduced_forms is O(sqrt|d|).
+
+def is_reduced_indefinite(form, s=None):
+    """|sqrt(D) - 2|a|| < b < sqrt(D), checked with exact integer arithmetic:
+    the indefinite kernel leaves exactly the reduced forms unchanged."""
+    a, b, c = form
+    d = b * b - 4 * a * c
+    s = isqrt(d) if s is None else s
+    return qf._reduce_indefinite(a, b, c, d, s) == (a, b, c)
+
+
+def reduced_definite_forms(d):
+    """All reduced primitive positive definite forms of discriminant d < 0."""
+    if d >= 0 or d % 4 not in (0, 1):
+        raise ValueError(f"not a negative discriminant: {d}")
+    out = []
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a + 1, a + 1):
+            num = b * b - d
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if a == c and b < 0:
+                continue
+            if gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            out.append((a, b, c))
+        a += 1
+    return out
+
+
+def reduced_indefinite_forms(d):
+    """All reduced primitive forms of non-square discriminant d > 0."""
+    s = isqrt(d)
+    if d <= 0 or d % 4 not in (0, 1) or s * s == d:
+        raise ValueError(f"not a positive non-square discriminant: {d}")
+    out = []
+    for b in range(1, s + 1):
+        if (d - b) % 2:
+            continue
+        num = b * b - d  # = 4ac < 0
+        lo = (s - b) // 2 + 1  # |a| > (sqrt(D)-b)/2
+        hi = (s + b) // 2      # |a| < (sqrt(D)+b)/2 -> |a| <= floor
+        for aa in range(max(lo, 1), hi + 1):
+            if num % (4 * aa):
+                continue
+            for a in (aa, -aa):
+                c = num // (4 * a)
+                f = (a, b, c)
+                if qf.content(f) != 1:
+                    continue
+                if is_reduced_indefinite(f, s):
+                    out.append(f)
+    return out
+
+
+def reduced_forms_by_scan(d):
+    return sorted(reduced_definite_forms(d) if d < 0
+                  else reduced_indefinite_forms(d))
+
+
+def _valid(d):
+    return d % 4 < 2 and d != 0 and (d < 0 or isqrt(d) ** 2 != d)
+
+
+def test_reduced_forms_match_scans():
+    valid = [d for d in range(-2999, 3000) if _valid(d) and abs(d) > 3]
+    assert len(valid) == 2943
+    for d in valid:
+        assert qf.reduced_forms(d) == reduced_forms_by_scan(d), d
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3000, 4 * 10 ** 6), st.booleans())
+def test_reduced_forms_match_scans_sampled(n, negative):
+    d = -n if negative else n
+    assume(_valid(d))
+    assert qf.reduced_forms(d) == reduced_forms_by_scan(d)
+
+
+@pytest.mark.parametrize("d", [0, 1, 4, 9, 16, 2, 3, -1, -2, -5, 6, 7, -6,
+                               -26])
+def test_reduced_forms_reject_non_discriminants(d):
+    with pytest.raises(ValueError):
+        qf.reduced_forms(d)
+
+
 def test_definite_reduction_properties():
     rng = random.Random(3)
     for _ in range(200):
@@ -78,10 +170,10 @@ def test_indefinite_reduction_properties():
         red, u = qf.reduce_form(f)
         assert apply_baschange(f, u) == red
         assert u[0][0] * u[1][1] - u[0][1] * u[1][0] == 1
-        assert qf.is_reduced_indefinite(red)
+        assert is_reduced_indefinite(red)
         cyc, aut = qf.cycle_of(red)
         for g, w in cyc:
-            assert qf.is_reduced_indefinite(g)
+            assert is_reduced_indefinite(g)
             assert apply_baschange(red, w) == g
         # the period transform is an automorph
         assert apply_baschange(red, aut) == red
@@ -90,8 +182,8 @@ def test_indefinite_reduction_properties():
 def sl2_class_count(d, cap=400):
     """Oracle: SL2 orbits of reduced forms by breadth-first generator search."""
     if d < 0:
-        return len(qf.reduced_definite_forms(d))
-    forms = qf.reduced_indefinite_forms(d)
+        return len(reduced_definite_forms(d))
+    forms = reduced_indefinite_forms(d)
     gens = (((0, 1), (-1, 0)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)))
     orbits = []
     done = set()
@@ -103,7 +195,7 @@ def sl2_class_count(d, cap=400):
         queue = deque([f0])
         while queue:
             f = queue.popleft()
-            if qf.is_reduced_indefinite(f):
+            if is_reduced_indefinite(f):
                 hits.add(f)
             for m in gens:
                 g = apply_baschange(f, m)
@@ -119,8 +211,8 @@ def plain_class_count_oracle(d):
     """Oracle for the plain (any-scalar) class count: SL2 orbits merged by
     the negative-norm-scaling involution f -> (-a, b, -c)."""
     if d < 0:
-        return len(qf.reduced_definite_forms(d))
-    forms = qf.reduced_indefinite_forms(d)
+        return len(reduced_definite_forms(d))
+    forms = reduced_indefinite_forms(d)
     gens = (((0, 1), (-1, 0)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)))
 
     def orbit(f0, cap=400):
@@ -129,7 +221,7 @@ def plain_class_count_oracle(d):
         queue = deque([f0])
         while queue:
             f = queue.popleft()
-            if qf.is_reduced_indefinite(f):
+            if is_reduced_indefinite(f):
                 hits.add(f)
             for m in gens:
                 g = apply_baschange(f, m)
@@ -153,7 +245,7 @@ def plain_class_count_oracle(d):
 
 def test_cycles_are_sl2_classes():
     for d in (5, 8, 13, 40, 60, 136, 145):
-        forms = qf.reduced_indefinite_forms(d)
+        forms = reduced_indefinite_forms(d)
         cycles = []
         done = set()
         for f in forms:
@@ -179,7 +271,7 @@ def test_class_counts_match_oracle():
 def class_count_by_labels(d):
     """Oracle: form_class_count of d > 0 before the label map, the number
     of distinct class_label values of the reduced forms."""
-    return len({qf.class_label(f) for f in qf.reduced_indefinite_forms(d)})
+    return len({qf.class_label(f) for f in reduced_indefinite_forms(d)})
 
 
 REAL_DISCS = [d for d in range(5, 1200)
@@ -251,7 +343,7 @@ def test_fundamental_unit_norm_signs():
 def test_definite_form_counts_classical():
     # counted directly from the reduced-triple inequalities, these are the
     # reduced-form class numbers used for the maximal-order class count
-    assert [len(qf.reduced_definite_forms(d))
+    assert [len(qf.reduced_forms(d))
             for d in (-3, -4, -15, -23, -47, -71)] == [1, 1, 2, 3, 5, 7]
 
 
@@ -309,8 +401,7 @@ COMPOSE_DISCS = (-20, -23, -56, -84, -108, -120, -144, -255, -576,
 @given(st.sampled_from(COMPOSE_DISCS), st.integers(0, 10 ** 6),
        st.integers(0, 10 ** 6))
 def test_compose_keeps_disc_and_primitivity(d, i, j):
-    forms = (qf.reduced_definite_forms(d) if d < 0
-             else qf.reduced_indefinite_forms(d))
+    forms = qf.reduced_forms(d)
     f, g = forms[i % len(forms)], forms[j % len(forms)]
     h = qf.compose(f, g)
     assert qf.disc_of(h) == d and qf.content(h) == 1
@@ -332,9 +423,9 @@ def test_bad_input_raises_value_error():
     with pytest.raises(ValueError):
         qf.reduce_form((1, 0, -4))  # square discriminant 16
     with pytest.raises(ValueError):
-        qf.reduced_definite_forms(5)
+        qf.reduced_forms(6)  # 2 mod 4
     with pytest.raises(ValueError):
-        qf.reduced_indefinite_forms(-4)
+        qf.reduced_forms(16)  # a square
     with pytest.raises(ValueError):
         qf.fundamental_unit_xy(16)
 
@@ -518,7 +609,7 @@ def test_long_cycle_budget_trips_before_transforms():
     # a reduced form whose cycle is longer than the budget: the coefficient
     # walk raises before any transform is carried
     form = (1, 31622775, -25324853)
-    assert qf.is_reduced_indefinite(form)
+    assert is_reduced_indefinite(form)
     for route in (qf.class_label, qf.cycle_of):
         start = time.perf_counter()
         with pytest.raises(qf.SearchBudgetExceeded,
