@@ -2,13 +2,15 @@
 
 The class monoid C of an order is assembled constructively as
 Pic * {classes with a representative between the conductor and the maximal
-order}, then audited by a brute-force census of stable sublattices.  For a
-quadratic order the census is one walk (_census) that yields the reduced
-forms of its ideals; class_monoid reads Pic, the audit and census_checked
-off that one walk, and picard_group reads Pic off a shorter one.  Class
-identity for quadratic orders is decided through oriented binary quadratic
-forms (see quadforms); class_label and is_equivalent raise UnsupportedDegree
-above degree 2.
+order}, then audited by a census of stable sublattices.  For a quadratic
+order the census is one walk (_census) that yields the reduced forms of
+its ideals up to cmax, about a quarter of the census bound; each ideal
+above cmax is the swap (a, b, c) ~ (c, -b, a) of a walked one, so it is
+counted in closed form (_dual_count) and not reduced.  class_monoid reads
+Pic, the audit and census_checked off that one walk, and picard_group
+reads Pic off a shorter one.  Class identity for quadratic orders is
+decided through oriented binary quadratic forms (see quadforms);
+class_label and is_equivalent raise UnsupportedDegree above degree 2.
 
 class_monoid carries a quadratic class as the pair (a, b) of its
 representative [a, b + omega] and multiplies, labels and tests pairs in
@@ -501,8 +503,42 @@ def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
                            check=False)
 
 
+def _dual_count(c, betas, d, bound, cmax):
+    """The number of census ideals of index a in (cmax, bound] whose swap
+    lands on a walked root of c, summed over the roots' betas s*(2b + t).
+
+    Such an ideal is the form (a, x, c), x in (-a, a], a = (x^2 - d) / 4c,
+    and its swap (c, -x, a) is a translate of the walked (c, beta, .) when
+    x = -beta mod 2c.  So it is one x = -beta mod 2c, of either sign, with
+    a > cmax, a <= bound and |x| <= a: isqrt(4c*cmax + d) < |x| <=
+    isqrt(4c*bound + d) and |x| >= 2c + sqrt(4c^2 + d).  At the tie |x| = a
+    (4c^2 + d a square) x = -a is left out.  With cmax as _census sets it,
+    4c*cmax + d > 0 whenever cmax < bound."""
+    if cmax >= bound:
+        return 0
+    m = 2 * c
+    lo = isqrt(4 * c * cmax + d)   # a > cmax: |x| > lo
+    hi = isqrt(4 * c * bound + d)  # a <= bound: |x| <= hi
+    tie = None
+    disc = 4 * c * c + d
+    if disc >= 0:  # |x| <= a: |x| >= 2c + sqrt(disc)
+        q = isqrt(disc)
+        if q * q == disc:
+            tie = 2 * c + q  # |x| = a
+        lo = max(lo, 2 * c + q - (q * q == disc))
+    if lo >= hi:
+        return 0
+    total = 0
+    for beta in betas:  # x > 0 with x = -beta, and x = -y < 0 with y = beta
+        total += ((hi + beta) // m - (lo + beta) // m
+                  + (hi - beta) // m - (lo - beta) // m)
+    if tie == lo + 1:  # x = -a is not in (-a, a]
+        total -= sum((tie - beta) % m == 0 for beta in betas)
+    return total
+
+
 def _census(gamma: Order, bound):
-    """(ideals walked, {reduced form: least key}) of the census up to bound.
+    """(ideals counted, {reduced form: least key}) of the census up to bound.
 
     The census is every primitive stable sublattice [a, b + omega], a <=
     bound, that is every root b of N(b + omega) mod a: one loop over the
@@ -513,6 +549,14 @@ def _census(gamma: Order, bound):
     t^2 - 4n, and reduction commutes with scaling, so the content is
     divided out of the reduced form at the end.
 
+    The walk stops at cmax = min(bound, (bound + |d|)//4 + 1).  Written as
+    (a, x, c) with x in (-a, a], an ideal of index a > cmax has 0 < c < a
+    and c <= cmax, and the swap (a, x, c) ~ (c, -x, a) (Cohen, GTM 138,
+    5.3-5.6) puts it in the class of the walked ideal of index c whose
+    beta = s*(2b + t) is -x mod 2c, a translate.  That ideal has the lesser
+    key, so an ideal above cmax sets no least key and finds no new class;
+    it is only counted, by _dual_count for each walked modulus.
+
     The roots of a come in pairs b, b' = (-t - b) mod a, and 2b' + t =
     -(2b + t) mod 2a: the form of [a, b' + omega] is a translate of the
     opposite (a, -B, C) of the form (a, B, C) of [a, b + omega], so it lies
@@ -522,10 +566,13 @@ def _census(gamma: Order, bound):
     the kernel runs once per pair, for the lesser root, and once for b = b'.
 
     Each distinct reduced primitive form is kept once, with the least key
-    (a, (t + 2b) mod 2a, b) of its ideals, the order of the sorted census
-    (a ascending, then the least root y of y^2 = disc mod 4a giving b); a
-    key is built only when a is at most that of the kept key.  Nothing is
-    kept per ideal: a memo on (a, b) would grow by an entry per ideal.
+    (a, (t + 2b) mod 2a, b) of its walked ideals, the order of the sorted
+    census (a ascending, then the least root y of y^2 = disc mod 4a giving
+    b); a key is built only when a is at most that of the kept key.  An
+    indefinite class may lose a cycle form that only an ideal above cmax
+    reduced to; its least key is that of a walked ideal all the same.
+    Nothing is kept per ideal: a memo on (a, b) would grow by an entry per
+    ideal.
     """
     t, n = gamma.omega_data()
     d = t * t - 4 * n
@@ -537,10 +584,12 @@ def _census(gamma: Order, bound):
         kernel = quadforms._reduce_indefinite
         opposite = quadforms._opposite_indefinite
         s, root = -1, isqrt(d)
+    cmax = min(bound, (bound + abs(d)) // 4 + 1)
     checked, forms = 0, {}
     least, after = forms.get, (bound + 1,)  # every key sorts before after
-    for a, bs in quadratic_roots_upto(t, n, bound):
-        checked += len(bs)
+    for a, bs in quadratic_roots_upto(t, n, cmax):
+        checked += len(bs) + _dual_count(a, [s * (2 * b + t) for b in bs],
+                                         d, bound, cmax)
         two_a = 2 * a
         for b in bs:
             b2 = (-t - b) % a
@@ -609,15 +658,18 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     is the oracle of this one.  A product outside the assembled classes is a
     FactorizationViolation; the monoid laws and the group laws of the Picard
     subset are checked on the table.  P times the order itself is P.
-    One census walk (_census) covers every primitive stable sublattice of
-    index up to max(N(f)^2 * 16, isqrt(|disc|) + 1).  Pic is read off its
-    forms (_picard_pairs), and the audit verifies that each distinct form
-    lands in an assembled class (else naming the form's first ideal) and
-    that every assembled class is hit: the executable form of the product
-    decomposition, with FactorizationViolation as the fatal signal.  An
-    index N(f) above intmat._MAX_INDEX, or a census index above _MAX_CENSUS,
-    raises IndexTooLarge before any class is built; so does a table of more
-    than _MAX_TABLE products, once the classes are counted.
+    One census (_census) covers every primitive stable sublattice of index
+    up to the budget max(N(f)^2 * 16, isqrt(|disc|) + 1): it walks and
+    reduces those of index up to cmax = min(budget, (budget + |disc|)//4 +
+    1), and counts the rest, each the swap of a walked one, in closed form
+    (_dual_count).  Pic is read off its forms (_picard_pairs), and the
+    audit verifies that each distinct form lands in an assembled class
+    (else naming the form's first ideal) and that every assembled class is
+    hit: the executable form of the product decomposition, with
+    FactorizationViolation as the fatal signal.  An index N(f) above
+    intmat._MAX_INDEX, or a census index above _MAX_CENSUS, raises
+    IndexTooLarge before any class is built; so does a table of more than
+    _MAX_TABLE products, once the classes are counted.
 
     One LabelMap serves the whole call, so each class is walked by
     quadforms.class_forms once; Pic and the intermediate classes come back

@@ -811,7 +811,24 @@ CENSUS_ORDERS = [
     ([1, 0, 1], [[1, 0], [0, 72]], 82_944),  # Z[72i] at 72^2 * 16
     ([6, -1, 1], [[1, 0], [0, 1]], None),    # Q(sqrt(-23)), h = 3
     ([-57, -1, 1], [[1, 0], [0, 1]], None),  # Q(sqrt(229)), real, h = 3
+    ([1, -1, 1], [[1, 0], [0, 6]], None),    # Z[6 (1 + sqrt(-3)) / 2]
+    ([-1, -1, 1], [[1, 0], [0, 6]], None),   # Z[6 (1 + sqrt(5)) / 2], real
 ]
+
+
+def census_cmax(d, bound):
+    """The top of _census's walk for discriminant d and bound."""
+    return min(bound, (bound + abs(d)) // 4 + 1)
+
+
+def dual_ideals_bruteforce(d, c, beta, bound, cmax):
+    """Oracle: the census ideals (a, x), cmax < a <= bound, x in (-a, a]
+    with x^2 = d mod 4a, whose swap (c, -x, a) has index c and -x = beta
+    mod 2c, found by trying every (a, x)."""
+    return [(a, x) for a in range(cmax + 1, bound + 1)
+            for x in range(1 - a, a + 1)
+            if (x * x - d) % (4 * a) == 0
+            and (x * x - d) // (4 * a) == c and (x + beta) % (2 * c) == 0]
 
 
 def check_census(gamma, budget, labels, drop):
@@ -871,6 +888,39 @@ class TestCensusAudit:
         assert m.census_checked == check_census(
             gamma, m.census_budget, labels, drop % len(labels))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(-2, 2), st.integers(-60, 60), st.integers(1, 250),
+           st.integers(0, 300), st.integers(0, 20))
+    @example(0, 1, 10, 0, 0)      # d = -4, c = 1: 4c^2 + d = 0
+    @example(0, 9, 60, 2, 0)      # d = -36, c = 3: 4c^2 + d = 0
+    @example(1, -1, 8, 0, 0)      # d = 5, c = 1: x = -5 = -a left out
+    @example(0, -3, 7, 0, 0)      # d = 12, c = 1: x = -6 = -a left out
+    @example(0, -59, 118, 28, 0)  # d = 236, c = 29: x = -118 = -a left out
+    @example(0, 1, 2, 1, 0)       # cmax = bound: no ideal above it
+    @example(1, 1, 4, 0, 0)       # d = -3: cmax = 2, near sqrt(|d| / 3)
+    @example(0, 1, 3, 0, 0)       # d = -4: cmax = 2 < isqrt(4) + 1
+    def test_dual_count_matches_bruteforce(self, t, n, bound, c_pick,
+                                           root_pick):
+        # _dual_count of one walked root (c, beta) against every (a, x)
+        # above cmax whose swap lands on it, both signatures
+        d = t * t - 4 * n
+        assume(d < 0 or math.isqrt(d) ** 2 != d)
+        cmax = census_cmax(d, bound)
+        c = 1 + c_pick % cmax
+        roots = [y for y in range(2 * c) if (y * y - d) % (4 * c) == 0]
+        assume(roots)
+        beta = roots[root_pick % len(roots)]
+        assert ideals._dual_count(c, [beta], d, bound, cmax) == len(
+            dual_ideals_bruteforce(d, c, beta, bound, cmax))
+
+    def test_census_counts_the_corpus(self):
+        # the census of every verify-corpus order, walked to its cmax with
+        # the ideals above it counted by _dual_count: all 152,921 of index
+        # up to the budget
+        from orderkit.verify import build_corpus
+        assert sum(class_monoid(e.order).census_checked
+                   for e in build_corpus()) == 152_921
+
     @pytest.mark.parametrize("coeffs", [[6, -1, 1], [-57, -1, 1]])
     def test_partner_root_names_the_first_miss(self, coeffs):
         # h = 3: the two classes other than the principal one are opposite.
@@ -894,9 +944,10 @@ class TestCensusAudit:
         assert partners == 1
 
     def test_audit_reduces_once_per_pair_of_roots(self, monkeypatch):
-        # a count, not a time: the 24,754 census ideals of Z[6i] are 12
-        # self-paired roots (a | 2b + t) and 12,371 pairs b, b', so the
-        # audit runs the reduction kernel 12,383 times
+        # a count, not a time: of the 24,754 census ideals of Z[6i], the
+        # walk to cmax = 5,221 meets 6,248, 12 self-paired roots (a | 2b + t)
+        # and 3,118 pairs b, b', so the audit runs the reduction kernel
+        # 3,130 times; the other 18,506 are counted by _dual_count
         gamma = is_order(make_field([1, 0, 1]), [[1, 0], [0, 6]])
         m = class_monoid(gamma)
         form_to_class = {f: i for i, c in enumerate(m.classes)
@@ -910,7 +961,7 @@ class TestCensusAudit:
 
         monkeypatch.setattr(quadforms, "_reduce_definite", counting)
         checked, forms = ideals._census(gamma, m.census_budget)
-        assert (checked, calls[0]) == (24_754, 12_383)
+        assert (checked, calls[0]) == (24_754, 3_130)
         # one entry per distinct reduced form, not per ideal
         assert len(forms) == 8
         assert {form_to_class[f] for f in forms} == set(range(m.size))
@@ -935,7 +986,8 @@ class TestCensusAudit:
     @pytest.mark.parametrize("coeffs,rows,budget", CENSUS_ORDERS[:6])
     def test_one_walk_per_order(self, coeffs, rows, budget, monkeypatch):
         # a count: class_monoid reads Pic, the audit and census_checked off
-        # one census walk, and picard_group walks once at its own bound
+        # one census walk, to cmax = min(budget, (budget + |disc|)//4 + 1),
+        # and picard_group walks once at its own bound, which is at most cmax
         gamma = is_order(make_field(coeffs), rows)
         walks = []
         walk = ideals.quadratic_roots_upto
@@ -946,7 +998,7 @@ class TestCensusAudit:
 
         monkeypatch.setattr(ideals, "quadratic_roots_upto", counting)
         m = class_monoid(gamma)
-        assert walks == [m.census_budget]
+        assert walks == [census_cmax(gamma.disc(), m.census_budget)]
         walks.clear()
         picard_group(gamma)
         assert walks == [math.isqrt(abs(gamma.disc())) + 1]
