@@ -821,6 +821,12 @@ def census_cmax(d, bound):
     return min(bound, (bound + abs(d)) // 4 + 1)
 
 
+def census_amax(d):
+    """The top of _census's reduced-form range for discriminant d: 3a^2 >
+    |d| above it if d < 0, 4a > d if d > 0."""
+    return math.isqrt(-d // 3) if d < 0 else d // 4
+
+
 def dual_ideals_bruteforce(d, c, beta, bound, cmax):
     """Oracle: the census ideals (a, x), cmax < a <= bound, x in (-a, a]
     with x^2 = d mod 4a, whose swap (c, -x, a) has index c and -x = beta
@@ -913,6 +919,26 @@ class TestCensusAudit:
         assert ideals._dual_count(c, [beta], d, bound, cmax) == len(
             dual_ideals_bruteforce(d, c, beta, bound, cmax))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(-2, 2), st.integers(-60, 60), st.integers(1, 120))
+    @example(1, 1, 30)     # d = -3: amax = 1
+    @example(0, 1, 30)     # d = -4: amax = 1
+    @example(1, -1, 30)    # d = 5: amax = 1
+    @example(0, -2, 30)    # d = 8: amax = 2
+    @example(0, -3, 30)    # d = 12: amax = 3, 4a = 16 > d at a = 4
+    @example(0, -59, 120)  # d = 236: amax = 59
+    def test_ideals_above_amax_are_swaps(self, t, n, above):
+        # every census ideal (a, x, c), x in (-a, a], of index a above the
+        # reduced-form range has 0 < c < a: its swap (c, -x, a) is an ideal
+        # of lesser index, so _census need not reduce it
+        d = t * t - 4 * n
+        assume(d < 0 or math.isqrt(d) ** 2 != d)
+        amax = census_amax(d)
+        for a in range(amax + 1, amax + above + 1):
+            for x in range(1 - a, a + 1):
+                if (x * x - d) % (4 * a) == 0:
+                    assert 0 < (x * x - d) // (4 * a) < a, (d, a, x)
+
     def test_census_counts_the_corpus(self):
         # the census of every verify-corpus order, walked to its cmax with
         # the ideals above it counted by _dual_count: all 152,921 of index
@@ -945,23 +971,25 @@ class TestCensusAudit:
 
     def test_audit_reduces_once_per_pair_of_roots(self, monkeypatch):
         # a count, not a time: of the 24,754 census ideals of Z[6i], the
-        # walk to cmax = 5,221 meets 6,248, 12 self-paired roots (a | 2b + t)
-        # and 3,118 pairs b, b', so the audit runs the reduction kernel
-        # 3,130 times; the other 18,506 are counted by _dual_count
+        # walk to cmax = 5,221 meets 6,248 and counts the other 18,506 by
+        # _dual_count; only the 8 of index up to amax = isqrt(144 // 3) = 6
+        # are reduced, 6 self-paired roots (a | 2b + t) and 1 pair b, b', so
+        # the audit runs the reduction kernel 7 times
         gamma = is_order(make_field([1, 0, 1]), [[1, 0], [0, 6]])
         m = class_monoid(gamma)
         form_to_class = {f: i for i, c in enumerate(m.classes)
                          for f in quadforms.class_forms(c.label)}
-        calls = [0]
+        calls = []
         kernel = quadforms._reduce_definite
 
         def counting(*args):
-            calls[0] += 1
+            calls.append(args[0])
             return kernel(*args)
 
         monkeypatch.setattr(quadforms, "_reduce_definite", counting)
         checked, forms = ideals._census(gamma, m.census_budget)
-        assert (checked, calls[0]) == (24_754, 3_130)
+        assert (checked, len(calls)) == (24_754, 7)
+        assert max(calls) <= census_amax(gamma.disc()) == 6
         # one entry per distinct reduced form, not per ideal
         assert len(forms) == 8
         assert {form_to_class[f] for f in forms} == set(range(m.size))
