@@ -3,15 +3,14 @@
 The class monoid C of an order is assembled constructively as
 Pic * {classes with a representative between the conductor and the maximal
 order}, then audited by a census of stable sublattices.  For a quadratic
-order the census is one walk (_census) to cmax, about a quarter of the
-census bound; each ideal above cmax is the swap (a, b, c) ~ (c, -b, a) of a
-walked one, so it is counted in closed form (_dual_count).  Only the ideals
-up to amax, the reduced-form range (3a^2 <= |d|, or 4a <= d if d > 0), are
-reduced: above it every ideal is the swap of one of lesser index too.
-class_monoid reads Pic, the audit and census_checked off that one walk, and
-picard_group reads Pic off a shorter one.  Class identity for quadratic
-orders is decided through oriented binary quadratic forms (see quadforms);
-class_label and is_equivalent raise UnsupportedDegree above degree 2.
+order the census (_census) counts its ideals by a count-only walk to the
+census bound (modular.quadratic_root_count_upto) and walks and reduces only
+those up to amax, the reduced-form range (3a^2 <= |d|, or a^2 <= d if
+d > 0), where every class has its ideal of least key.  class_monoid reads
+Pic, the audit and census_checked off one census, and picard_group reads
+Pic off a shorter one.  Class identity for quadratic orders is decided
+through oriented binary quadratic forms (see quadforms); class_label and
+is_equivalent raise UnsupportedDegree above degree 2.
 
 class_monoid carries a quadratic class as the pair (a, b) of its
 representative [a, b + omega] and multiplies, labels and tests pairs in
@@ -48,7 +47,12 @@ from .intmat import (
     _det_bareiss,
     enumerate_intermediate_lattices,
 )
-from .modular import factorize, kronecker, quadratic_roots_upto
+from .modular import (
+    factorize,
+    kronecker,
+    quadratic_root_count_upto,
+    quadratic_roots_upto,
+)
 from .numberfield import FieldElement
 from .orders import (
     Order,
@@ -430,8 +434,8 @@ def picard_group(gamma: Order) -> PicardGroup:
     """Pic(Gamma) computed two ways and cross-checked: (a) the classes of
     the census (_census) up to the reduced-form norm bound isqrt(|disc|) + 1,
     read off by _picard_pairs, after IndexTooLarge for a bound over
-    _MAX_CENSUS (the census reduces only its ideals up to amax, for a
-    definite order isqrt(|disc| // 3), not the bound); (b) the index
+    _MAX_CENSUS (the census walks and reduces only its ideals up to amax,
+    isqrt(|disc| // 3) if definite, isqrt(disc) if not); (b) the index
     formula relating |Pic(Gamma)| to h(O_L), also reported as h_maximal.
     A mismatch is an implementation bug, reported as MethodDisagreement.
     class_monoid reads Pic off its own, longer census and checks the group
@@ -506,40 +510,6 @@ def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
                            check=False)
 
 
-def _dual_count(c, betas, d, bound, cmax):
-    """The number of census ideals of index a in (cmax, bound] whose swap
-    lands on a walked root of c, summed over the roots' betas s*(2b + t).
-
-    Such an ideal is the form (a, x, c), x in (-a, a], a = (x^2 - d) / 4c,
-    and its swap (c, -x, a) is a translate of the walked (c, beta, .) when
-    x = -beta mod 2c.  So it is one x = -beta mod 2c, of either sign, with
-    a > cmax, a <= bound and |x| <= a: isqrt(4c*cmax + d) < |x| <=
-    isqrt(4c*bound + d) and |x| >= 2c + sqrt(4c^2 + d).  At the tie |x| = a
-    (4c^2 + d a square) x = -a is left out.  With cmax as _census sets it,
-    4c*cmax + d > 0 whenever cmax < bound."""
-    if cmax >= bound:
-        return 0
-    m = 2 * c
-    lo = isqrt(4 * c * cmax + d)   # a > cmax: |x| > lo
-    hi = isqrt(4 * c * bound + d)  # a <= bound: |x| <= hi
-    tie = None
-    disc = 4 * c * c + d
-    if disc >= 0:  # |x| <= a: |x| >= 2c + sqrt(disc)
-        q = isqrt(disc)
-        if q * q == disc:
-            tie = 2 * c + q  # |x| = a
-        lo = max(lo, 2 * c + q - (q * q == disc))
-    if lo >= hi:
-        return 0
-    total = 0
-    for beta in betas:  # x > 0 with x = -beta, and x = -y < 0 with y = beta
-        total += ((hi + beta) // m - (lo + beta) // m
-                  + (hi - beta) // m - (lo - beta) // m)
-    if tie == lo + 1:  # x = -a is not in (-a, a]
-        total -= sum((tie - beta) % m == 0 for beta in betas)
-    return total
-
-
 def _census(gamma: Order, bound):
     """(ideals counted, {reduced form: least key}) of the census up to bound.
 
@@ -552,20 +522,16 @@ def _census(gamma: Order, bound):
     t^2 - 4n, and reduction commutes with scaling, so the content is
     divided out of the reduced form at the end.
 
-    The walk stops at cmax = min(bound, (bound + |d|)//4 + 1).  Written as
-    (a, x, c) with x in (-a, a], an ideal of index a > cmax has 0 < c < a
-    and c <= cmax, and the swap (a, x, c) ~ (c, -x, a) (Cohen, GTM 138,
-    5.3-5.6) puts it in the class of the walked ideal of index c whose
-    beta = s*(2b + t) is -x mod 2c, a translate.  That ideal has the lesser
-    key, so an ideal above cmax sets no least key and finds no new class;
-    it is only counted, by _dual_count for each walked modulus, when cmax <
-    bound.  The same holds for every a above the reduced-form range amax =
-    isqrt(-d // 3) if d < 0, d // 4 if d > 0: there 3a^2 > |d| (or 4a >
-    d), so c = (x^2 - d)/4a has 0 < c < a, and the chain of swaps ends at a
-    walked ideal of index at most amax in the same class with a lesser key.
-    So the walk counts every root up to cmax but reduces only those of a <=
-    amax: on Z[6i] 7 kernel calls for 24,754 ideals, and 1,217 for the
-    152,921 of the 183 verify-corpus orders.
+    The count is modular.quadratic_root_count_upto, which builds no roots.
+    The forms need only the ideals up to amax = isqrt(-d // 3) if d < 0,
+    isqrt(d) if d > 0: a class of forms of discriminant d/g^2 has a reduced
+    form (A, B, C), 0 < A <= amax / g (3A^2 <= |d|/g^2 if definite; if not,
+    |A| < sqrt(d)/g, AC < 0 and a rho step moves C to the front), and
+    g*(A, B, C) is a translate of the form of the census ideal [g*A,
+    b + omega], b = (s*g*B - t)/2 mod g*A.  Keys sort by index first, so
+    every class has its least key up to amax, and only the moduli a <=
+    min(amax, bound) are walked and reduced: on Z[6i] 7 kernel calls for
+    24,754 ideals, 823 for the 152,921 of the 183 verify-corpus orders.
 
     The roots of a come in pairs b, b' = (-t - b) mod a, and 2b' + t =
     -(2b + t) mod 2a: the form of [a, b' + omega] is a translate of the
@@ -580,10 +546,9 @@ def _census(gamma: Order, bound):
     census (a ascending, then the least root y of y^2 = disc mod 4a giving
     b).  A definite class has one reduced form, so its entry is the same as
     from a census that reduced every ideal.  An indefinite class may lose a
-    cycle form that only an ideal above amax reduced to; its least key is
-    that of a reduced ideal all the same.
-    Nothing is kept per ideal: a memo on (a, b) would grow by an entry per
-    ideal.
+    cycle form that only an ideal above amax reduced to, but not its least
+    key.  Nothing is kept per ideal: a memo on (a, b) would grow by an entry
+    per ideal.
     """
     t, n = gamma.omega_data()
     d = t * t - 4 * n
@@ -595,17 +560,10 @@ def _census(gamma: Order, bound):
         kernel = quadforms._reduce_indefinite
         opposite = quadforms._opposite_indefinite
         s, root = -1, isqrt(d)
-    amax = isqrt(-d // 3) if d < 0 else d // 4
-    cmax = min(bound, (bound + abs(d)) // 4 + 1)
-    checked, forms = 0, {}
+    amax = isqrt(-d // 3) if d < 0 else root
+    forms = {}
     after = (bound + 1,)  # every key sorts before after
-    for a, bs in quadratic_roots_upto(t, n, cmax):
-        checked += len(bs)
-        if cmax < bound:
-            checked += _dual_count(a, [s * (2 * b + t) for b in bs],
-                                   d, bound, cmax)
-        if a > amax:  # every form (a, x, c) has 0 < c < a: only counted
-            continue
+    for a, bs in quadratic_roots_upto(t, n, min(amax, bound)):
         two_a = 2 * a
         for b in bs:
             b2 = (-t - b) % a
@@ -624,7 +582,7 @@ def _census(gamma: Order, bound):
                 key = a, (t + 2 * b2) % two_a, b2
                 if key < forms.get(form, after):
                     forms[form] = key
-    return checked, forms
+    return quadratic_root_count_upto(t, n, bound), forms
 
 
 # --- the class monoid -----------------------------------------------------------
@@ -669,16 +627,14 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     FactorizationViolation; the monoid laws and the group laws of the Picard
     subset are checked on the table.  P times the order itself is P.
     One census (_census) covers every primitive stable sublattice of index
-    up to the budget max(N(f)^2 * 16, isqrt(|disc|) + 1): it walks those of
-    index up to cmax = min(budget, (budget + |disc|)//4 + 1) and counts the
-    rest, each the swap of a walked one, in closed form (_dual_count); it
-    reduces only those up to the reduced-form range amax (isqrt(|disc| //
-    3) if definite, disc // 4 if not), each above it being the swap of one
-    of lesser index.  Pic is read off its forms (_picard_pairs), and the
-    audit verifies that each distinct form lands in an assembled class
-    (else naming the form's first ideal) and that every assembled class is
-    hit: the executable form of the product decomposition, with
-    FactorizationViolation as the fatal signal.  An index N(f) above
+    up to the budget max(N(f)^2 * 16, isqrt(|disc|) + 1): it counts them
+    all by a count-only walk, and walks and reduces only those up to the
+    reduced-form range amax (isqrt(|disc| // 3) if definite, isqrt(disc) if
+    not), where every class has its ideal of least key.  Pic is read off
+    its forms (_picard_pairs), and the audit verifies that each distinct
+    form lands in an assembled class (else naming the form's first ideal)
+    and that every assembled class is hit: the executable form of the
+    product decomposition, with FactorizationViolation as the fatal signal.  An index N(f) above
     intmat._MAX_INDEX, or a census index above _MAX_CENSUS, raises
     IndexTooLarge before any class is built; so does a table of more than
     _MAX_TABLE products, once the classes are counted.

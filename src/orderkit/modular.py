@@ -4,12 +4,15 @@ factorize splits integers (a smallest-prime-factor table below 2^18,
 Pollard-Brent rho above); quadratic_roots Hensel-lifts the roots of
 b^2 + t*b + n mod p^k, sqrts_mod joins those of y^2 - a by CRT for one
 modulus (its prime powers from factorize) and quadratic_roots_upto those of
-b^2 + t*b + n for every modulus up to a bound.  Other modules call these and
-read none of the tables.
+b^2 + t*b + n for every modulus up to a bound; quadratic_root_count_upto
+counts the latter without building them.  Other modules call these and read
+none of the tables.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
+from itertools import accumulate
 from math import gcd, isqrt
 
 from .errors import MethodDisagreement, SearchBudgetExceeded
@@ -20,16 +23,15 @@ _PRIMES = (_SPF, [])  # (the table, its primes ascending), read off once
 
 
 def _grow_spf(n):
+    # a C int array; writing m from m^2 on in steps of m, m descending,
+    # leaves at each composite its least prime factor
     global _SPF
     if len(_SPF) > n:
         return
     size = min(max(n + 1, 2 * len(_SPF), 1 << 12), _SPF_CAP)
-    spf = list(range(size))
-    for p in range(2, isqrt(size - 1) + 1):
-        if spf[p] == p:
-            for q in range(p * p, size, p):
-                if spf[q] == q:
-                    spf[q] = p
+    spf = array("i", range(size))
+    for m in range(isqrt(size - 1), 1, -1):
+        spf[m * m::m] = array("i", [m]) * len(range(m * m, size, m))
     _SPF = spf
 
 
@@ -46,8 +48,8 @@ def factorize(n: int) -> dict:
     if n <= 1:
         return {}
     out = {}
-    # The table costs about 40 bytes per entry and grows to n; above 2^18
-    # trial division by the small primes and rho are cheaper.
+    # The table costs 4 bytes per entry and grows to n; above 2^18 trial
+    # division by the small primes and rho are cheaper.
     if n < _SPF_CAP:
         _grow_spf(n)
         while n > 1:
@@ -274,21 +276,26 @@ def sqrts_mod(a: int, m: int):
     return sorted(ys)
 
 
+def _entered_primes(t, n, bound):
+    """The primes p <= bound mod which b^2 + t*b + n has a root, ascending:
+    (d / p) != -1 for d = t^2 - 4n, that is d^((p-1)/2) != -1 mod an odd p
+    (Euler), d != 5 mod 8 for p = 2.  They come from the smallest-prime-
+    factor table, above it from is_prime."""
+    top, primes = table_primes(bound)
+    primes += filter(is_prime, range(top + 1, bound + 1))
+    d = t * t - 4 * n
+    return [p for p in primes if pow(d, p >> 1, p) != p - 1
+            or p == 2 and d % 8 == 1]
+
+
 def quadratic_roots_upto(t, n, bound):
     """(a, the roots b in [0, a) of b^2 + t*b + n mod a) for every
     1 <= a <= bound with a root, unordered and with no a factored: a
     depth-first walk over products of prime powers, primes ascending, each
     child a * p^k taking its roots from a's by one CRT step with those mod
     p^k (quadratic_roots, one memo).  A p^k with no root ends the powers of
-    p; primes with (d / p) = -1, d = t^2 - 4n, are never entered: by
-    Euler's criterion d^((p-1)/2) = -1 mod an odd p, and d = 5 mod 8 for
-    p = 2.  Primes come from the smallest-prime-factor table, above it from
-    is_prime."""
-    top, primes = table_primes(bound)
-    primes += filter(is_prime, range(top + 1, bound + 1))
-    d = t * t - 4 * n
-    primes = [p for p in primes if pow(d, p >> 1, p) != p - 1
-              or p == 2 and d % 8 == 1] + [bound + 1]
+    p; a prime with no root (_entered_primes) is never entered."""
+    primes = _entered_primes(t, n, bound) + [bound + 1]
     known = {}  # p^k -> roots mod p^k
     yield 1, [0]
     stack = [(1, [0], 0)]  # (a, roots mod a, index of a's least new prime)
@@ -310,3 +317,39 @@ def quadratic_roots_upto(t, n, bound):
                     stack.append((a * pk, rs, i))
                 pk *= p
             p = primes[i]
+
+
+def quadratic_root_count_upto(t, n, bound):
+    """The sum over 1 <= a <= bound of rho(a), the number of roots of
+    b^2 + t*b + n mod a, which is multiplicative: the walk of
+    quadratic_roots_upto carrying rho(a) alone, rho(p^k) =
+    len(quadratic_roots(...)), with no CRT step.  Once the next prime p of
+    a node a has p^2 > lim = bound // a, every entered q in [p, lim] is a
+    leaf a * q, added at once by a running sum of rho(q) over the entered
+    primes: 1 if q | d, d = t^2 - 4n, else 2 (d = 1 mod 8 if q = 2)."""
+    primes = _entered_primes(t, n, bound)
+    d = t * t - 4 * n
+    rho_sum = list(accumulate((1 + (d % q > 0) for q in primes), initial=0))
+    primes.append(bound + 1)
+    known = {}  # p^k -> roots mod p^k
+    total = 1  # a = 1, b = 0
+    stack = [(1, 1, 0)]  # (a, rho(a), index of a's least new prime)
+    while stack:
+        a, r, i = stack.pop()
+        lim = bound // a
+        p = primes[i]
+        while p * p <= lim:  # the sentinel bound + 1 ends every walk
+            i += 1
+            pk = p
+            while pk <= lim:
+                k = len(quadratic_roots(t, n, p, pk, known))
+                if not k:
+                    break
+                total += r * k
+                if primes[i] <= lim // pk:  # a * p^k has children
+                    stack.append((a * pk, r * k, i))
+                pk *= p
+            p = primes[i]
+        if p <= lim:
+            total += r * (rho_sum[bisect_right(primes, lim, i)] - rho_sum[i])
+    return total

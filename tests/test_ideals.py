@@ -816,25 +816,10 @@ CENSUS_ORDERS = [
 ]
 
 
-def census_cmax(d, bound):
-    """The top of _census's walk for discriminant d and bound."""
-    return min(bound, (bound + abs(d)) // 4 + 1)
-
-
 def census_amax(d):
     """The top of _census's reduced-form range for discriminant d: 3a^2 >
-    |d| above it if d < 0, 4a > d if d > 0."""
-    return math.isqrt(-d // 3) if d < 0 else d // 4
-
-
-def dual_ideals_bruteforce(d, c, beta, bound, cmax):
-    """Oracle: the census ideals (a, x), cmax < a <= bound, x in (-a, a]
-    with x^2 = d mod 4a, whose swap (c, -x, a) has index c and -x = beta
-    mod 2c, found by trying every (a, x)."""
-    return [(a, x) for a in range(cmax + 1, bound + 1)
-            for x in range(1 - a, a + 1)
-            if (x * x - d) % (4 * a) == 0
-            and (x * x - d) // (4 * a) == c and (x + beta) % (2 * c) == 0]
+    |d| above it if d < 0, a^2 > d if d > 0."""
+    return math.isqrt(-d // 3) if d < 0 else math.isqrt(d)
 
 
 def check_census(gamma, budget, labels, drop):
@@ -895,54 +880,58 @@ class TestCensusAudit:
             gamma, m.census_budget, labels, drop % len(labels))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(-2, 2), st.integers(-60, 60), st.integers(1, 250),
-           st.integers(0, 300), st.integers(0, 20))
-    @example(0, 1, 10, 0, 0)      # d = -4, c = 1: 4c^2 + d = 0
-    @example(0, 9, 60, 2, 0)      # d = -36, c = 3: 4c^2 + d = 0
-    @example(1, -1, 8, 0, 0)      # d = 5, c = 1: x = -5 = -a left out
-    @example(0, -3, 7, 0, 0)      # d = 12, c = 1: x = -6 = -a left out
-    @example(0, -59, 118, 28, 0)  # d = 236, c = 29: x = -118 = -a left out
-    @example(0, 1, 2, 1, 0)       # cmax = bound: no ideal above it
-    @example(1, 1, 4, 0, 0)       # d = -3: cmax = 2, near sqrt(|d| / 3)
-    @example(0, 1, 3, 0, 0)       # d = -4: cmax = 2 < isqrt(4) + 1
-    def test_dual_count_matches_bruteforce(self, t, n, bound, c_pick,
-                                           root_pick):
-        # _dual_count of one walked root (c, beta) against every (a, x)
-        # above cmax whose swap lands on it, both signatures
-        d = t * t - 4 * n
-        assume(d < 0 or math.isqrt(d) ** 2 != d)
-        cmax = census_cmax(d, bound)
-        c = 1 + c_pick % cmax
-        roots = [y for y in range(2 * c) if (y * y - d) % (4 * c) == 0]
-        assume(roots)
-        beta = roots[root_pick % len(roots)]
-        assert ideals._dual_count(c, [beta], d, bound, cmax) == len(
-            dual_ideals_bruteforce(d, c, beta, bound, cmax))
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(-2, 2), st.integers(-60, 60), st.integers(1, 120))
+    @given(st.integers(-2, 2), st.integers(1, 60), st.integers(1, 120))
     @example(1, 1, 30)     # d = -3: amax = 1
     @example(0, 1, 30)     # d = -4: amax = 1
-    @example(1, -1, 30)    # d = 5: amax = 1
-    @example(0, -2, 30)    # d = 8: amax = 2
-    @example(0, -3, 30)    # d = 12: amax = 3, 4a = 16 > d at a = 4
-    @example(0, -59, 120)  # d = 236: amax = 59
+    @example(0, 3, 30)     # d = -12: amax = 2
+    @example(1, 60, 120)   # d = -239: amax = 8
     def test_ideals_above_amax_are_swaps(self, t, n, above):
-        # every census ideal (a, x, c), x in (-a, a], of index a above the
-        # reduced-form range has 0 < c < a: its swap (c, -x, a) is an ideal
-        # of lesser index, so _census need not reduce it
+        # d < 0: every census ideal (a, x, c), x in (-a, a], of index a above
+        # the reduced-form range has 0 < c < a: its swap (c, -x, a) is an
+        # ideal of lesser index, so _census need not reduce it
         d = t * t - 4 * n
-        assume(d < 0 or math.isqrt(d) ** 2 != d)
+        assume(d < 0)
         amax = census_amax(d)
         for a in range(amax + 1, amax + above + 1):
             for x in range(1 - a, a + 1):
                 if (x * x - d) % (4 * a) == 0:
                     assert 0 < (x * x - d) // (4 * a) < a, (d, a, x)
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(-6, 6), st.integers(-250, 0))
+    @example(1, -1)    # d = 5: amax = 2 > d // 4
+    @example(0, -2)    # d = 8
+    @example(0, -3)    # d = 12
+    @example(0, -18)   # d = 72: classes of discriminants 72 and 8
+    @example(6, -36)   # d = 180 = 6^2 * 5: Z[6 (1 + sqrt(5)) / 2]
+    @example(1, -57)   # d = 229, h = 3
+    @example(0, -59)   # d = 236
+    def test_real_classes_have_an_ideal_up_to_isqrt(self, t, n):
+        # d > 0: every class of forms of each discriminant d/g^2 is the
+        # class of a census ideal of index at most isqrt(d) (reduced
+        # indefinite forms have |a| < sqrt(d/g^2)), so _census need reduce
+        # no ideal above it to meet every class at its least key
+        d = t * t - 4 * n
+        assume(d > 0 and math.isqrt(d) ** 2 != d)
+        amax = census_amax(d)
+        met = set()
+        for a in range(1, amax + 1):
+            for b in range(a):
+                if (b * b + t * b + n) % a == 0:
+                    form = (a, -(2 * b + t), (b * b + t * b + n) // a)
+                    g = quadforms.content(form)
+                    met.add(quadforms.class_label(
+                        tuple(x // g for x in form)))
+        for g in range(1, amax + 1):
+            e = d // (g * g)
+            if d % (g * g) or e % 4 > 1:
+                continue
+            for form in quadforms.reduced_forms(e):
+                assert quadforms.class_label(form) in met, (d, g, form)
+
     def test_census_counts_the_corpus(self):
-        # the census of every verify-corpus order, walked to its cmax with
-        # the ideals above it counted by _dual_count: all 152,921 of index
-        # up to the budget
+        # the census of every verify-corpus order, counted by the count-only
+        # walk: all 152,921 of index up to the budget
         from orderkit.verify import build_corpus
         assert sum(class_monoid(e.order).census_checked
                    for e in build_corpus()) == 152_921
@@ -970,11 +959,11 @@ class TestCensusAudit:
         assert partners == 1
 
     def test_audit_reduces_once_per_pair_of_roots(self, monkeypatch):
-        # a count, not a time: of the 24,754 census ideals of Z[6i], the
-        # walk to cmax = 5,221 meets 6,248 and counts the other 18,506 by
-        # _dual_count; only the 8 of index up to amax = isqrt(144 // 3) = 6
-        # are reduced, 6 self-paired roots (a | 2b + t) and 1 pair b, b', so
-        # the audit runs the reduction kernel 7 times
+        # a count, not a time: of the 24,754 census ideals of Z[6i], counted
+        # without their roots, only the 8 of index up to amax =
+        # isqrt(144 // 3) = 6 are walked and reduced, 6 self-paired roots
+        # (a | 2b + t) and 1 pair b, b', so the audit runs the reduction
+        # kernel 7 times
         gamma = is_order(make_field([1, 0, 1]), [[1, 0], [0, 6]])
         m = class_monoid(gamma)
         form_to_class = {f: i for i, c in enumerate(m.classes)
@@ -1014,22 +1003,24 @@ class TestCensusAudit:
     @pytest.mark.parametrize("coeffs,rows,budget", CENSUS_ORDERS[:6])
     def test_one_walk_per_order(self, coeffs, rows, budget, monkeypatch):
         # a count: class_monoid reads Pic, the audit and census_checked off
-        # one census walk, to cmax = min(budget, (budget + |disc|)//4 + 1),
-        # and picard_group walks once at its own bound, which is at most cmax
+        # one census, a root walk to min(amax, budget) and one count to the
+        # budget, and picard_group makes the same two at its own bound
         gamma = is_order(make_field(coeffs), rows)
-        walks = []
-        walk = ideals.quadratic_roots_upto
-
-        def counting(t, n, bound):
-            walks.append(bound)
-            return walk(t, n, bound)
-
-        monkeypatch.setattr(ideals, "quadratic_roots_upto", counting)
-        m = class_monoid(gamma)
-        assert walks == [census_cmax(gamma.disc(), m.census_budget)]
-        walks.clear()
+        calls = []
+        for name in ("quadratic_roots_upto", "quadratic_root_count_upto"):
+            def counting(t, n, bound, _name=name, _f=getattr(ideals, name)):
+                calls.append((_name, bound))
+                return _f(t, n, bound)
+            monkeypatch.setattr(ideals, name, counting)
+        amax = census_amax(gamma.disc())
+        budget = class_monoid(gamma).census_budget
+        assert sorted(calls) == [("quadratic_root_count_upto", budget),
+                                 ("quadratic_roots_upto", min(amax, budget))]
+        calls.clear()
         picard_group(gamma)
-        assert walks == [math.isqrt(abs(gamma.disc())) + 1]
+        bound = math.isqrt(abs(gamma.disc())) + 1
+        assert sorted(calls) == [("quadratic_root_count_upto", bound),
+                                 ("quadratic_roots_upto", min(amax, bound))]
 
     def test_class_monoid_names_the_least_missed_key(self, monkeypatch):
         # forms in no assembled class: the audit names the ideal of the

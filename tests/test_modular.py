@@ -1,12 +1,15 @@
 """Congruences and prime powers in orderkit.modular, each against a brute
-scan of the residues; and the source check that the factor table and
+scan of the residues (the root count also against the root walk); the
+factor table's size; and the source check that the factor table and
 Tonelli-Shanks stay private to modular."""
 
 import re
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +93,70 @@ def test_walk_matches_scan(t, n, bound):
     assert walk == Counter((a, b) for a in range(1, bound + 1)
                            for b in range(a) if (b * b + t * b + n) % a == 0)
 
+
+def count_by_walk(t, n, bound):
+    return sum(len(bs) for _, bs in modular.quadratic_roots_upto(t, n, bound))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(-9, 9), st.integers(-300, 300), st.integers(1, 3000))
+@example(0, 36, 20_736)  # Z[6i] at its census budget: 24,754 ideals
+@example(1, 1, 500)      # d = -3 = 5 mod 8: 2 is inert
+@example(1, 6, 500)      # d = -23 = 1 mod 8: 2 splits
+@example(1, -57, 500)    # d = 229 = 5 mod 8
+@example(1, -4, 500)     # d = 17 = 1 mod 8
+@example(0, -79, 500)    # d = 316 = 4 * 79: 2 and 79 divide d
+@example(0, 5, 500)      # d = -20: 2 and 5 divide d
+@example(1, 6, 1)        # bounds 1 to 4
+@example(1, 6, 2)
+@example(1, 6, 3)
+@example(0, 1, 4)
+@example(1, 6, 169)      # d = -23: 13 splits, bound 13^2
+@example(1, 6, 168)      # and 13^2 - 1
+@example(0, 1, 25)       # d = -4: 5 splits, bound 5^2
+@example(0, 1, 24)
+def test_root_count_matches_walk(t, n, bound):
+    # the count-only walk, leaves above sqrt(bound / a) summed by prefix,
+    # against the roots the walk builds, for odd and even t of either sign
+    assert (modular.quadratic_root_count_upto(t, n, bound)
+            == count_by_walk(t, n, bound))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(-9, 9), st.integers(-100, 100), st.integers(1, 200))
+@example(0, 36, 200)
+@example(1, 1, 4)
+@example(1, -4, 169)
+@example(0, -2, 200)     # d = 8: 2 | d
+def test_root_count_matches_scan(t, n, bound):
+    assert modular.quadratic_root_count_upto(t, n, bound) == sum(
+        1 for a in range(1, bound + 1) for b in range(a)
+        if (b * b + t * b + n) % a == 0)
+
+
+@pytest.mark.parametrize("t,n", [(0, 36), (1, 6), (1, -57), (0, -79),
+                                 (1, 1)])
+def test_root_count_above_a_small_factor_table(t, n, monkeypatch):
+    # with a table of 64 entries, the primes above 63 come from is_prime
+    expected = count_by_walk(t, n, 3000)
+    monkeypatch.setattr(modular, "_SPF_CAP", 64)
+    monkeypatch.setattr(modular, "_SPF", [0, 1])
+    assert modular.quadratic_root_count_upto(t, n, 3000) == expected
+    assert len(modular._SPF) <= 64
+
+
+def test_factor_table_at_its_cap_is_compact(monkeypatch):
+    # the table is a C array: at its 2^18 cap it stays within 8 bytes an
+    # entry, where a list took 10.8 (a pointer each, an int per prime)
+    monkeypatch.setattr(modular, "_SPF", [0, 1])
+    tracemalloc.start()
+    try:
+        modular.factorize(modular._SPF_CAP - 1)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(modular._SPF) == modular._SPF_CAP == 1 << 18
+    assert size <= 8 * modular._SPF_CAP
 
 def test_tonelli_shanks_matches_scan():
     # p = 3 mod 4 and p = 1 mod 4 up to high powers of 2 in p - 1 (p = 257,
