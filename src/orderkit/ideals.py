@@ -3,21 +3,24 @@
 The class monoid C of an order is assembled constructively as
 Pic * {classes with a representative between the conductor and the maximal
 order}, then audited by a census of stable sublattices.  For a quadratic
-order the census (_census) counts its ideals by a count-only walk to the
-census bound (modular.quadratic_root_count_upto) and walks and reduces only
-those up to amax, the reduced-form range (3a^2 <= |d|, or a^2 <= d if
-d > 0), where every class has its ideal of least key.  class_monoid reads
-Pic, the audit and census_checked off one census, and picard_group reads
-Pic off a shorter one.  Class identity for quadratic orders is decided
-through oriented binary quadratic forms (see quadforms); class_label and
-is_equivalent raise UnsupportedDegree above degree 2.
+order the census (_census) walks and reduces only the ideals up to amax,
+the reduced-form range (3a^2 <= |d|, or a^2 <= d if d > 0), where every
+class has its ideal of least key.  class_monoid reads Pic and the audit off
+one census, and census_checked off a count-only walk to the census bound
+(modular.quadratic_root_count_upto); picard_group reads Pic off a shorter
+census and counts nothing.  The intermediate classes are read off the
+subgroups of (Z/f)^2, listed in integers (intermediate_classes).  Class
+identity for quadratic orders is decided through oriented binary quadratic
+forms (see quadforms); class_label and is_equivalent raise
+UnsupportedDegree above degree 2.
 
 class_monoid carries a quadratic class as the pair (a, b) of its
 representative [a, b + omega] and multiplies, labels and tests pairs in
 integers, composing forms for the Picard block of its table; the lattice
-route is their oracle (tests, verify_monoid_table).  Each fill of a table
-has one owner: class_monoid's reads the pairs and the LabelMap,
-verify_monoid_table's shares neither.
+route (enumerate_intermediate_lattices, ideal_product) is their oracle in
+the tests and verify_monoid_table.  Each fill of a table has one owner:
+class_monoid's reads the pairs and the LabelMap, verify_monoid_table's
+shares neither.
 Each class_monoid or picard_group call keeps one quadforms.LabelMap, from
 canonical form to class: every class's rho-cycles are walked once, and Pic,
 the intermediate classes, the products, the audit and h(O_L) all read the
@@ -42,11 +45,7 @@ from .errors import (
     OrderMismatch,
     UnsupportedDegree,
 )
-from .intmat import (
-    Lattice,
-    _det_bareiss,
-    enumerate_intermediate_lattices,
-)
+from .intmat import Lattice, _det_bareiss
 from .modular import (
     factorize,
     kronecker,
@@ -331,16 +330,6 @@ def _pair_of_rows(rows, t, n):
     return None if (b * b + t * b + n) % a else (z, a, b % a)
 
 
-def _lattice_reader(gamma: Order):
-    """lat -> (z, a, b) with lat in Q*[a, b + omega], or None if unstable:
-    for omega = (p0 + p1*theta)/q, p1*(c0 + c1*theta) is
-    (c0*p1 - c1*p0) + c1*q*omega."""
-    t, n = gamma.omega_data()
-    p0, p1, q = gamma.omega_coords()
-    return lambda lat: _pair_of_rows([(c0 * p1 - c1 * p0, c1 * q)
-                                      for c0, c1 in lat.basis.entries], t, n)
-
-
 def _pair_product(gamma: Order, p, q, labels):
     """(a, b, label) with [a1, b1 + omega][a2, b2 + omega] in Q*[a, b + omega]
     for p = (a1, b1), q = (a2, b2), read off the product's generators a1*a2,
@@ -352,18 +341,19 @@ def _pair_product(gamma: Order, p, q, labels):
     return a, b, _pair_label(gamma, a, b, labels)
 
 
-def intermediate_classes(gamma: Order, maximal: Order | None = None,
-                         lower_ideal=None, *, labels=None):
+def intermediate_classes(gamma: Order, maximal: Order | None = None, *,
+                         labels=None):
     """The classes with a representative I satisfying f <= I <= O_L.
 
-    ``lower_ideal`` optionally replaces the conductor by a smaller ideal of
-    the maximal order contained in the order; the resulting class set only
-    grows, and the product decomposition still holds.  The conductor is the
-    minimal choice and the default; for a quadratic order it is f*O_L.  The
-    lattices between (enumerate_intermediate_lattices, a direct HNF listing)
-    are read as integer pairs (_lattice_reader; oracle in the tests:
-    escaping_product, class_label); a class keeps the pair of its first
-    lattice.
+    For a quadratic order the conductor is f*O_L, f^2 = N(f), and over the
+    HNF rows (o00, o01), (0, o11) / D of O_L the lattices between are the
+    subgroups (h0, e, h1) of (Z/f)^2: h0, h1 | f and e < h1 a multiple of
+    h1 / gcd(f/h0, h1), with rows (h0*o00, (h0*o01 + e*o11) mod h1*o11),
+    (0, h1*o11) / D cleared of their gcd with D.  Sorted as
+    intmat.enumerate_intermediate_lattices sorts them (the oracle in the
+    tests), they are read as pairs by _pair_of_rows, all in integers, and a
+    class keeps the pair of its first lattice.  N(f) over intmat._MAX_INDEX
+    raises IndexTooLarge before the listing.
 
     class_monoid passes its LabelMap as ``labels``; the classes then come
     back as {label: (a, b)} in label order, with no representative built.
@@ -371,27 +361,30 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None,
     """
     if maximal is None:
         maximal = maximal_order(gamma.field)
-    f = conductor(gamma, maximal)
-    lower = f.lattice
-    if lower_ideal is not None:
-        lower = (lower_ideal.lattice if isinstance(lower_ideal, FractionalIdeal)
-                 else lower_ideal)
-        if not gamma.lattice.contains_lattice(lower):
-            raise OrderMismatch("replacement ideal must sit inside the order",
-                                operation="intermediate_classes")
-        if escaping_product(maximal.basis_elements(), lower,
-                            gamma.field) is not None:
-            raise OrderMismatch("replacement ideal must be stable under the "
-                                "maximal order", operation="intermediate_classes")
-    lattices = enumerate_intermediate_lattices(maximal.lattice, lower)
+    nf = conductor(gamma, maximal).norm
+    _check_budget(f"quotient order {nf}", nf, intmat._MAX_INDEX,
+                  "enumerate_intermediate_lattices")
     if gamma.degree == 1:  # every fractional ideal of Z is principal
         return [IdealClass(unit_ideal(gamma), True, (1,))]
+    (t, n), (p0, p1, q) = gamma.omega_data(), gamma.omega_coords()
+    (o00, o01), (_, o11) = maximal.lattice.basis.entries
+    den, f = maximal.lattice.den, isqrt(nf)
+    divisors = [h for h in range(1, f + 1) if f % h == 0]
+    lattices = sorted((den // g, x // g, z // g, y // g)
+                      for h0 in divisors for h1 in divisors
+                      for x, y in [(h0 * o00, h1 * o11)]
+                      for e in range(0, h1, h1 // gcd(f // h0, h1))
+                      for z in [(h0 * o01 + e * o11) % y]
+                      for g in [gcd(den, x, z, y)])
+    # (1, omega) rows: p1*(c0 + c1*theta) = (c0*p1 - c1*p0) + c1*q*omega
+    rows = (((x * p1 - z * p0, z * q), (-y * p0, y * q))
+            for _, x, z, y in lattices)
     as_pairs = labels is not None
     labels = labels if as_pairs else quadforms.LabelMap()
     pairs = {}
-    for _, a, b in filter(None, map(_lattice_reader(gamma), lattices)):
+    for _, a, b in filter(None, (_pair_of_rows(r, t, n) for r in rows)):
         pairs.setdefault(_pair_label(gamma, a, b, labels), (a, b))
-    if lower_ideal is None and len(pairs) > f.norm ** gamma.degree:
+    if len(pairs) > nf ** 2:
         raise FactorizationViolation("intermediate class count exceeded N(f)^g",
                                      operation="intermediate_classes")
     pairs = dict(sorted(pairs.items()))
@@ -453,7 +446,7 @@ def picard_group(gamma: Order) -> PicardGroup:
     om = maximal_order(gamma.field)
     nf = conductor(gamma, om).norm
     pairs, h0 = _picard_pairs(gamma, om.disc(), isqrt(nf),
-                              _census(gamma, bound)[1], quadforms.LabelMap())
+                              _census(gamma, bound), quadforms.LabelMap())
     classes = tuple(_pair_class(gamma, a, b, lab)
                     for lab, (a, b) in pairs.items())
     return PicardGroup(classes, len(classes), len(classes), h0, nf)
@@ -511,7 +504,7 @@ def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
 
 
 def _census(gamma: Order, bound):
-    """(ideals counted, {reduced form: least key}) of the census up to bound.
+    """{reduced form: least key} of the census up to bound.
 
     The census is every primitive stable sublattice [a, b + omega], a <=
     bound, that is every root b of N(b + omega) mod a: one loop over the
@@ -522,7 +515,6 @@ def _census(gamma: Order, bound):
     t^2 - 4n, and reduction commutes with scaling, so the content is
     divided out of the reduced form at the end.
 
-    The count is modular.quadratic_root_count_upto, which builds no roots.
     The forms need only the ideals up to amax = isqrt(-d // 3) if d < 0,
     isqrt(d) if d > 0: a class of forms of discriminant d/g^2 has a reduced
     form (A, B, C), 0 < A <= amax / g (3A^2 <= |d|/g^2 if definite; if not,
@@ -582,7 +574,7 @@ def _census(gamma: Order, bound):
                 key = a, (t + 2 * b2) % two_a, b2
                 if key < forms.get(form, after):
                     forms[form] = key
-    return quadratic_root_count_upto(t, n, bound), forms
+    return forms
 
 
 # --- the class monoid -----------------------------------------------------------
@@ -626,18 +618,20 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     is the oracle of this one.  A product outside the assembled classes is a
     FactorizationViolation; the monoid laws and the group laws of the Picard
     subset are checked on the table.  P times the order itself is P.
-    One census (_census) covers every primitive stable sublattice of index
-    up to the budget max(N(f)^2 * 16, isqrt(|disc|) + 1): it counts them
-    all by a count-only walk, and walks and reduces only those up to the
-    reduced-form range amax (isqrt(|disc| // 3) if definite, isqrt(disc) if
-    not), where every class has its ideal of least key.  Pic is read off
-    its forms (_picard_pairs), and the audit verifies that each distinct
-    form lands in an assembled class (else naming the form's first ideal)
-    and that every assembled class is hit: the executable form of the
-    product decomposition, with FactorizationViolation as the fatal signal.  An index N(f) above
-    intmat._MAX_INDEX, or a census index above _MAX_CENSUS, raises
-    IndexTooLarge before any class is built; so does a table of more than
-    _MAX_TABLE products, once the classes are counted.
+    The census covers every primitive stable sublattice of index up to the
+    budget max(N(f)^2 * 16, isqrt(|disc|) + 1): census_checked counts them
+    all by a count-only walk (modular.quadratic_root_count_upto), and
+    _census walks and reduces only those up to the reduced-form range amax
+    (isqrt(|disc| // 3) if definite, isqrt(disc) if not), where every class
+    has its ideal of least key.  Pic is read off its forms (_picard_pairs),
+    the intermediate classes off the subgroups of (Z/f)^2 in integers
+    (intermediate_classes), and the audit verifies that each distinct form
+    lands in an assembled class (else naming the form's first ideal) and
+    that every assembled class is hit: the executable form of the product
+    decomposition, with FactorizationViolation as the fatal signal.  An
+    index N(f) above intmat._MAX_INDEX, or a census index above
+    _MAX_CENSUS, raises IndexTooLarge before any class is built; so does a
+    table of more than _MAX_TABLE products, once the classes are counted.
 
     One LabelMap serves the whole call, so each class is walked by
     quadforms.class_forms once; Pic and the intermediate classes come back
@@ -660,7 +654,8 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     _check_budget(f"census up to index {budget}", budget, _MAX_CENSUS,
                   "class_monoid")
     labels = quadforms.LabelMap()
-    checked, forms = _census(gamma, budget)
+    forms = _census(gamma, budget)
+    checked = quadratic_root_count_upto(*gamma.omega_data(), budget)
     pic, h0 = _picard_pairs(gamma, om.disc(), isqrt(nf), forms, labels)
     inter = intermediate_classes(gamma, om, labels=labels)
 

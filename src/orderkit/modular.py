@@ -5,8 +5,9 @@ Pollard-Brent rho above); quadratic_roots Hensel-lifts the roots of
 b^2 + t*b + n mod p^k, sqrts_mod joins those of y^2 - a by CRT for one
 modulus (its prime powers from factorize) and quadratic_roots_upto those of
 b^2 + t*b + n for every modulus up to a bound; quadratic_root_count_upto
-counts the latter without building them.  Other modules call these and read
-none of the tables.
+counts the latter without building them.  Both walks enter only the primes
+with a root, found by one Euler test per residue class mod |d|
+(_entered_primes).  Other modules call these and read none of the tables.
 """
 from __future__ import annotations
 
@@ -280,12 +281,16 @@ def _entered_primes(t, n, bound):
     """The primes p <= bound mod which b^2 + t*b + n has a root, ascending:
     (d / p) != -1 for d = t^2 - 4n, that is d^((p-1)/2) != -1 mod an odd p
     (Euler), d != 5 mod 8 for p = 2.  They come from the smallest-prime-
-    factor table, above it from is_prime."""
+    factor table, above it from is_prime.  As d = 0 or 1 mod 4, the
+    Kronecker symbol (d / .) has period |d|, and a p | d is the only prime
+    of its class mod |d|, so the test runs once per class met."""
     top, primes = table_primes(bound)
     primes += filter(is_prime, range(top + 1, bound + 1))
     d = t * t - 4 * n
-    return [p for p in primes if pow(d, p >> 1, p) != p - 1
-            or p == 2 and d % 8 == 1]
+    m, known = abs(d) or 1, {}  # class p mod |d| -> verdict; d = 0: 1 class
+    return [p for p in primes if (e := known.get(r := p % m)) or e is None
+            and known.setdefault(r, pow(d, p >> 1, p) != p - 1
+                                 or p == 2 and d % 8 == 1)]
 
 
 def quadratic_roots_upto(t, n, bound):

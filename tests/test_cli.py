@@ -250,6 +250,14 @@ class TestBudgetNumbers:
     or the size asked for when the budget is checked first); the CLI
     appends both to the unchanged message."""
 
+    def test_quotient_budget_line(self, capsys):
+        rc, out, err = run_cli(capsys, "class-monoid", "--field=1,0,1",
+                               "--order-basis", "1,0;0,400")
+        assert rc == 3 and out == ""
+        assert err == ("error [ideals.class_monoid] IndexTooLarge: quotient "
+                       "order 160000 exceeds budget 100000 (limit 100000, "
+                       "consumed 160000)\n")
+
     def test_census_budget_line(self, capsys):
         t0 = time.perf_counter()
         rc, out, err = run_cli(capsys, "class-monoid",

@@ -598,15 +598,20 @@ class TestIntermediateClasses:
     def test_rational_order(self):
         from orderkit.numberfield import RATIONAL_FIELD
         z = maximal_order(RATIONAL_FIELD)
-        for lower in (None, z.lattice.scale(6)):
-            classes = intermediate_classes(z, lower_ideal=lower)
-            assert [(c.label, c.invertible) for c in classes] == [((1,), True)]
+        classes = intermediate_classes(z)
+        assert [(c.label, c.invertible) for c in classes] == [((1,), True)]
+        # 6Z in place of the conductor Z: the 4 lattices between are all
+        # principal
+        lats = enumerate_intermediate_lattices(z.lattice, z.lattice.scale(6))
+        assert len(lats) == 4
+        assert {class_label(FractionalIdeal(z, lat, check=False))
+                for lat in lats} == {(1,)}
 
     def test_smaller_lower_ideal_only_grows(self, z_sqrt_minus3, o_minus3):
         base = intermediate_classes(z_sqrt_minus3)
         smaller = o_minus3.lattice.scale(4)  # 4 O_L inside f = 2 O_L
-        wider = intermediate_classes(z_sqrt_minus3, lower_ideal=smaller)
-        assert {c.label for c in base} <= {c.label for c in wider}
+        wider = intermediate_by_lattice_route(z_sqrt_minus3, smaller)
+        assert {c.label for c in base} <= set(wider)
 
 
 # squarefree m of both signs: Q(sqrt(m)) is imaginary or real
@@ -623,6 +628,40 @@ def order_with_census(m, f):
         gamma = is_order(field, [list(field.one().coords), list(w.coords)])
         _PAIR_CENSUS[m, f] = gamma, list(stable_ideal_pairs(gamma, 40))
     return _PAIR_CENSUS[m, f]
+
+
+def omega_rows(gamma, lat):
+    """The rows of ``lat`` in (1, omega) coordinates, times p1: for omega =
+    (p0 + p1*theta)/q, p1*(c0 + c1*theta) is (c0*p1 - c1*p0) + c1*q*omega."""
+    p0, p1, q = gamma.omega_coords()
+    return tuple((c0 * p1 - c1 * p0, c1 * q) for c0, c1 in lat.basis.entries)
+
+
+def lattice_reader(gamma):
+    """lat -> (z, a, b) with lat in Q*[a, b + omega], or None if unstable."""
+    t, n = gamma.omega_data()
+    return lambda lat: ideals._pair_of_rows(omega_rows(gamma, lat), t, n)
+
+
+def intermediate_by_lattice_route(gamma, lower=None):
+    """Oracle: {label: (a, b)} of the classes with a representative between
+    ``lower`` and O_L, in label order, by the lattice route: every lattice
+    of enumerate_intermediate_lattices read by lattice_reader, a class
+    keeping the pair of its first lattice.  ``lower`` defaults to the
+    conductor; a replacement must be an ideal of O_L inside the order, and
+    the class set only grows."""
+    om = maximal_order(gamma.field)
+    if lower is None:
+        lower = conductor(gamma, om).lattice
+    assert gamma.lattice.contains_lattice(lower)
+    assert escaping_product(om.basis_elements(), lower, gamma.field) is None
+    read, labels, pairs = lattice_reader(gamma), quadforms.LabelMap(), {}
+    for lat in enumerate_intermediate_lattices(om.lattice, lower):
+        pair = read(lat)
+        if pair is not None:
+            _, a, b = pair
+            pairs.setdefault(ideals._pair_label(gamma, a, b, labels), (a, b))
+    return dict(sorted(pairs.items()))
 
 
 def intermediate_by_lattices(gamma, lower):
@@ -683,7 +722,7 @@ class TestIntegerPairs:
         gamma, _ = order_with_census(m, f)
         om = maximal_order(gamma.field)
         lower = conductor(gamma, om).lattice.scale(k)
-        read = ideals._lattice_reader(gamma)
+        read = lattice_reader(gamma)
         seen = {True: 0, False: 0}
         for lat in enumerate_intermediate_lattices(om.lattice, lower):
             pair = read(lat)
@@ -699,11 +738,10 @@ class TestIntegerPairs:
                 assert (ideals._pair_label(gamma, a, b, quadforms.LabelMap())
                         == class_label(ideal))
         assert seen[True] and seen[False]
-        classes = intermediate_classes(gamma, om, lower_ideal=lower)
+        classes = [ideals._pair_class(gamma, a, b, lab) for lab, (a, b)
+                   in intermediate_by_lattice_route(gamma, lower).items()]
         assert [(c.label, c.invertible, c.representative.lattice)
                 for c in classes] == intermediate_by_lattices(gamma, lower)
-        assert all(_standard_ideal(gamma, *c.pair) == c.representative
-                   for c in classes)
 
 
 def form_of_basis(x, y):
@@ -830,7 +868,9 @@ def check_census(gamma, budget, labels, drop):
     oracle finds in none.  Returns the number of ideals."""
     form_to_class = {f: i for i, lab in enumerate(labels)
                      for f in quadforms.class_forms(lab)}
-    checked, forms = ideals._census(gamma, budget)
+    t, n = gamma.omega_data()
+    checked = modular.quadratic_root_count_upto(t, n, budget)
+    forms = ideals._census(gamma, budget)
     first = {}
     for f, key in sorted(forms.items(), key=lambda item: item[1]):
         first.setdefault(form_to_class.get(f), key[::2])
@@ -976,8 +1016,8 @@ class TestCensusAudit:
             return kernel(*args)
 
         monkeypatch.setattr(quadforms, "_reduce_definite", counting)
-        checked, forms = ideals._census(gamma, m.census_budget)
-        assert (checked, len(calls)) == (24_754, 7)
+        forms = ideals._census(gamma, m.census_budget)
+        assert (m.census_checked, len(calls)) == (24_754, 7)
         assert max(calls) <= census_amax(gamma.disc()) == 6
         # one entry per distinct reduced form, not per ideal
         assert len(forms) == 8
@@ -993,7 +1033,9 @@ class TestCensusAudit:
         assert m.census_budget == 20_736
         tracemalloc.start()
         try:
-            checked, _ = ideals._census(gamma, 20_736)
+            ideals._census(gamma, 20_736)
+            checked = modular.quadratic_root_count_upto(*gamma.omega_data(),
+                                                        20_736)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1002,9 +1044,10 @@ class TestCensusAudit:
 
     @pytest.mark.parametrize("coeffs,rows,budget", CENSUS_ORDERS[:6])
     def test_one_walk_per_order(self, coeffs, rows, budget, monkeypatch):
-        # a count: class_monoid reads Pic, the audit and census_checked off
-        # one census, a root walk to min(amax, budget) and one count to the
-        # budget, and picard_group makes the same two at its own bound
+        # a count: class_monoid reads Pic and the audit off one census, a
+        # root walk to min(amax, budget), and census_checked off one count
+        # to the budget; picard_group counts nothing, and walks roots to
+        # min(amax, its own bound)
         gamma = is_order(make_field(coeffs), rows)
         calls = []
         for name in ("quadratic_roots_upto", "quadratic_root_count_upto"):
@@ -1019,8 +1062,7 @@ class TestCensusAudit:
         calls.clear()
         picard_group(gamma)
         bound = math.isqrt(abs(gamma.disc())) + 1
-        assert sorted(calls) == [("quadratic_root_count_upto", bound),
-                                 ("quadratic_roots_upto", min(amax, bound))]
+        assert calls == [("quadratic_roots_upto", min(amax, bound))]
 
     def test_class_monoid_names_the_least_missed_key(self, monkeypatch):
         # forms in no assembled class: the audit names the ideal of the
@@ -1033,13 +1075,11 @@ class TestCensusAudit:
                   (1, 1, 10 ** 8): (5, 3, 1)}
 
         def with_strays(g, bound):
-            checked, forms = census(g, bound)
-            return checked, {**forms, **strays}
+            return {**census(g, bound), **strays}
 
         def invertible_only(g, bound):
-            checked, forms = census(g, bound)
-            return checked, {f: key for f, key in forms.items()
-                             if quadforms.disc_of(f) == d}
+            return {f: key for f, key in census(g, bound).items()
+                    if quadforms.disc_of(f) == d}
 
         monkeypatch.setattr(ideals, "_census", with_strays)
         with pytest.raises(FactorizationViolation,
@@ -1119,7 +1159,7 @@ class TestPicard:
             budget = class_monoid(gamma).census_budget
         pairs, _ = ideals._picard_pairs(
             gamma, om.disc(), math.isqrt(conductor(gamma, om).norm),
-            ideals._census(gamma, budget)[1], quadforms.LabelMap())
+            ideals._census(gamma, budget), quadforms.LabelMap())
         assert list(pairs.items()) == [(lab, pair)
                                        for lab, pair, _, _ in expected]
 
@@ -1416,7 +1456,7 @@ def intermediate_by_first_lattice(gamma):
     its form), the first lattice of each label built as its class, sorted
     by label."""
     om = maximal_order(gamma.field)
-    read = ideals._lattice_reader(gamma)
+    read = lattice_reader(gamma)
     found = {}
     for lat in enumerate_intermediate_lattices(
             om.lattice, conductor(gamma, om).lattice):
@@ -1430,6 +1470,71 @@ def intermediate_by_first_lattice(gamma):
     return sorted(found.values(), key=lambda c: c.label)
 
 
+# m of Q(sqrt(m)): d0 = -3, -4, -7, -8, 5, 8, 12, 13, of both signatures;
+# O_L has denominator 2 over the power basis of x^2 - m when m = 1 mod 4
+CLOSED_FORM_FIELDS = [-3, -1, -7, -2, 5, 2, 3, 13]
+
+
+class TestIntermediateClosedForm:
+    """intermediate_classes lists the lattices between f*O_L and O_L in
+    integers; enumerate_intermediate_lattices read by lattice_reader is its
+    oracle."""
+
+    def check(self, gamma, monkeypatch):
+        # the rows it reads are those of the lattice route, in its order,
+        # one for each of the sum over h0, h1 | f of gcd(f/h0, h1)
+        # subgroups of (Z/f)^2; the classes are the lattice route's
+        om = maximal_order(gamma.field)
+        cond = conductor(gamma, om)
+        lattices = enumerate_intermediate_lattices(om.lattice, cond.lattice)
+        expected = intermediate_by_lattice_route(gamma)
+        read = []
+        pair_of_rows = ideals._pair_of_rows
+
+        def recording(rows, t, n):
+            read.append(tuple(rows))
+            return pair_of_rows(rows, t, n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ideals, "_pair_of_rows", recording)
+            pairs = intermediate_classes(gamma, labels=quadforms.LabelMap())
+        assert read == [omega_rows(gamma, lat) for lat in lattices]
+        f = math.isqrt(cond.norm)
+        divisors = [h for h in range(1, f + 1) if f % h == 0]
+        assert len(read) == sum(math.gcd(f // h0, h1)
+                                for h0 in divisors for h1 in divisors)
+        assert pairs == expected
+
+    def test_corpus(self, corpus_monoids, monkeypatch):
+        for e, _ in corpus_monoids:
+            self.check(e.order, monkeypatch)
+
+    @pytest.mark.parametrize("m", CLOSED_FORM_FIELDS)
+    def test_conductors_up_to_12(self, m, monkeypatch):
+        for f in range(1, 13):
+            gamma, _ = order_with_census(m, f)
+            self.check(gamma, monkeypatch)
+
+    def test_budget_matches_the_lattice_route(self, gaussian_field):
+        # N(f) = 160,000 is over intmat._MAX_INDEX: the same IndexTooLarge
+        # as the enumeration, raised before any lattice is listed
+        z400i = is_order(gaussian_field, [[1, 0], [0, 400]])
+        om = maximal_order(gaussian_field)
+        with pytest.raises(IndexTooLarge) as closed:
+            intermediate_classes(z400i)
+        with pytest.raises(IndexTooLarge) as lattices:
+            enumerate_intermediate_lattices(om.lattice,
+                                            conductor(z400i, om).lattice)
+
+        def seen(err):
+            return (str(err.value), err.value.operation, err.value.limit,
+                    err.value.consumed)
+
+        assert seen(closed) == seen(lattices) == (
+            "quotient order 160000 exceeds budget 100000",
+            "enumerate_intermediate_lattices", 100_000, 160_000)
+
+
 class TestBuildOnce:
     """class_monoid walks each class once (one LabelMap per call) and builds
     a representative for the classes it keeps only."""
@@ -1437,7 +1542,7 @@ class TestBuildOnce:
     def test_map_labels_match_class_label(self, corpus_monoids):
         for e, m in corpus_monoids:
             labels = quadforms.LabelMap()
-            _, forms = ideals._census(e.order, m.census_budget)
+            forms = ideals._census(e.order, m.census_budget)
             for form in forms:
                 want = quadforms.class_label(form)
                 assert labels.label(form) == labels[form][0] == want, form

@@ -134,6 +134,39 @@ def test_root_count_matches_scan(t, n, bound):
         if (b * b + t * b + n) % a == 0)
 
 
+def entered_primes_by_euler(t, n, bound):
+    """Oracle: the primes p <= bound with (d / p) != -1, one Euler test a
+    prime."""
+    top, primes = modular.table_primes(bound)
+    primes += filter(modular.is_prime, range(top + 1, bound + 1))
+    d = t * t - 4 * n
+    return [p for p in primes if pow(d, p >> 1, p) != p - 1
+            or p == 2 and d % 8 == 1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(-9, 9), st.integers(-300, 300), st.integers(1, 3000))
+@example(1, 6, 500)      # d = -23 = 1 mod 8: 2 splits
+@example(1, 1, 500)      # d = -3 = 5 mod 8: 2 is inert
+@example(1, -4, 500)     # d = 17 = 1 mod 8, real
+@example(1, -57, 500)    # d = 229 = 5 mod 8, real
+@example(0, 36, 20_736)  # d = -144, even: Z[6i] at its census budget
+@example(0, -79, 500)    # d = 316 = 4 * 79
+@example(0, 5, 500)      # d = -20: 2 and 5 divide d
+@example(2, 1, 500)      # d = 0
+@example(1, 0, 500)      # d = 1
+@example(0, -9, 500)     # d = 36, a square
+@example(1, 6, 23)       # bound at the p | d = -23, and at p - 1
+@example(1, 6, 22)
+@example(1, 6, 47)       # 47 = 1 mod 23: the first repeated class
+@example(1, 6, 46)
+def test_entered_primes_match_euler(t, n, bound):
+    # one Euler test per residue class mod |d| against one per prime, for
+    # both signatures, odd d = 1 and 5 mod 8, even d and square d
+    assert (modular._entered_primes(t, n, bound)
+            == entered_primes_by_euler(t, n, bound))
+
+
 @pytest.mark.parametrize("t,n", [(0, 36), (1, 6), (1, -57), (0, -79),
                                  (1, 1)])
 def test_root_count_above_a_small_factor_table(t, n, monkeypatch):
