@@ -51,6 +51,7 @@ from .orders import (
     Order,
     conductor,
     conductor_comparison_check,
+    conductor_index,
     fundamental_unit,
     is_order,
     maximal_order,

@@ -369,13 +369,33 @@ def _cmd_gamma_count(args):
     }
 
 
-def _cmd_verify_suite(args):
+# the columns of SuiteReport.per_order, as verify-suite's JSON names them
+_PER_ORDER_KEYS = ("disc", "conductor_index", "conductor_norm", "classes",
+                   "picard", "intermediate", "census_checked")
+
+
+def _cmd_verify_suite(args, merged):
+    """The suite's text lines (--format table, the default), or one JSON
+    object: passed, the checks and the per-order rows."""
     report = run_suite(max_abs_disc=args.max_disc,
                        max_conductor=args.max_conductor,
                        conjugations=args.conjugations,
                        inject_fault=args.inject_fault)
-    for line in report.lines():
-        print(line)
+    if args.format == "table":
+        for line in report.lines():
+            print(line)
+    else:
+        payload = {
+            "passed": report.passed,
+            "checks": [{"name": r.name, "passed": r.passed,
+                        "seconds": r.seconds, "details": r.details}
+                       for r in report.results],
+            "per_order": [dict(zip(_PER_ORDER_KEYS, row))
+                          for row in report.per_order],
+        }
+        if merged:
+            payload["config_merged"] = merged
+        _emit(payload, args.format)
     return 0 if report.passed else 2
 
 
@@ -383,9 +403,10 @@ def build_parser():
     parser = _Parser(prog="orderkit",
                      description="exact arithmetic for orders in number "
                                  "fields, with explicit bound evaluators")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None,
                         help="flat key=value file; flags win over it")
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
     common.add_argument("--format", choices=("json", "table"), default="json")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
@@ -425,7 +446,9 @@ def build_parser():
     g.add_argument("--target-field", default=None)
 
     v = sub.add_parser("verify-suite", help="run every verification check",
-                       parents=[common])
+                       parents=[config])
+    # its own --format: the suite's text lines by default
+    v.add_argument("--format", choices=("json", "table"), default="table")
     v.add_argument("--max-disc", type=int, default=200)
     v.add_argument("--max-conductor", type=int, default=6)
     v.add_argument("--conjugations", type=int, default=20)
@@ -454,12 +477,14 @@ def _merge_negative_values(argv):
 
 @functools.cache
 def _parser_and_actions():
-    """The parser and its dest -> action map, built once per process:
-    parsing does not change them."""
+    """The parser and, per command, its dest -> action map (a dest such as
+    format may have another default in another command), built once per
+    process: parsing does not change them."""
     parser = build_parser()
-    actions = {a.dest: a for a in parser._actions}
-    for sp in (parser._subparsers._group_actions[0].choices or {}).values():
-        actions.update({a.dest: a for a in sp._actions})
+    top = {a.dest: a for a in parser._actions}
+    actions = {name: {**top, **{a.dest: a for a in sp._actions}}
+               for name, sp
+               in parser._subparsers._group_actions[0].choices.items()}
     return parser, actions
 
 
@@ -470,9 +495,9 @@ def main(argv=None):
     argv = _merge_negative_values(list(argv))
     try:
         args = parser.parse_args(argv)
-        merged = _merge_config(args, actions, args.config)
+        merged = _merge_config(args, actions[args.command], args.config)
         if args.command == "verify-suite":
-            return _cmd_verify_suite(args)
+            return _cmd_verify_suite(args, merged)
         handler = {"bound": _cmd_bound,
                    "order-info": _cmd_order_info,
                    "class-monoid": _cmd_class_monoid,

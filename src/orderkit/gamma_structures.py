@@ -30,7 +30,13 @@ from .intmat import (
     solve_square,
 )
 from .numberfield import FieldElement, NumberField, roots_in_field
-from .orders import Order, conductor, maximal_order, scaled_subring, torsion_units
+from .orders import (
+    Order,
+    conductor_index,
+    maximal_order,
+    scaled_subring,
+    torsion_units,
+)
 from .ideals import (
     FractionalIdeal,
     ClassMonoid,
@@ -411,7 +417,7 @@ def count_structures(gamma: Order, target: MatrixOrder,
         structures.extend(found)
     total = len(structures)
     om = maximal_order(l)
-    nf = conductor(gamma, om).norm
+    nf = conductor_index(gamma, om) ** 2
     h_gamma = len(monoid.picard_subset)
     bound = nf ** l.degree * h_gamma * len(embs)
     if total > bound:

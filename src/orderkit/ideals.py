@@ -3,16 +3,17 @@
 The class monoid C of an order is assembled constructively as
 Pic * {classes with a representative between the conductor and the maximal
 order}, then audited by a census of stable sublattices.  For a quadratic
-order the census (_census) walks and reduces only the ideals up to amax,
-the reduced-form range (3a^2 <= |d|, or a^2 <= d if d > 0), where every
-class has its ideal of least key.  class_monoid reads Pic and the audit off
-one census, and census_checked off a count-only walk to the census bound
-(modular.quadratic_root_count_upto); picard_group reads Pic off a shorter
-census and counts nothing.  The intermediate classes are read off the
-subgroups of (Z/f)^2, listed in integers (intermediate_classes).  Class
-identity for quadratic orders is decided through oriented binary quadratic
-forms (see quadforms); class_label and is_equivalent raise
-UnsupportedDegree above degree 2.
+order the census (_census) is one walk (modular.quadratic_root_walk): it
+counts every ideal up to the census bound, and carries roots for, and
+reduces, only those up to amax, the reduced-form range (3a^2 <= |d|, or
+a^2 <= d if d > 0), where every class has its ideal of least key.
+class_monoid reads Pic, the audit and census_checked off one census;
+picard_group reads Pic off a census that stops at amax.  N(f) = f^2 comes
+from the integer conductor index f (orders.conductor_index), and the
+intermediate classes are read off the subgroups of (Z/f)^2, listed in
+integers (intermediate_classes).  Class identity for quadratic orders is
+decided through oriented binary quadratic forms (see quadforms);
+class_label and is_equivalent raise UnsupportedDegree above degree 2.
 
 class_monoid carries a quadratic class as the pair (a, b) of its
 representative [a, b + omega] and multiplies, labels and tests pairs in
@@ -46,18 +47,13 @@ from .errors import (
     UnsupportedDegree,
 )
 from .intmat import Lattice, _det_bareiss
-from .modular import (
-    factorize,
-    kronecker,
-    quadratic_root_count_upto,
-    quadratic_roots_upto,
-)
+from .modular import factorize, kronecker, quadratic_root_walk
 from .numberfield import FieldElement
 from .orders import (
     Order,
     _lattice_times_element,
     colon_lattice,
-    conductor,
+    conductor_index,
     escaping_product,
     least_unit_power,
     maximal_order,
@@ -345,9 +341,10 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None, *,
                          labels=None):
     """The classes with a representative I satisfying f <= I <= O_L.
 
-    For a quadratic order the conductor is f*O_L, f^2 = N(f), and over the
-    HNF rows (o00, o01), (0, o11) / D of O_L the lattices between are the
-    subgroups (h0, e, h1) of (Z/f)^2: h0, h1 | f and e < h1 a multiple of
+    For a quadratic order the conductor is f*O_L, N(f) = f^2, with f read
+    off the discriminants (conductor_index), and over the HNF rows
+    (o00, o01), (0, o11) / D of O_L the lattices between are the subgroups
+    (h0, e, h1) of (Z/f)^2: h0, h1 | f and e < h1 a multiple of
     h1 / gcd(f/h0, h1), with rows (h0*o00, (h0*o01 + e*o11) mod h1*o11),
     (0, h1*o11) / D cleared of their gcd with D.  Sorted as
     intmat.enumerate_intermediate_lattices sorts them (the oracle in the
@@ -361,14 +358,15 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None, *,
     """
     if maximal is None:
         maximal = maximal_order(gamma.field)
-    nf = conductor(gamma, maximal).norm
+    f = conductor_index(gamma, maximal)
+    nf = f * f
     _check_budget(f"quotient order {nf}", nf, intmat._MAX_INDEX,
                   "enumerate_intermediate_lattices")
     if gamma.degree == 1:  # every fractional ideal of Z is principal
         return [IdealClass(unit_ideal(gamma), True, (1,))]
     (t, n), (p0, p1, q) = gamma.omega_data(), gamma.omega_coords()
     (o00, o01), (_, o11) = maximal.lattice.basis.entries
-    den, f = maximal.lattice.den, isqrt(nf)
+    den = maximal.lattice.den
     divisors = [h for h in range(1, f + 1) if f % h == 0]
     lattices = sorted((den // g, x // g, z // g, y // g)
                       for h0 in divisors for h1 in divisors
@@ -407,14 +405,19 @@ def _index_formula(d0: int, f_idx: int, h0: int) -> int:
     order of discriminant d0, given h0 = h(O_L), by the classical formula
 
         h = h0 * prod_{p | f_idx} p^(e_p - 1) (p - (d0/p)) / [O_L^x : Gamma^x]
+
+    At f_idx = 1 the order is O_L: the product is empty and the unit index
+    1, so h = h0 with no unit computed.
     """
+    if f_idx == 1:
+        return h0
     num = h0
     for p, e in factorize(f_idx).items():
         num *= p ** (e - 1) * (p - kronecker(d0, p))
     # [O_L^x : Gamma^x]: imaginary, the roots of unity of O_L (6 for d0 = -3,
-    # 4 for d0 = -4, else 2) over the +-1 left in Gamma when f > 1
+    # 4 for d0 = -4, else 2) over the +-1 left in Gamma
     if d0 < 0:
-        u_idx = {-3: 3, -4: 2}.get(d0, 1) if f_idx > 1 else 1
+        u_idx = {-3: 3, -4: 2}.get(d0, 1)
     else:
         u_idx = least_unit_power(d0, f_idx)[0]
     if num % u_idx:
@@ -428,8 +431,10 @@ def picard_group(gamma: Order) -> PicardGroup:
     the census (_census) up to the reduced-form norm bound isqrt(|disc|) + 1,
     read off by _picard_pairs, after IndexTooLarge for a bound over
     _MAX_CENSUS (the census walks and reduces only its ideals up to amax,
-    isqrt(|disc| // 3) if definite, isqrt(disc) if not); (b) the index
-    formula relating |Pic(Gamma)| to h(O_L), also reported as h_maximal.
+    isqrt(|disc| // 3) if definite, isqrt(disc) if not, and counts no
+    further); (b) the index formula relating |Pic(Gamma)| to h(O_L), also
+    reported as h_maximal, with the conductor index f from
+    conductor_index and N(f) = f^2.
     A mismatch is an implementation bug, reported as MethodDisagreement.
     class_monoid reads Pic off its own, longer census and checks the group
     laws on its multiplication table.
@@ -440,16 +445,19 @@ def picard_group(gamma: Order) -> PicardGroup:
     if gamma.degree != 2:
         raise UnsupportedDegree("picard_group implemented for degree <= 2",
                                 operation="picard_group")
-    bound = isqrt(abs(gamma.disc())) + 1
+    d = gamma.disc()
+    bound = isqrt(abs(d)) + 1
     _check_budget(f"census up to index {bound}", bound, _MAX_CENSUS,
                   "picard_group")
     om = maximal_order(gamma.field)
-    nf = conductor(gamma, om).norm
-    pairs, h0 = _picard_pairs(gamma, om.disc(), isqrt(nf),
-                              _census(gamma, bound), quadforms.LabelMap())
+    f = conductor_index(gamma, om)
+    # the census forms are those of its ideals up to amax: no count needed
+    forms, _ = _census(gamma, min(bound, _census_amax(d)))
+    pairs, h0 = _picard_pairs(gamma, om.disc(), f, forms,
+                              quadforms.LabelMap())
     classes = tuple(_pair_class(gamma, a, b, lab)
                     for lab, (a, b) in pairs.items())
-    return PicardGroup(classes, len(classes), len(classes), h0, nf)
+    return PicardGroup(classes, len(classes), len(classes), h0, f * f)
 
 
 def _picard_pairs(gamma: Order, d0, f_idx, forms, labels):
@@ -503,27 +511,36 @@ def _standard_ideal(gamma: Order, a: int, b: int) -> FractionalIdeal:
                            check=False)
 
 
+def _census_amax(d):
+    """amax, the top of the reduced-form range of discriminant d:
+    isqrt(-d // 3) if d < 0, isqrt(d) if d > 0 (see _census)."""
+    return isqrt(-d // 3) if d < 0 else isqrt(d)
+
+
 def _census(gamma: Order, bound):
-    """{reduced form: least key} of the census up to bound.
+    """({reduced form: least key} of the census up to bound, the number of
+    ideals in it).
 
     The census is every primitive stable sublattice [a, b + omega], a <=
-    bound, that is every root b of N(b + omega) mod a: one loop over the
-    walk of modular.quadratic_roots_upto, streamed and never held whole.
-    For a root b of a modulus a, the form (a, s*(2b + t), N(b + omega)/a)
-    of _pair_label goes as bare integers through the reduction kernel of
-    the order's signature; all census forms share the discriminant
-    t^2 - 4n, and reduction commutes with scaling, so the content is
-    divided out of the reduced form at the end.
+    bound, that is every root b of N(b + omega) mod a.  One walk,
+    modular.quadratic_root_walk, streams the roots of the moduli up to
+    min(amax, bound), never held whole, and counts the roots of every
+    modulus up to bound.  For a root b of a modulus a, the form
+    (a, s*(2b + t), N(b + omega)/a) of _pair_label goes as bare integers
+    through the reduction kernel of the order's signature; all census forms
+    share the discriminant t^2 - 4n, and reduction commutes with scaling,
+    so the content is divided out of the reduced form at the end.
 
     The forms need only the ideals up to amax = isqrt(-d // 3) if d < 0,
-    isqrt(d) if d > 0: a class of forms of discriminant d/g^2 has a reduced
-    form (A, B, C), 0 < A <= amax / g (3A^2 <= |d|/g^2 if definite; if not,
-    |A| < sqrt(d)/g, AC < 0 and a rho step moves C to the front), and
-    g*(A, B, C) is a translate of the form of the census ideal [g*A,
-    b + omega], b = (s*g*B - t)/2 mod g*A.  Keys sort by index first, so
-    every class has its least key up to amax, and only the moduli a <=
-    min(amax, bound) are walked and reduced: on Z[6i] 7 kernel calls for
-    24,754 ideals, 823 for the 152,921 of the 183 verify-corpus orders.
+    isqrt(d) if d > 0 (_census_amax): a class of forms of discriminant
+    d/g^2 has a reduced form (A, B, C), 0 < A <= amax / g (3A^2 <= |d|/g^2
+    if definite; if not, |A| < sqrt(d)/g, AC < 0 and a rho step moves C to
+    the front), and g*(A, B, C) is a translate of the form of the census
+    ideal [g*A, b + omega], b = (s*g*B - t)/2 mod g*A.  Keys sort by index
+    first, so every class has its least key up to amax, and only the
+    moduli a <= min(amax, bound) carry roots and are reduced: on Z[6i] 7
+    kernel calls for 24,754 ideals, 823 for the 152,921 of the 183
+    verify-corpus orders.
 
     The roots of a come in pairs b, b' = (-t - b) mod a, and 2b' + t =
     -(2b + t) mod 2a: the form of [a, b' + omega] is a translate of the
@@ -552,10 +569,14 @@ def _census(gamma: Order, bound):
         kernel = quadforms._reduce_indefinite
         opposite = quadforms._opposite_indefinite
         s, root = -1, isqrt(d)
-    amax = isqrt(-d // 3) if d < 0 else root
     forms = {}
     after = (bound + 1,)  # every key sorts before after
-    for a, bs in quadratic_roots_upto(t, n, min(amax, bound)):
+    walk = quadratic_root_walk(t, n, min(_census_amax(d), bound), bound)
+    while True:
+        try:
+            a, bs = next(walk)
+        except StopIteration as done:  # the walk returns its count
+            return forms, done.value
         two_a = 2 * a
         for b in bs:
             b2 = (-t - b) % a
@@ -574,7 +595,6 @@ def _census(gamma: Order, bound):
                 key = a, (t + 2 * b2) % two_a, b2
                 if key < forms.get(form, after):
                     forms[form] = key
-    return forms
 
 
 # --- the class monoid -----------------------------------------------------------
@@ -618,17 +638,18 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     is the oracle of this one.  A product outside the assembled classes is a
     FactorizationViolation; the monoid laws and the group laws of the Picard
     subset are checked on the table.  P times the order itself is P.
-    The census covers every primitive stable sublattice of index up to the
-    budget max(N(f)^2 * 16, isqrt(|disc|) + 1): census_checked counts them
-    all by a count-only walk (modular.quadratic_root_count_upto), and
-    _census walks and reduces only those up to the reduced-form range amax
-    (isqrt(|disc| // 3) if definite, isqrt(disc) if not), where every class
-    has its ideal of least key.  Pic is read off its forms (_picard_pairs),
-    the intermediate classes off the subgroups of (Z/f)^2 in integers
-    (intermediate_classes), and the audit verifies that each distinct form
-    lands in an assembled class (else naming the form's first ideal) and
-    that every assembled class is hit: the executable form of the product
-    decomposition, with FactorizationViolation as the fatal signal.  An
+    N(f) = f^2 comes from the conductor index f (conductor_index, read off
+    the two discriminants).  The census covers every primitive stable
+    sublattice of index up to the budget max(N(f)^2 * 16, isqrt(|disc|) +
+    1), in one walk of _census: it counts them all for census_checked, and
+    carries roots for, and reduces, only those up to the reduced-form range
+    amax (isqrt(|disc| // 3) if definite, isqrt(disc) if not), where every
+    class has its ideal of least key.  Pic is read off its forms
+    (_picard_pairs), the intermediate classes off the subgroups of (Z/f)^2
+    in integers (intermediate_classes), and the audit verifies that each
+    distinct form lands in an assembled class (else naming the form's first
+    ideal) and that every assembled class is hit: the executable form of the
+    product decomposition, with FactorizationViolation as the fatal signal.  An
     index N(f) above intmat._MAX_INDEX, or a census index above
     _MAX_CENSUS, raises IndexTooLarge before any class is built; so does a
     table of more than _MAX_TABLE products, once the classes are counted.
@@ -645,7 +666,8 @@ def class_monoid(gamma: Order) -> ClassMonoid:
         raise UnsupportedDegree("class_monoid implemented for degree <= 2",
                                 operation="class_monoid")
     om = maximal_order(gamma.field)
-    nf = conductor(gamma, om).norm
+    f = conductor_index(gamma, om)
+    nf = f * f
     # N(f) = [O_L : f] is the quotient that intermediate_classes enumerates;
     # every class has a reduced form whose a is at most isqrt(|disc|)
     _check_budget(f"quotient order {nf}", nf, intmat._MAX_INDEX,
@@ -654,9 +676,8 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     _check_budget(f"census up to index {budget}", budget, _MAX_CENSUS,
                   "class_monoid")
     labels = quadforms.LabelMap()
-    forms = _census(gamma, budget)
-    checked = quadratic_root_count_upto(*gamma.omega_data(), budget)
-    pic, h0 = _picard_pairs(gamma, om.disc(), isqrt(nf), forms, labels)
+    forms, checked = _census(gamma, budget)
+    pic, h0 = _picard_pairs(gamma, om.disc(), f, forms, labels)
     inter = intermediate_classes(gamma, om, labels=labels)
 
     assembled = {}  # label -> pair of its representative

@@ -413,12 +413,18 @@ class Lattice:
     @classmethod
     def _from_hnf(cls, dim, rows, den):
         """The lattice of integer rows over den that are already stored the
-        way __init__ stores them (HNF with positive pivots, each entry above
-        a pivot reduced mod it, no zero rows; den > 0 and coprime to the
-        entries), for callers that build that form in closed form."""
+        way __init__ stores them (a tuple of int tuples of length dim, in
+        HNF with positive pivots, each entry above a pivot reduced mod it,
+        no zero rows; den > 0 and coprime to the entries), for callers that
+        build that form in closed form: the rows are kept as given, with no
+        copy or check."""
+        basis = object.__new__(IntMatrix)
+        object.__setattr__(basis, "rows", len(rows))
+        object.__setattr__(basis, "cols", dim)
+        object.__setattr__(basis, "entries", rows)
         lat = object.__new__(cls)
         object.__setattr__(lat, "dim", dim)
-        object.__setattr__(lat, "basis", IntMatrix(rows))
+        object.__setattr__(lat, "basis", basis)
         object.__setattr__(lat, "den", den)
         return lat
 

@@ -3,11 +3,11 @@
 factorize splits integers (a smallest-prime-factor table below 2^18,
 Pollard-Brent rho above); quadratic_roots Hensel-lifts the roots of
 b^2 + t*b + n mod p^k, sqrts_mod joins those of y^2 - a by CRT for one
-modulus (its prime powers from factorize) and quadratic_roots_upto those of
-b^2 + t*b + n for every modulus up to a bound; quadratic_root_count_upto
-counts the latter without building them.  Both walks enter only the primes
-with a root, found by one Euler test per residue class mod |d|
-(_entered_primes).  Other modules call these and read none of the tables.
+modulus (its prime powers from factorize), and quadratic_root_walk yields
+those of b^2 + t*b + n for every modulus up to one bound and counts them up
+to a second, in one walk.  It enters only the primes with a root, found by
+one Euler test per residue class mod |d| (_entered_primes).  Other modules
+call these and read none of the tables.
 """
 from __future__ import annotations
 
@@ -293,66 +293,55 @@ def _entered_primes(t, n, bound):
                                  or p == 2 and d % 8 == 1)]
 
 
-def quadratic_roots_upto(t, n, bound):
+def quadratic_root_walk(t, n, roots_to, count_to):
     """(a, the roots b in [0, a) of b^2 + t*b + n mod a) for every
-    1 <= a <= bound with a root, unordered and with no a factored: a
-    depth-first walk over products of prime powers, primes ascending, each
-    child a * p^k taking its roots from a's by one CRT step with those mod
-    p^k (quadratic_roots, one memo).  A p^k with no root ends the powers of
-    p; a prime with no root (_entered_primes) is never entered."""
-    primes = _entered_primes(t, n, bound) + [bound + 1]
+    1 <= a <= roots_to with a root, unordered and with no a factored; the
+    generator's return value is the number of roots summed over every
+    1 <= a <= count_to, for count_to >= roots_to.
+
+    One depth-first walk over products of prime powers, primes ascending,
+    with one prime filter (_entered_primes, up to count_to) and one memo of
+    the roots mod p^k (quadratic_roots): a prime with no root is never
+    entered, a p^k with no root ends the powers of p.  A child a * p^k up
+    to roots_to takes its roots from a's by one CRT step and is yielded;
+    above it, it carries rho(a * p^k) alone, the root count, which is
+    multiplicative, with no CRT step.  Once the next prime p of a node a is
+    past both roots_to // a and sqrt(lim), lim = count_to // a, every
+    entered q in [p, lim] is a leaf a * q, added at once by a running sum
+    of rho(q) over the entered primes: 1 if q | d, d = t^2 - 4n, else 2
+    (d = 1 mod 8 if q = 2)."""
+    primes = _entered_primes(t, n, count_to)
+    d = t * t - 4 * n
+    rho_sum = list(accumulate((1 + (d % q > 0) for q in primes), initial=0))
+    primes.append(count_to + 1)
     known = {}  # p^k -> roots mod p^k
+    total = 1  # a = 1, b = 0
     yield 1, [0]
-    stack = [(1, [0], 0)]  # (a, roots mod a, index of a's least new prime)
+    # (a, roots mod a or None above roots_to, rho(a), index of a's least
+    # new prime)
+    stack = [(1, [0], 1, 0)]
     while stack:
-        a, bs, i = stack.pop()
-        lim = bound // a
+        a, bs, r, i = stack.pop()
+        lim = count_to // a
+        rlim = 0 if bs is None else roots_to // a
         p = primes[i]
-        while p <= lim:  # the sentinel bound + 1 ends every walk
+        while p <= rlim or p * p <= lim:  # the sentinel ends every walk
             i += 1
             pk = p
             while pk <= lim:
                 rs = quadratic_roots(t, n, p, pk, known)
                 if not rs:
                     break
-                inv = pow(a, -1, pk)
-                rs = [b + a * ((r - b) * inv % pk) for b in bs for r in rs]
-                yield a * pk, rs
+                k = r * len(rs)
+                total += k
+                if pk <= rlim:
+                    inv = pow(a, -1, pk)
+                    rs = [b + a * ((c - b) * inv % pk) for b in bs for c in rs]
+                    yield a * pk, rs
+                else:
+                    rs = None
                 if primes[i] <= lim // pk:  # a * p^k has children
-                    stack.append((a * pk, rs, i))
-                pk *= p
-            p = primes[i]
-
-
-def quadratic_root_count_upto(t, n, bound):
-    """The sum over 1 <= a <= bound of rho(a), the number of roots of
-    b^2 + t*b + n mod a, which is multiplicative: the walk of
-    quadratic_roots_upto carrying rho(a) alone, rho(p^k) =
-    len(quadratic_roots(...)), with no CRT step.  Once the next prime p of
-    a node a has p^2 > lim = bound // a, every entered q in [p, lim] is a
-    leaf a * q, added at once by a running sum of rho(q) over the entered
-    primes: 1 if q | d, d = t^2 - 4n, else 2 (d = 1 mod 8 if q = 2)."""
-    primes = _entered_primes(t, n, bound)
-    d = t * t - 4 * n
-    rho_sum = list(accumulate((1 + (d % q > 0) for q in primes), initial=0))
-    primes.append(bound + 1)
-    known = {}  # p^k -> roots mod p^k
-    total = 1  # a = 1, b = 0
-    stack = [(1, 1, 0)]  # (a, rho(a), index of a's least new prime)
-    while stack:
-        a, r, i = stack.pop()
-        lim = bound // a
-        p = primes[i]
-        while p * p <= lim:  # the sentinel bound + 1 ends every walk
-            i += 1
-            pk = p
-            while pk <= lim:
-                k = len(quadratic_roots(t, n, p, pk, known))
-                if not k:
-                    break
-                total += r * k
-                if primes[i] <= lim // pk:  # a * p^k has children
-                    stack.append((a * pk, r * k, i))
+                    stack.append((a * pk, rs, k, i))
                 pk *= p
             p = primes[i]
         if p <= lim:

@@ -29,8 +29,8 @@ class Order:
     """A unital, multiplicatively closed, full-rank lattice in a number field."""
 
     __slots__ = ("field", "lattice", "assumed_maximal", "_elements",
-                 "_unital", "_structure", "_omega", "_omega_data", "_disc",
-                 "_conductor")
+                 "_unital", "_structure", "_omega_coords", "_omega",
+                 "_omega_data", "_disc", "_conductor")
 
     def __init__(self, field: NumberField, lattice: Lattice,
                  assumed_maximal=False):
@@ -41,7 +41,8 @@ class Order:
         object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_unital", None)
         object.__setattr__(self, "_structure", None)
-        object.__setattr__(self, "_omega", None)  # ((p0, p1, q), omega)
+        object.__setattr__(self, "_omega_coords", None)  # (p0, p1, q)
+        object.__setattr__(self, "_omega", None)
         object.__setattr__(self, "_omega_data", None)
         object.__setattr__(self, "_disc", None)
         object.__setattr__(self, "_conductor", None)  # (maximal, ConductorData)
@@ -168,25 +169,26 @@ class Order:
     def omega(self) -> FieldElement:
         """Canonical second generator of a quadratic order: Gamma = Z + Z*omega,
         normalized so the generator coordinate is positive and the rational
-        part lies in [0, 1); kept on the order with omega_coords."""
-        self.omega_coords()
-        return self._omega[1]
+        part lies in [0, 1); built from omega_coords on first use and kept."""
+        if self._omega is None:
+            p0, p1, q = self.omega_coords()
+            object.__setattr__(self, "_omega", self.field.element(
+                [Fraction(p0, q), Fraction(p1, q)]))
+        return self._omega
 
     def omega_coords(self):
         """(p0, p1, q) with omega = (p0 + p1*theta) / q, read once off the HNF
         rows (x0, x1), (0, y1) over q: for g = gcd(x1, y1) = u*x1 + v*y1,
         omega is (u*x0 mod q, g) / q, as 1 = (q, 0) / q lies in the order."""
-        if self._omega is None:
+        if self._omega_coords is None:
             if self.degree != 2:
                 raise UnsupportedDegree("quadratic orders only",
                                         operation="omega")
             (x0, x1), (_, y1) = self.lattice.basis.entries
             q = self.lattice.den
             g, u, _ = quadforms._xgcd(x1, y1)
-            p0 = u * x0 % q
-            w = self.field.element([Fraction(p0, q), Fraction(g, q)])
-            object.__setattr__(self, "_omega", ((p0, g, q), w))
-        return self._omega[0]
+            object.__setattr__(self, "_omega_coords", (u * x0 % q, g, q))
+        return self._omega_coords
 
     def omega_data(self):
         """(trace, norm) of omega of a quadratic order, from omega_coords."""
@@ -309,25 +311,50 @@ class ConductorData:
     norm: int
 
 
+def conductor_index(gamma: Order, maximal: Order) -> int:
+    """f with Gamma = Z + f*O_L, for an order Gamma of degree <= 2 inside
+    O_L = ``maximal``, in integers: f = isqrt(disc Gamma / disc O_L)
+    (Cohen, GTM 138, 5.2), so N(f) = f^2.  Orders of one quadratic field
+    are Z + f*O_L and Z + g*O_L, with discriminant ratio (f/g)^2, and the
+    first lies in the second iff g | f, that is iff the ratio is the square
+    of an integer (Q has the one order Z, ratio 1): so NotContained is
+    raised, as conductor raises it, when the two lie in different fields or
+    the ratio is no integer square."""
+    if gamma.field != maximal.field:
+        raise NotContained("orders of different fields", operation="conductor")
+    if gamma.degree > 2:
+        raise UnsupportedDegree("conductor index for degree <= 2 only",
+                                operation="conductor")
+    f2, r = divmod(gamma.disc(), maximal.disc())
+    f = isqrt(f2) if f2 > 0 else 0
+    if r or f * f != f2:
+        raise NotContained("order is not contained in the maximal order",
+                           operation="conductor")
+    return f
+
+
 def conductor(gamma: Order, maximal: Order) -> ConductorData:
     """{x in O_L : x*O_L <= Gamma}: f*O_L for a quadratic order Gamma =
-    Z + f*O_L, f = isqrt(disc Gamma / disc O_L) (Cohen, GTM 138, 5.2), and
-    else by lattice intersections (colon_lattice).  Computed once per order
-    and kept on it with ``maximal``; a later call with an equal maximal
-    order returns the kept data."""
+    Z + f*O_L, f from conductor_index, and else by lattice intersections
+    (colon_lattice).  Computed once per order and kept on it with
+    ``maximal``; a later call with an equal maximal order returns the kept
+    data.  Callers that need only N(f) of a quadratic order (class_monoid,
+    picard_group, intermediate_classes, count_structures) read f off
+    conductor_index instead."""
     cached = gamma._conductor
     if cached is not None and cached[0] == maximal:
         return cached[1]
-    if gamma.field != maximal.field:
-        raise NotContained("orders of different fields", operation="conductor")
-    if not maximal.contains_order(gamma):
-        raise NotContained("order is not contained in the maximal order",
-                           operation="conductor")
     if gamma.degree == 2:
-        f = isqrt(gamma.disc() // maximal.disc())
+        f = conductor_index(gamma, maximal)
         data = ConductorData(
             maximal.lattice if f == 1 else maximal.lattice.scale(f), f * f)
     else:
+        if gamma.field != maximal.field:
+            raise NotContained("orders of different fields",
+                               operation="conductor")
+        if not maximal.contains_order(gamma):
+            raise NotContained("order is not contained in the maximal order",
+                               operation="conductor")
         lat = colon_lattice(gamma.lattice, maximal.basis_elements(),
                             gamma.field)
         data = ConductorData(lat, lattice_index(maximal.lattice, lat))
@@ -473,7 +500,7 @@ def fundamental_unit(gamma: Order) -> FieldElement:
                                 operation="fundamental_unit")
     om = maximal_order(field)
     d0 = om.disc()
-    _, t, u = least_unit_power(d0, isqrt(conductor(gamma, om).norm))
+    _, t, u = least_unit_power(d0, conductor_index(gamma, om))
     # sqrt(d0) = 2*w0 - Tr(w0) for w0 the canonical generator of O_L; the
     # first embedding is the one sending w0 to the larger root, so eps > 1.
     w0 = om.omega()

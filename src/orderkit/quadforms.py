@@ -26,8 +26,9 @@ fundamental unit is read off the automorph that cycle_of returns for the
 principal form.
 
 reduced_forms lists the reduced primitive forms of a discriminant d on
-the census's root walk (modular.quadratic_roots_upto), in O(sqrt|d|)
-moduli; form_class_count counts their classes, h(O_L) for class_monoid.
+its own run of the census's root walk (modular.quadratic_root_walk), in
+O(sqrt|d|) moduli; form_class_count counts their classes, h(O_L) for
+class_monoid.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .errors import MethodDisagreement, SearchBudgetExceeded
-from .modular import quadratic_roots_upto
+from .modular import quadratic_root_walk
 
 # Longest rho-cycle that _cycle walks before giving up.
 _MAX_CYCLE = 100_000
@@ -335,7 +336,8 @@ def reduced_forms(d):
     e = d & 1
     out = []
     if d < 0:
-        for a, rs in quadratic_roots_upto(e, (e - d) // 4, isqrt(-d // 3)):
+        top = isqrt(-d // 3)
+        for a, rs in quadratic_root_walk(e, (e - d) // 4, top, top):
             for r in rs:
                 b = 2 * r + e
                 if b > a:
@@ -344,7 +346,7 @@ def reduced_forms(d):
                 if c >= a and (b >= 0 or a != c) and gcd(a, b, c) == 1:
                     out.append((a, b, c))
     else:
-        for a, rs in quadratic_roots_upto(e, (e - d) // 4, s):
+        for a, rs in quadratic_root_walk(e, (e - d) // 4, s, s):
             two_a = 2 * a
             lo = max(two_a - s, s + 1 - two_a, 1)
             for r in rs:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -652,6 +653,64 @@ class TestVerifySuiteSmall:
                              "--inject-fault")
         assert rc == 2
         assert "FAIL" in out
+
+    SMALL = ("--max-disc", "24", "--max-conductor", "2", "--conjugations", "1")
+
+    @staticmethod
+    def untimed(text):
+        """The suite's lines with each check's seconds blanked."""
+        return re.sub(r"\(\d+\.\d\ds\)", "(-)", text)
+
+    def test_json_format(self, capsys):
+        # one object: passed, a check list and the per-order rows, with the
+        # verdicts and numbers the table prints
+        rc, out, _ = run_cli(capsys, "verify-suite", *self.SMALL,
+                             "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert sorted(payload) == ["checks", "passed", "per_order"]
+        assert payload["passed"] is True
+        checks = payload["checks"]
+        assert [c["name"] for c in checks] == [
+            "lenstra-factorization", "class-bounds", "structure-counts",
+            "bijection-roundtrip", "unit-bounds", "transfer-inequality",
+            "bound-evaluators", "conductor-comparison", "table-audit",
+            "negative-control"]
+        for c in checks:
+            assert sorted(c) == ["details", "name", "passed", "seconds"]
+            assert c["passed"] is True and isinstance(c["seconds"], float)
+        rows = payload["per_order"]
+        assert rows[0] == {"disc": -3, "conductor_index": 1,
+                           "conductor_norm": 1, "classes": 1, "picard": 1,
+                           "intermediate": 1, "census_checked": 6}
+        rc, table, _ = run_cli(capsys, "verify-suite", *self.SMALL,
+                               "--format", "table")
+        lines = table.splitlines()
+        assert lines[0] == f"verification corpus: {len(rows)} quadratic orders"
+        assert lines[2:2 + len(rows)] == [
+            "  {:>5} {:>4} {:>5} {:>4} {:>6} {:>4} {:>7}".format(
+                *(r[k] for k in cli._PER_ORDER_KEYS)) for r in rows]
+        assert self.untimed("\n".join(lines[2 + len(rows):-1])) == "\n".join(
+            f"PASS {c['name']} (-): {c['details']}" for c in checks)
+
+    def test_table_is_the_default(self, capsys, tmp_path):
+        # a bare verify-suite prints the text lines; a config file may ask
+        # for JSON
+        runs = [run_cli(capsys, "verify-suite", *self.SMALL),
+                run_cli(capsys, "verify-suite", *self.SMALL,
+                        "--format", "table")]
+        assert [rc for rc, _, _ in runs] == [0, 0]
+        assert self.untimed(runs[0][1]) == self.untimed(runs[1][1])
+        assert runs[0][1].startswith("verification corpus: ")
+        assert runs[0][1].endswith("suite: PASS\n")
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("format = json\n")
+        rc, out, _ = run_cli(capsys, "verify-suite", *self.SMALL,
+                             "--config", str(cfg))
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["passed"] and payload["config_merged"] == {
+            "format": "json"}
 
 
 class TestParserBuiltOnce:

@@ -74,7 +74,7 @@ def stable_ideal_pairs(gamma, bound):
     of y^2 = disc mod 4a that gives b (the order of stable_pairs_per_modulus).
     """
     t, n = gamma.omega_data()
-    for a, bs in sorted(modular.quadratic_roots_upto(t, n, bound)):
+    for a, bs in sorted(modular.quadratic_root_walk(t, n, bound, bound)):
         for b in sorted(bs, key=lambda b: (t + 2 * b) % (2 * a)):
             yield a, b
 
@@ -820,7 +820,7 @@ class TestStablePairs:
             if cap is not None:
                 mp.setattr(modular, "_SPF_CAP", cap)
                 mp.setattr(modular, "_SPF", [0, 1])
-            walk = list(modular.quadratic_roots_upto(t, n, bound))
+            walk = list(modular.quadratic_root_walk(t, n, bound, bound))
             assert cap is None or len(modular._SPF) <= cap
         assert all(bs for _, bs in walk)
         assert len({a for a, _ in walk}) == len(walk)
@@ -868,9 +868,7 @@ def check_census(gamma, budget, labels, drop):
     oracle finds in none.  Returns the number of ideals."""
     form_to_class = {f: i for i, lab in enumerate(labels)
                      for f in quadforms.class_forms(lab)}
-    t, n = gamma.omega_data()
-    checked = modular.quadratic_root_count_upto(t, n, budget)
-    forms = ideals._census(gamma, budget)
+    forms, checked = ideals._census(gamma, budget)
     first = {}
     for f, key in sorted(forms.items(), key=lambda item: item[1]):
         first.setdefault(form_to_class.get(f), key[::2])
@@ -1016,8 +1014,8 @@ class TestCensusAudit:
             return kernel(*args)
 
         monkeypatch.setattr(quadforms, "_reduce_definite", counting)
-        forms = ideals._census(gamma, m.census_budget)
-        assert (m.census_checked, len(calls)) == (24_754, 7)
+        forms, checked = ideals._census(gamma, m.census_budget)
+        assert (m.census_checked, checked, len(calls)) == (24_754, 24_754, 7)
         assert max(calls) <= census_amax(gamma.disc()) == 6
         # one entry per distinct reduced form, not per ideal
         assert len(forms) == 8
@@ -1033,9 +1031,7 @@ class TestCensusAudit:
         assert m.census_budget == 20_736
         tracemalloc.start()
         try:
-            ideals._census(gamma, 20_736)
-            checked = modular.quadratic_root_count_upto(*gamma.omega_data(),
-                                                        20_736)
+            _, checked = ideals._census(gamma, 20_736)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1044,25 +1040,35 @@ class TestCensusAudit:
 
     @pytest.mark.parametrize("coeffs,rows,budget", CENSUS_ORDERS[:6])
     def test_one_walk_per_order(self, coeffs, rows, budget, monkeypatch):
-        # a count: class_monoid reads Pic and the audit off one census, a
-        # root walk to min(amax, budget), and census_checked off one count
-        # to the budget; picard_group counts nothing, and walks roots to
-        # min(amax, its own bound)
+        # a count: class_monoid reads Pic, the audit and census_checked off
+        # one census, one walk with roots to min(amax, budget) and a count
+        # to the budget; picard_group walks roots to min(amax, its own
+        # bound) and counts no further.  Besides it, only h(O_L)'s own walk
+        # (quadforms.form_class_count, the other side of the index formula)
+        # runs the prime filter: two filters a class_monoid call
         gamma = is_order(make_field(coeffs), rows)
-        calls = []
-        for name in ("quadratic_roots_upto", "quadratic_root_count_upto"):
-            def counting(t, n, bound, _name=name, _f=getattr(ideals, name)):
-                calls.append((_name, bound))
-                return _f(t, n, bound)
-            monkeypatch.setattr(ideals, name, counting)
+        calls, filters = [], []
+        walk, entered = ideals.quadratic_root_walk, modular._entered_primes
+
+        def counting(t, n, roots_to, count_to):
+            calls.append((roots_to, count_to))
+            return walk(t, n, roots_to, count_to)
+
+        def filtering(t, n, bound):
+            filters.append(bound)
+            return entered(t, n, bound)
+
+        monkeypatch.setattr(ideals, "quadratic_root_walk", counting)
+        monkeypatch.setattr(modular, "_entered_primes", filtering)
         amax = census_amax(gamma.disc())
         budget = class_monoid(gamma).census_budget
-        assert sorted(calls) == [("quadratic_root_count_upto", budget),
-                                 ("quadratic_roots_upto", min(amax, budget))]
+        assert calls == [(min(amax, budget), budget)]
+        d0 = maximal_order(gamma.field).disc()
+        assert sorted(filters) == sorted([budget, census_amax(d0)])
         calls.clear()
         picard_group(gamma)
         bound = math.isqrt(abs(gamma.disc())) + 1
-        assert calls == [("quadratic_roots_upto", min(amax, bound))]
+        assert calls == [(min(amax, bound), min(amax, bound))]
 
     def test_class_monoid_names_the_least_missed_key(self, monkeypatch):
         # forms in no assembled class: the audit names the ideal of the
@@ -1075,11 +1081,13 @@ class TestCensusAudit:
                   (1, 1, 10 ** 8): (5, 3, 1)}
 
         def with_strays(g, bound):
-            return {**census(g, bound), **strays}
+            forms, checked = census(g, bound)
+            return {**forms, **strays}, checked
 
         def invertible_only(g, bound):
-            return {f: key for f, key in census(g, bound).items()
-                    if quadforms.disc_of(f) == d}
+            forms, checked = census(g, bound)
+            return {f: key for f, key in forms.items()
+                    if quadforms.disc_of(f) == d}, checked
 
         monkeypatch.setattr(ideals, "_census", with_strays)
         with pytest.raises(FactorizationViolation,
@@ -1139,6 +1147,37 @@ class TestPicard:
             assert (least_unit_power(om.disc(), f)[0]
                     == self.UNIT_INDEX.get(e.disc, 1)), e.disc
 
+    def test_index_formula_at_f1_walks_no_unit(self, monkeypatch):
+        # at f = 1 the unit index is 1: _index_formula gives h0 as the
+        # least_unit_power route does, on every real corpus d0, with no
+        # fundamental unit; a class_monoid round over the corpus computes
+        # one unit per real order with f > 1 (26 of 86)
+        from orderkit.verify import build_corpus
+        corpus = build_corpus()
+        real = {maximal_order(e.order.field).disc() for e in corpus
+                if e.order.field.signature == (2, 0)}
+        assert len(real) == 60
+        expected = {}
+        for d0 in real:
+            h0 = quadforms.form_class_count(d0)
+            k, _, _ = least_unit_power(d0, 1)
+            expected[d0] = h0, h0 // k
+        units = []
+        unit_xy = quadforms.fundamental_unit_xy
+
+        def counted(d):
+            units.append(d)
+            return unit_xy(d)
+
+        monkeypatch.setattr(quadforms, "fundamental_unit_xy", counted)
+        for d0, (h0, h) in expected.items():
+            assert ideals._index_formula(d0, 1, h0) == h
+        assert units == []
+        for e in corpus:
+            class_monoid(e.order)
+        assert len(units) == sum(1 for e in corpus if e.conductor_index > 1
+                                 and e.order.field.signature == (2, 0)) == 26
+
     @pytest.mark.parametrize("coeffs,rows", COMPOSE_ORDERS)
     def test_integer_census_matches_lattice_route(self, coeffs, rows):
         gamma = is_order(make_field(coeffs), rows)
@@ -1159,7 +1198,7 @@ class TestPicard:
             budget = class_monoid(gamma).census_budget
         pairs, _ = ideals._picard_pairs(
             gamma, om.disc(), math.isqrt(conductor(gamma, om).norm),
-            ideals._census(gamma, budget), quadforms.LabelMap())
+            ideals._census(gamma, budget)[0], quadforms.LabelMap())
         assert list(pairs.items()) == [(lab, pair)
                                        for lab, pair, _, _ in expected]
 
@@ -1542,7 +1581,7 @@ class TestBuildOnce:
     def test_map_labels_match_class_label(self, corpus_monoids):
         for e, m in corpus_monoids:
             labels = quadforms.LabelMap()
-            forms = ideals._census(e.order, m.census_budget)
+            forms, _ = ideals._census(e.order, m.census_budget)
             for form in forms:
                 want = quadforms.class_label(form)
                 assert labels.label(form) == labels[form][0] == want, form
@@ -1617,11 +1656,18 @@ class TestBuildOnce:
     @example([7, 1, 1], 2, 6, 1)
     def test_standard_ideal_hnf_matches_lattice_route(self, coeffs, f, a, b):
         # the closed-form HNF of (a*q, 0), (b*q + p0, p1) over q against
-        # Lattice's HNF pass on the same rows, in Z + f*O_L
+        # Lattice's HNF pass on the same rows, in Z + f*O_L, stored alike
+        # (Lattice._from_hnf keeps its rows with no copy or check)
         from orderkit.intmat import IntMatrix
         field = make_field(coeffs)
         w = maximal_order(field).omega() * f
         gamma = is_order(field, [list(field.one().coords), list(w.coords)])
         p0, p1, q = gamma.omega_coords()
         want = Lattice(2, IntMatrix([[a * q, 0], [b * q + p0, p1]]), q)
-        assert _standard_ideal(gamma, a, b).lattice == want
+        got = _standard_ideal(gamma, a, b).lattice
+        assert got == want
+        assert ((got.dim, got.den, got.basis.rows, got.basis.cols)
+                == (want.dim, want.den, want.basis.rows, want.basis.cols))
+        assert type(got.basis.entries) is tuple and hash(got) == hash(want)
+        assert all(type(row) is tuple and all(type(x) is int for x in row)
+                   for row in got.basis.entries)

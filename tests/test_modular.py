@@ -1,12 +1,16 @@
 """Congruences and prime powers in orderkit.modular, each against a brute
-scan of the residues (the root count also against the root walk); the
+scan of the residues; the one root walk also against the two walks it
+replaced (a root walk and a count-only walk, kept here as its oracle); the
 factor table's size; and the source check that the factor table and
 Tonelli-Shanks stay private to modular."""
 
 import re
 import time
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -74,6 +78,78 @@ def test_sqrts_mod_matches_scan(a, m):
                                        if (y * y - a) % m == 0]
 
 
+def quadratic_roots_upto(t, n, bound):
+    """Oracle: (a, the roots b in [0, a) of b^2 + t*b + n mod a) for every
+    1 <= a <= bound with a root, by a depth-first walk over products of
+    prime powers, each child a * p^k taking its roots from a's by one CRT
+    step."""
+    primes = modular._entered_primes(t, n, bound) + [bound + 1]
+    known = {}
+    yield 1, [0]
+    stack = [(1, [0], 0)]
+    while stack:
+        a, bs, i = stack.pop()
+        lim = bound // a
+        p = primes[i]
+        while p <= lim:
+            i += 1
+            pk = p
+            while pk <= lim:
+                rs = modular.quadratic_roots(t, n, p, pk, known)
+                if not rs:
+                    break
+                inv = pow(a, -1, pk)
+                rs = [b + a * ((r - b) * inv % pk) for b in bs for r in rs]
+                yield a * pk, rs
+                if primes[i] <= lim // pk:
+                    stack.append((a * pk, rs, i))
+                pk *= p
+            p = primes[i]
+
+
+def quadratic_root_count_upto(t, n, bound):
+    """Oracle: the number of roots of b^2 + t*b + n mod a summed over
+    1 <= a <= bound, by the same walk carrying the root count alone, the
+    leaves above sqrt(bound / a) summed by a running sum over the primes."""
+    primes = modular._entered_primes(t, n, bound)
+    d = t * t - 4 * n
+    rho_sum = list(accumulate((1 + (d % q > 0) for q in primes), initial=0))
+    primes.append(bound + 1)
+    known = {}
+    total = 1
+    stack = [(1, 1, 0)]
+    while stack:
+        a, r, i = stack.pop()
+        lim = bound // a
+        p = primes[i]
+        while p * p <= lim:
+            i += 1
+            pk = p
+            while pk <= lim:
+                k = len(modular.quadratic_roots(t, n, p, pk, known))
+                if not k:
+                    break
+                total += r * k
+                if primes[i] <= lim // pk:
+                    stack.append((a * pk, r * k, i))
+                pk *= p
+            p = primes[i]
+        if p <= lim:
+            total += r * (rho_sum[bisect_right(primes, lim, i)] - rho_sum[i])
+    return total
+
+
+def one_walk(t, n, roots_to, count_to):
+    """(the (a, roots) stream, the count) of modular.quadratic_root_walk."""
+    walk = modular.quadratic_root_walk(t, n, roots_to, count_to)
+    stream = []
+    while True:
+        try:
+            stream.append(next(walk))
+        except StopIteration as done:
+            return stream, done.value
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-40, 40), st.integers(-400, 400), st.integers(1, 400))
 @example(0, 36, 400)   # d = -144: Z[6i]
@@ -87,15 +163,19 @@ def test_sqrts_mod_matches_scan(a, m):
 def test_walk_matches_scan(t, n, bound):
     # the census walk, with its split primes filtered by Euler's criterion
     # and its roots mod p from Tonelli-Shanks, against a scan of every
-    # residue of every modulus, for d = t^2 - 4n of either sign
-    walk = Counter((a, b) for a, bs
-                   in modular.quadratic_roots_upto(t, n, bound) for b in bs)
-    assert walk == Counter((a, b) for a in range(1, bound + 1)
-                           for b in range(a) if (b * b + t * b + n) % a == 0)
+    # residue of every modulus, for d = t^2 - 4n of either sign; and the
+    # oracle walk the same way
+    scan = Counter((a, b) for a in range(1, bound + 1)
+                   for b in range(a) if (b * b + t * b + n) % a == 0)
+    stream, count = one_walk(t, n, bound, bound)
+    assert Counter((a, b) for a, bs in stream for b in bs) == scan
+    assert count == sum(scan.values())
+    assert Counter((a, b) for a, bs in quadratic_roots_upto(t, n, bound)
+                   for b in bs) == scan
 
 
 def count_by_walk(t, n, bound):
-    return sum(len(bs) for _, bs in modular.quadratic_roots_upto(t, n, bound))
+    return sum(len(bs) for _, bs in quadratic_roots_upto(t, n, bound))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -116,10 +196,14 @@ def count_by_walk(t, n, bound):
 @example(0, 1, 25)       # d = -4: 5 splits, bound 5^2
 @example(0, 1, 24)
 def test_root_count_matches_walk(t, n, bound):
-    # the count-only walk, leaves above sqrt(bound / a) summed by prefix,
-    # against the roots the walk builds, for odd and even t of either sign
-    assert (modular.quadratic_root_count_upto(t, n, bound)
-            == count_by_walk(t, n, bound))
+    # the count-only walks, leaves above sqrt(bound / a) summed by prefix,
+    # against the roots the oracle walk builds, for odd and even t of
+    # either sign: the one walk carrying roots for a = 1 only,
+    # roots to half the bound, and the oracle count walk
+    expected = count_by_walk(t, n, bound)
+    assert one_walk(t, n, 1, bound)[1] == expected
+    assert one_walk(t, n, bound // 2, bound)[1] == expected
+    assert quadratic_root_count_upto(t, n, bound) == expected
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -129,9 +213,38 @@ def test_root_count_matches_walk(t, n, bound):
 @example(1, -4, 169)
 @example(0, -2, 200)     # d = 8: 2 | d
 def test_root_count_matches_scan(t, n, bound):
-    assert modular.quadratic_root_count_upto(t, n, bound) == sum(
+    assert one_walk(t, n, isqrt(bound), bound)[1] == sum(
         1 for a in range(1, bound + 1) for b in range(a)
         if (b * b + t * b + n) % a == 0)
+
+
+def census_walks():
+    """(t, n, roots_to, count_to) of class_monoid's census of each distinct
+    verify-corpus order: count_to the budget max(f^4 * 16, isqrt(|d|) + 1),
+    roots_to = min(amax, budget) for amax the top of the reduced-form
+    range; and x^2 + 2000000011 (d = -8000000044) and x^2 - 2000000011 at
+    their bound 89,443."""
+    from orderkit.verify import build_corpus
+    out = set()
+    for e in build_corpus():
+        t, n = e.order.omega_data()
+        d, f = t * t - 4 * n, e.conductor_index
+        budget = max(f ** 4 * 16, isqrt(abs(d)) + 1)
+        amax = isqrt(-d // 3) if d < 0 else isqrt(d)
+        out.add((t, n, min(amax, budget), budget))
+    return sorted(out) + [(0, 2_000_000_011, 51_639, 89_443),
+                          (0, -2_000_000_011, 89_442, 89_443)]
+
+
+def test_one_walk_matches_the_two_walks():
+    # the same (a, roots) stream, in the same order, as the root walk to
+    # roots_to, and the same count as the count-only walk to count_to
+    walks = census_walks()
+    assert len(walks) == 183 + 2
+    for t, n, roots_to, count_to in walks:
+        stream, count = one_walk(t, n, roots_to, count_to)
+        assert stream == list(quadratic_roots_upto(t, n, roots_to)), (t, n)
+        assert count == quadratic_root_count_upto(t, n, count_to), (t, n)
 
 
 def entered_primes_by_euler(t, n, bound):
@@ -174,7 +287,7 @@ def test_root_count_above_a_small_factor_table(t, n, monkeypatch):
     expected = count_by_walk(t, n, 3000)
     monkeypatch.setattr(modular, "_SPF_CAP", 64)
     monkeypatch.setattr(modular, "_SPF", [0, 1])
-    assert modular.quadratic_root_count_upto(t, n, 3000) == expected
+    assert one_walk(t, n, 100, 3000)[1] == expected
     assert len(modular._SPF) <= 64
 
 

@@ -23,6 +23,7 @@ from orderkit.orders import (
     Order,
     conductor,
     conductor_comparison_check,
+    conductor_index,
     fundamental_unit,
     is_order,
     least_unit_power,
@@ -131,6 +132,52 @@ class TestConductor:
     def test_not_contained(self, z_i, z_2i):
         with pytest.raises(NotContained):
             conductor(z_i, z_2i)
+
+    def test_index_matches_lattice_routes(self, gaussian_field):
+        # the integer index f against N(f) of conductor and against the
+        # colon lattice (x*O <= Gamma) and its index, on the 183 verify-
+        # corpus orders, Z[400i], and orders inside non-maximal ones
+        from orderkit.verify import build_corpus
+        pairs = [(e.order, maximal_order(e.order.field), e.conductor_index)
+                 for e in build_corpus()]
+        z_i = maximal_order(gaussian_field)
+        pairs.append((is_order(gaussian_field, [[1, 0], [0, 400]]), z_i, 400))
+        for big, small, f in ((2, 12, 6), (3, 12, 4), (5, 5, 1)):
+            pairs.append((is_order(gaussian_field, [[1, 0], [0, small]]),
+                          is_order(gaussian_field, [[1, 0], [0, big]]), f))
+        assert len(pairs) == 187
+        for gamma, om, f in pairs:
+            assert conductor_index(gamma, om) == f
+            fresh = Order(gamma.field, gamma.lattice)  # no conductor kept
+            colon = colon_lattice(fresh.lattice, om.basis_elements(),
+                                  fresh.field)
+            data = conductor(fresh, om)
+            assert data.lattice == colon
+            assert data.norm == lattice_index(om.lattice, colon) == f * f
+
+    @pytest.mark.parametrize("gamma,maximal,text", [
+        ("z_i", "z_2i", "order is not contained in the maximal order"),
+        ("z_2i", "z_6i", "order is not contained in the maximal order"),
+        ("z_2i", "o_minus3", "orders of different fields"),
+        ("z_sqrt_minus3", "z_i", "orders of different fields"),
+        ("z_i", "q", "orders of different fields"),
+    ])
+    def test_index_raises_as_conductor(self, request, gaussian_field, gamma,
+                                       maximal, text):
+        # the same error type, text and operation as conductor's lattice
+        # route, also through intermediate_classes
+        def order(name):
+            if name == "z_6i":
+                return is_order(gaussian_field, [[1, 0], [0, 6]])
+            if name == "q":
+                return maximal_order(RATIONAL_FIELD)
+            return request.getfixturevalue(name)
+
+        gamma, maximal = order(gamma), order(maximal)
+        for route in (conductor_index, conductor, ideals.intermediate_classes):
+            with pytest.raises(NotContained) as err:
+                route(Order(gamma.field, gamma.lattice), maximal)
+            assert (str(err.value), err.value.operation) == (text, "conductor")
 
 
 class TestScaledSubring:
@@ -354,6 +401,36 @@ class TestIntegerInvariants:
         for p, e in factorize(f).items():
             num *= p ** (e - 1) * (p - kronecker(d0, p))
         assert ideals._index_formula(d0, f, h0) == num // unit_index
+
+
+def test_omega_is_built_on_first_use():
+    # omega_coords, omega_data and disc build no FieldElement; omega() then
+    # builds one, kept, equal to the element omega_coords used to build
+    # eagerly from the HNF rows and to the normalised unital basis element,
+    # on every verify-corpus order and maximal order; class_monoid never
+    # builds it
+    from orderkit.verify import build_corpus
+    orders = {}
+    for e in build_corpus():
+        for order in (e.order, maximal_order(e.order.field)):
+            orders.setdefault(order, Order(order.field, order.lattice))
+    assert len(orders) == 183  # every field's maximal order is in it
+    for order in orders.values():
+        (x0, x1), (_, y1) = order.lattice.basis.entries
+        q = order.lattice.den
+        g, u, _ = quadforms._xgcd(x1, y1)
+        eager = order.field.element([Fraction(u * x0 % q, q), Fraction(g, q)])
+        assert order.omega_coords() == (u * x0 % q, g, q)
+        order.omega_data(), order.disc()
+        assert order._omega is None
+        w = order.omega()
+        assert w == eager and order.omega() is w
+        unit = order.unital_basis_elements()[1]
+        unit = unit if unit.coords[1] > 0 else -unit
+        assert w == unit - order.field.from_rational(floor(unit.coords[0]))
+    for e in build_corpus():
+        ideals.class_monoid(e.order)
+        assert e.order._omega is None
 
 
 def structure_constants_by_solves(order):
