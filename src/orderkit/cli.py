@@ -9,9 +9,18 @@ codes: 0 success, 1 usage error, 2 domain error, 3 budget exhaustion.
 JSON is written by _json_text, which gives the bytes of
 ``json.dumps(payload, sort_keys=True, indent=2, default=str)`` (keys sorted,
 two-space indent, ASCII escapes, other types through str) without the pure
-Python encoder that json.dumps falls back to when it indents.  The tests
-hold it to json.dumps byte for byte, and the golden files and sha256 pins
-in tests/test_cli.py fix the output.
+Python encoder that json.dumps falls back to when it indents; it picks each
+value's writer by its exact type.  The tests hold it to json.dumps byte
+for byte, and the golden files and sha256 pins in tests/test_cli.py fix
+the output.
+
+Answers are formatted from the integers the library holds: lattice rows
+(order-info's order and conductor bases, class-monoid's representatives)
+are printed as x/D in lowest terms from a Lattice's integer numerators x
+and denominator D (_lattice_rows), and gamma-count's rational matrices as
+integers; the strings are those of the Fraction values they stand for.
+The fundamental unit's two coordinates come from orders.fundamental_unit,
+which reads them off integers.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import functools
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from . import bounds as bounds_mod
 from .errors import InvalidInput, OrderkitError
@@ -123,40 +133,82 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _json_text(value, pad="\n"):
     """json.dumps(value, sort_keys=True, indent=2, default=str), for string
-    keys; ``pad`` is a newline and the indent of the line value starts on.  A
-    list of plain ints or of strings is joined in one step."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
+    keys; ``pad`` is a newline and the indent of the line value starts on.
+    The writer is looked up by type(value) (_WRITERS); a list of plain ints
+    or of strings is joined in one step."""
+    return _WRITERS.get(type(value), _json_other)(value, pad)
+
+
+def _json_float(value, pad):
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _json_list(value, pad):
+    if not value:
+        return "[]"
     inner = pad + "  "
     sep = "," + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(type(x) is int for x in value):
-            body = sep.join(map(int.__repr__, value))
-        elif all(type(x) is str for x in value):
-            body = sep.join(map(_quote, value))
-        else:
-            body = sep.join([_json_text(x, inner) for x in value])
-        return "[" + inner + body + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{" + inner + sep.join([
-            _quote(k) + ": " + _json_text(v, inner)
-            for k, v in sorted(value.items())]) + pad + "}"
+    kinds = set(map(type, value))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is int:
+        body = sep.join(map(int.__repr__, value))
+    elif kind is str:
+        body = sep.join(map(_quote, value))
+    elif kind is not None:  # one writer for every item
+        write = _WRITERS.get(kind, _json_other)
+        body = sep.join([write(x, inner) for x in value])
+    else:
+        get = _WRITERS.get
+        body = sep.join([get(type(x), _json_other)(x, inner) for x in value])
+    return "[" + inner + body + pad + "]"
+
+
+def _json_dict(value, pad):
+    if not value:
+        return "{}"
+    inner = pad + "  "
+    get = _WRITERS.get
+    return "{" + inner + ("," + inner).join([
+        _quote(k) + ": " + get(type(v), _json_other)(v, inner)
+        for k, v in sorted(value.items())]) + pad + "}"
+
+
+def _json_other(value, pad):
+    """A value whose type has no writer: a subclass of a JSON type is
+    written as its base, tested in json.dumps's order, and anything else
+    as its str (default=str)."""
+    for base in (str, int, float, list, tuple, dict):
+        if isinstance(value, base):
+            return _WRITERS[base](value, pad)
     return _quote(str(value))
+
+
+_WRITERS = {
+    str: lambda value, pad: _quote(value),
+    type(None): lambda value, pad: "null",
+    bool: lambda value, pad: "true" if value else "false",
+    int: lambda value, pad: int.__repr__(value),
+    float: _json_float,
+    list: _json_list,
+    tuple: _json_list,
+    dict: _json_dict,
+}
+
+
+def _lattice_rows(lat):
+    """The basis rows of a Lattice as the strings of their rationals, x/D
+    in lowest terms read off the integer numerators x and the denominator
+    D: the strings of lat.rows_q(), with no Fraction built."""
+    d = lat.den
+    out = []
+    for row in lat.basis.entries:
+        texts = []
+        for x in row:
+            g = gcd(x, d)
+            texts.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+        out.append(texts)
+    return out
 
 
 def _print_table(payload, indent=0):
@@ -290,11 +342,10 @@ def _cmd_order_info(args):
         "field": {"min_poly": list(field.coeffs), "degree": field.degree,
                   "poly_disc": field.poly_disc,
                   "signature": list(field.signature)},
-        "order": {"basis": [list(map(str, r)) for r in order.lattice.rows_q()],
+        "order": {"basis": _lattice_rows(order.lattice),
                   "disc": order.disc()},
         "conductor": {"norm": cond.norm,
-                      "basis": [list(map(str, r))
-                                for r in cond.lattice.rows_q()]},
+                      "basis": _lattice_rows(cond.lattice)},
     }
     if field.degree <= 2:
         units = unit_square_quotient(order)
@@ -316,8 +367,7 @@ def _cmd_class_monoid(args):
     for idx, c in enumerate(monoid.classes):
         classes.append({
             "id": idx,
-            "representative": [list(map(str, r))
-                               for r in c.representative.lattice.rows_q()],
+            "representative": _lattice_rows(c.representative.lattice),
             # the index a of [a, b + omega] is its norm
             "norm": str(c.pair[0] if c.pair else
                         c.representative.norm_index()),

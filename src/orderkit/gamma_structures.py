@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import quadforms
 from .errors import (
@@ -29,7 +30,12 @@ from .intmat import (
     left_kernel,
     solve_square,
 )
-from .numberfield import FieldElement, NumberField, roots_in_field
+from .numberfield import (
+    FieldElement,
+    NumberField,
+    integral_mult_matrix,
+    roots_in_field,
+)
 from .orders import (
     Order,
     conductor_index,
@@ -85,6 +91,8 @@ class MatrixOrder:
                      for i in range(self.n))
 
     def contains_matrix(self, m):
+        if self.base_field.degree == 1:  # O_Q = Z: integer coordinates
+            return all(e.coords[0].denominator == 1 for row in m for e in row)
         ok = self.base_max_order
         return all(ok.contains(e) for row in m for e in row)
 
@@ -231,19 +239,45 @@ def compatibility_of(rho: RingMorphism):
                              operation="compatibility_of")
 
 
-def _action_matrices(gamma: Order, ideal: FractionalIdeal):
-    """Integer matrices of the unital basis of the order acting on the ideal."""
-    rows = [list(r) for r in ideal.lattice.rows_q()]
-    elems = ideal.elements()
+def _multipliers(gamma: Order):
+    """(q, M) for each element g of the order's unital basis: q is the
+    least common denominator of g's coordinates and M the integer matrix of
+    x -> x * (q*g) on the power basis, in the row convention
+    (integral_mult_matrix)."""
     out = []
-    for g in gamma.unital_basis_elements():
-        prod_rows = [list((g * e).coords) for e in elems]
-        sol = solve_square(rows, prod_rows)
-        if any(c.denominator != 1 for r in sol for c in r):
+    for e in gamma.unital_basis_elements():
+        q = lcm(*(c.denominator for c in e.coords))
+        out.append((q, integral_mult_matrix(gamma.field,
+                                            [int(c * q) for c in e.coords])))
+    return out
+
+
+def _action_matrices(multipliers, lattice: Lattice):
+    """Integer matrices of the unital basis, as _multipliers gives it,
+    acting on a lattice of degree <= 2, in closed form: for the lattice's
+    HNF numerators R (its rows are R/D, and D cancels), x -> x*g has the
+    matrix R (q M_g) adj(R) / (q det R) on its basis, one exact division
+    per entry."""
+    r = lattice.basis.entries
+    if len(r) == 1:  # R (q g) / (q R)
+        det, entries = 1, [(q, (m[0][0],)) for q, m in multipliers]
+    else:
+        (a, b), (c, d) = r
+        det, entries = a * d - b * c, []
+        for q, ((m00, m01), (m10, m11)) in multipliers:
+            x00, x01 = a * m00 + b * m10, a * m01 + b * m11
+            x10, x11 = c * m00 + d * m10, c * m01 + d * m11
+            entries.append((q, (x00 * d - x01 * c, x01 * a - x00 * b,
+                                x10 * d - x11 * c, x11 * a - x10 * b)))
+    out = []
+    for q, xs in entries:
+        qd = q * det
+        if any(x % qd for x in xs):
             raise MethodDisagreement(
                 "order element maps the ideal outside itself",
                 operation="_action_matrices")
-        out.append([[int(c) for c in r] for r in sol])
+        ys = [x // qd for x in xs]
+        out.append([ys] if len(ys) == 1 else [ys[:2], ys[2:]])
     return out
 
 
@@ -253,7 +287,10 @@ def structures_from_ideal_classes(gamma: Order, target: MatrixOrder,
     """The structures compatible with one embedding, one per qualifying class.
 
     K = Q: every class of the monoid qualifies (any ideal is a free
-    Z-module); the morphism is multiplication on a lattice basis.  n = 1 with
+    Z-module); the morphism is multiplication on the HNF basis of the class's
+    representative, each matrix in closed form in integers
+    (_action_matrices: one exact division per entry, no linear solve), and
+    RingMorphism checks its entries on the integers, as O_Q = Z.  n = 1 with
     K = L: the single morphism inverse to the embedding.  Other shapes need
     Steinitz-class machinery and are rejected.
     """
@@ -267,8 +304,9 @@ def structures_from_ideal_classes(gamma: Order, target: MatrixOrder,
     embs = embeddings_into(k, l)
     if k.degree == 1:
         out = []
+        multipliers = _multipliers(gamma)
         for idx, cls in enumerate(monoid.classes):
-            mats = _action_matrices(gamma, cls.representative)
+            mats = _action_matrices(multipliers, cls.representative.lattice)
             images = tuple(
                 tuple(tuple(k.from_rational(x) for x in row) for row in m)
                 for m in mats)

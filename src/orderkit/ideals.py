@@ -703,23 +703,22 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     index_of = {lab: i for i, lab in enumerate(ordering)}
     picard_subset = tuple(i for i, c in enumerate(classes) if c.invertible)
 
-    # multiplication table, each unordered pair multiplied once (products
-    # commute); any product escaping the set is a violation
+    # multiplication table of class indices, each unordered pair multiplied
+    # once (products commute); any product escaping the set is a violation
     out = [[None] * n for _ in range(n)]
     _picard_rows(classes, picard_subset, labels, out)
     for i, ci in enumerate(classes):
         out_i = out[i]
         for j in range(i, n):
             if out_i[j] is None:
-                out_i[j] = out[j][i] = _pair_product(
-                    gamma, ci.pair, classes[j].pair, labels)[2]
-    table = []
-    for row in out:
-        if not all(lab in index_of for lab in row):
-            raise FactorizationViolation(
-                "product of classes left the assembled monoid",
-                operation="class_monoid")
-        table.append(tuple(index_of[lab] for lab in row))
+                k = index_of.get(_pair_product(gamma, ci.pair,
+                                               classes[j].pair, labels)[2])
+                if k is None:
+                    raise FactorizationViolation(
+                        "product of classes left the assembled monoid",
+                        operation="class_monoid")
+                out_i[j] = out[j][i] = k
+    table = tuple(map(tuple, out))
 
     intermediate_subset = tuple(i for i, lab in enumerate(ordering)
                                 if lab in inter)
@@ -746,17 +745,19 @@ def class_monoid(gamma: Order) -> ClassMonoid:
             f"assembled classes {missing} were never found by the census",
             operation="class_monoid")
 
-    monoid = ClassMonoid(gamma, classes, tuple(table), picard_subset,
+    monoid = ClassMonoid(gamma, classes, table, picard_subset,
                          intermediate_subset, nf, h0, checked, budget)
     _check_monoid_laws(monoid)
     return monoid
 
 
 def _picard_rows(classes, picard_subset, labels, out):
-    """Fill out[x][y] for the invertible classes x, y of a quadratic order
-    (picard_subset, led by the identity class 0) from one composed row per
-    generator of Pic; a composed label outside Pic is a
-    FactorizationViolation.
+    """Fill out[x][y] with the index of the class of x * y, for the
+    invertible classes x, y of a quadratic order (picard_subset, led by the
+    identity class 0), from one composed row per generator of Pic; a
+    composed label outside Pic is a FactorizationViolation.  Rows are kept
+    as positions in picard_subset and written as class indices, with no
+    label looked up per entry.
 
     Two invertible classes are multiplied in form space: their labels are
     primitive forms of the order's discriminant, and the label of the
@@ -799,7 +800,7 @@ def _picard_rows(classes, picard_subset, labels, out):
     for k, i in enumerate(picard_subset):
         out_i = out[i]
         for j, pos in zip(picard_subset, rows[k]):
-            out_i[j] = pic_labels[pos]
+            out_i[j] = picard_subset[pos]
 
 
 def _check_monoid_laws(monoid: ClassMonoid):

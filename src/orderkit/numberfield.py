@@ -388,10 +388,10 @@ def make_field(coeffs) -> NumberField:
 RATIONAL_FIELD = NumberField([0, 1])
 
 
-def integral_norm(field, v) -> int:
-    """The norm of the element with integer coordinates v: the Bareiss
-    determinant of its multiplication matrix, built from the integer power
-    table of the field."""
+def integral_mult_matrix(field, v):
+    """The integer matrix of multiplication by the element with integer
+    coordinates v on the power basis (row i holds the coordinates of
+    x^i * v), built from the integer power table of the field."""
     table = field._pow_table
     n = field.degree
     rows = []
@@ -403,7 +403,13 @@ def integral_norm(field, v) -> int:
                     if e:
                         row[k] += c * e
         rows.append(row)
-    return _det_bareiss(rows)
+    return rows
+
+
+def integral_norm(field, v) -> int:
+    """The norm of the element with integer coordinates v: the Bareiss
+    determinant of its multiplication matrix (integral_mult_matrix)."""
+    return _det_bareiss(integral_mult_matrix(field, v))
 
 
 class FieldElement:

@@ -30,7 +30,7 @@ class Order:
 
     __slots__ = ("field", "lattice", "assumed_maximal", "_elements",
                  "_unital", "_structure", "_omega_coords", "_omega",
-                 "_omega_data", "_disc", "_conductor")
+                 "_omega_data", "_disc", "_conductor_index", "_conductor")
 
     def __init__(self, field: NumberField, lattice: Lattice,
                  assumed_maximal=False):
@@ -45,6 +45,7 @@ class Order:
         object.__setattr__(self, "_omega", None)
         object.__setattr__(self, "_omega_data", None)
         object.__setattr__(self, "_disc", None)
+        object.__setattr__(self, "_conductor_index", None)  # (maximal, f)
         object.__setattr__(self, "_conductor", None)  # (maximal, ConductorData)
 
     def __setattr__(self, name, value):
@@ -223,10 +224,15 @@ def is_order(field: NumberField, basis_rows, den=1) -> Order:
     if escape is not None:
         a, b = escape
         raise NotClosed(
-            f"product of basis elements {list(a.coords)} and "
-            f"{list(b.coords)} leaves the lattice",
+            f"product of basis elements {_coords_text(a)} and "
+            f"{_coords_text(b)} leaves the lattice",
             operation="is_order")
     return Order(field, lat)
+
+
+def _coords_text(e: FieldElement):
+    """The coordinates of e as a list of rationals, "[1/2, 0]"."""
+    return "[" + ", ".join(map(str, e.coords)) + "]"
 
 
 def escaping_product(multipliers, lat: Lattice, field: NumberField):
@@ -319,7 +325,12 @@ def conductor_index(gamma: Order, maximal: Order) -> int:
     first lies in the second iff g | f, that is iff the ratio is the square
     of an integer (Q has the one order Z, ratio 1): so NotContained is
     raised, as conductor raises it, when the two lie in different fields or
-    the ratio is no integer square."""
+    the ratio is no integer square.  f is kept on gamma with ``maximal``: a
+    later call with the same maximal order object returns it, so
+    class_monoid and the intermediate_classes it calls read one f."""
+    cached = gamma._conductor_index
+    if cached is not None and cached[0] is maximal:
+        return cached[1]
     if gamma.field != maximal.field:
         raise NotContained("orders of different fields", operation="conductor")
     if gamma.degree > 2:
@@ -330,6 +341,7 @@ def conductor_index(gamma: Order, maximal: Order) -> int:
     if r or f * f != f2:
         raise NotContained("order is not contained in the maximal order",
                            operation="conductor")
+    object.__setattr__(gamma, "_conductor_index", (maximal, f))
     return f
 
 
@@ -491,8 +503,13 @@ def fundamental_unit(gamma: Order) -> FieldElement:
     """Fundamental unit of a real quadratic order, > 1 in the first embedding.
 
     The unit of the maximal order comes from the continued-fraction cycle of
-    the principal form; for Gamma = Z + f*O_L, its least power in Gamma
-    (least_unit_power), built as a field element once.
+    the principal form; for Gamma = Z + f*O_L, its least power in Gamma,
+    eps = (t + u*sqrt(d0)) / 2 (least_unit_power).  Its two coordinates are
+    read off in integers: sqrt(d0) = 2*w0 - Tr(w0) for w0 = (p0 + p1*theta)
+    / q the canonical generator of O_L (omega_coords), so
+    eps = ((t - u*Tr(w0))*q + 2*u*p0) / (2q) + (u*p1 / q)*theta, and
+    N(eps) = (t^2 - d0*u^2) / 4 must be +-1.  The first embedding is the one
+    sending w0 to the larger root, so eps > 1.
     """
     field = gamma.field
     if field.degree != 2 or field.signature != (2, 0):
@@ -501,20 +518,21 @@ def fundamental_unit(gamma: Order) -> FieldElement:
     om = maximal_order(field)
     d0 = om.disc()
     _, t, u = least_unit_power(d0, conductor_index(gamma, om))
-    # sqrt(d0) = 2*w0 - Tr(w0) for w0 the canonical generator of O_L; the
-    # first embedding is the one sending w0 to the larger root, so eps > 1.
-    w0 = om.omega()
-    t0, _ = om.omega_data()
-    sqrt_d0 = w0 * 2 - field.from_rational(t0)
-    eps = (field.from_rational(t) + sqrt_d0 * u) * Fraction(1, 2)
-    if abs(eps.norm()) != 1:
+    if t * t - d0 * u * u not in (4, -4):
         raise MethodDisagreement("fundamental unit has norm other than +-1",
                                  operation="fundamental_unit")
-    return eps
+    p0, p1, q = om.omega_coords()
+    t0, _ = om.omega_data()
+    return FieldElement(field, (Fraction((t - u * t0) * q + 2 * u * p0, 2 * q),
+                                Fraction(u * p1, q)))
 
 
 def unit_square_quotient(gamma: Order) -> UnitGroupData:
-    """|Gamma^x / Gamma^x2| with the exact unit-group data behind it."""
+    """|Gamma^x / Gamma^x2| with the exact unit-group data behind it: for a
+    real quadratic order {+-1} x <eps> (fundamental_unit), for an imaginary
+    one the roots of unity, read off the discriminant: 6 for disc -3, 4 for
+    disc -4, else 2 (Cohen, GTM 138, 5.3), the count torsion_units
+    enumerates."""
     field = gamma.field
     if field.degree == 1:
         return UnitGroupData(2, None, 2)
@@ -526,7 +544,5 @@ def unit_square_quotient(gamma: Order) -> UnitGroupData:
         eps = fundamental_unit(gamma)
         # units = {+-1} x <eps>: squares have index 2 in each factor
         return UnitGroupData(2, eps, 4)
-    tor = torsion_units(gamma)
-    k = len(tor)
-    # cyclic of even order k: squares form the index-2 subgroup
-    return UnitGroupData(k, None, 2)
+    # cyclic of even order: squares form the index-2 subgroup
+    return UnitGroupData({-3: 6, -4: 4}.get(gamma.disc(), 2), None, 2)

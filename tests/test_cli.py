@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,13 @@ class TestOrderCommands:
                              "--order-basis", "1,0;0,1/3")
         assert rc == 2
         assert "NotClosed" in err
+
+    def test_not_closed_prints_rationals(self, capsys):
+        rc, out, err = run_cli(capsys, "order-info", "--field=-2,0,1",
+                               "--order-basis", "1,0;0,1/2")
+        assert rc == 2 and out == ""
+        assert err == ("error [orders.is_order] NotClosed: product of basis "
+                       "elements [1/2, 0] and [1/2, 0] leaves the lattice\n")
 
     def test_budget_exit_code(self, capsys):
         # a conductor of index 400 pushes the intermediate-lattice quotient
@@ -377,6 +385,19 @@ class TestGoldenOutputs:
         ("gamma_count_zsqrtm71.json",
          ("gamma-count", "--gamma-field=71,0,1", "--gamma-basis=1,0;0,1",
           "--target-n=2")),
+        # written by the FieldElement unit and the Fraction rows that
+        # preceded the integer unit coordinates and row strings
+        ("order_info_qsqrt94.json", ("order-info", "--field=-94,0,1")),
+        ("order_info_qsqrt5.json", ("order-info", "--field=-5,0,1")),
+        ("order_info_golden_ratio.json", ("order-info", "--field=-1,1,1")),
+        ("order_info_golden_ratio_f2.json",
+         ("order-info", "--field=-1,1,1", "--order-basis", "1,0;0,2")),
+        ("order_info_z3sqrt7.json",
+         ("order-info", "--field=-7,0,1", "--order-basis", "1,0;0,3")),
+        ("order_info_qsqrtm3.json", ("order-info", "--field", "3,0,1")),
+        ("order_info_qsqrtm4.json", ("order-info", "--field", "4,0,1")),
+        ("order_info_z2i.json",
+         ("order-info", "--field", "1,0,1", "--order-basis", "1,0;0,2")),
     ])
     def test_matches_golden(self, capsys, name, argv):
         rc, out, _ = run_cli(capsys, *argv)
@@ -428,6 +449,31 @@ class TestJsonWriter:
     def test_random_payloads(self, value):
         assert cli._json_text(value) == json_dumps(value)
 
+    def test_subclasses_of_json_types(self):
+        # the writer is looked up by exact type: a subclass is written as
+        # its base, as json.dumps writes it, and any other type by its str
+        import collections
+        import enum
+
+        class Level(enum.IntEnum):
+            LOW = 3
+
+        class Tag(str):
+            pass
+
+        class Ratio(float):
+            pass
+
+        class Row(list):
+            pass
+
+        value = collections.OrderedDict(b=Level.LOW, a=[Tag("x\u00e9"),
+                                                        Ratio(0.5)],
+                                        c=Row([1, Row([True, None])]),
+                                        d=(Fraction(1, 2), Level.LOW, 7))
+        assert cli._json_text(value) == json_dumps(value)
+        assert cli._json_text([Level.LOW, 2]) == json_dumps([Level.LOW, 2])
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers()) | st.lists(st.text()),
            st.integers(0, 3))
@@ -436,6 +482,38 @@ class TestJsonWriter:
         for k in range(depth):
             value = {f"k{k}": [value, k]}
         assert cli._json_text(value) == json_dumps(value)
+
+
+def rows_by_fractions(lat):
+    """Oracle of cli._lattice_rows: the strings of the Fraction rows."""
+    return [list(map(str, r)) for r in lat.rows_q()]
+
+
+class TestRowStrings:
+    """class-monoid and order-info print lattice rows from the integer
+    numerators and denominator; the Fraction strings are the oracle."""
+
+    def test_corpus_lattices(self, corpus_monoids):
+        from orderkit.orders import conductor, maximal_order
+        seen = 0
+        for e, m in corpus_monoids:
+            om = maximal_order(e.order.field)
+            lattices = [e.order.lattice, om.lattice,
+                        conductor(e.order, om).lattice]
+            lattices += [c.representative.lattice for c in m.classes]
+            for lat in lattices:
+                assert cli._lattice_rows(lat) == rows_by_fractions(lat)
+                seen += lat.den > 1
+        assert seen > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(-50, 50), min_size=2, max_size=2),
+                    min_size=1, max_size=3),
+           st.integers(-12, 12).filter(bool))
+    def test_random_lattices(self, rows, den):
+        from orderkit.intmat import IntMatrix, Lattice
+        lat = Lattice(2, IntMatrix(rows), den)
+        assert cli._lattice_rows(lat) == rows_by_fractions(lat)
 
 
 class TestClassMonoidNorm:

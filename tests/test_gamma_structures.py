@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from orderkit.errors import DegreeMismatch, HypothesisViolated
-from orderkit.intmat import IntMatrix, inverse_unimodular
+from orderkit.errors import (
+    DegreeMismatch,
+    HypothesisViolated,
+    MethodDisagreement,
+)
+from orderkit.intmat import IntMatrix, inverse_unimodular, solve_square
 from orderkit.numberfield import RATIONAL_FIELD, make_field
 from orderkit.orders import is_order, maximal_order, scaled_subring
-from orderkit.ideals import class_monoid
+from orderkit.ideals import FractionalIdeal, class_monoid
 from orderkit import gamma_structures, verify
 from orderkit.gamma_structures import (
     MatrixOrder,
@@ -98,8 +102,9 @@ class TestMorphismValidation:
 
 
 def validate_by_field_elements(rho):
-    """Oracle for RingMorphism._validate: the multiplication table checked
-    on matrices of FieldElements of K, products summed from K's zero."""
+    """Oracle for RingMorphism._validate: integrality checked by lattice
+    membership in O_K, and the multiplication table on matrices of
+    FieldElements of K, products summed from K's zero."""
     field = rho.target.base_field
     n = rho.target.n
     basis = rho.source.unital_basis_elements()
@@ -108,7 +113,8 @@ def validate_by_field_elements(rho):
     for m in rho.images:
         if len(m) != n or any(len(r) != n for r in m):
             raise ValueError("image matrices must be n x n")
-        if not rho.target.contains_matrix(m):
+        ok = rho.target.base_max_order
+        if not all(ok.contains(e) for row in m for e in row):
             raise ValueError("image entries must be integral")
     if rho.images[0] != rho.target.identity_matrix():
         raise ValueError("unit must map to the identity matrix")
@@ -215,6 +221,68 @@ class TestIntegerValidation:
                for idx in range(res.embedding_count)]
         assert res.structures == tuple(s for found in per for s in found)
         assert res.per_embedding == tuple(len(found) for found in per)
+
+
+def action_matrices_by_solve(gamma, ideal):
+    """Oracle of gamma_structures._action_matrices: the matrices of the
+    order's unital basis acting on the ideal's basis, solved for over Q
+    from FieldElement products (its route before the closed form)."""
+    rows = [list(r) for r in ideal.lattice.rows_q()]
+    elems = ideal.elements()
+    out = []
+    for g in gamma.unital_basis_elements():
+        sol = solve_square(rows, [list((g * e).coords) for e in elems])
+        if any(c.denominator != 1 for r in sol for c in r):
+            raise MethodDisagreement(
+                "order element maps the ideal outside itself",
+                operation="_action_matrices")
+        out.append([[int(c) for c in r] for r in sol])
+    return out
+
+
+class TestClosedFormActions:
+    """structures_from_ideal_classes takes each action matrix as
+    R (q M_g) adj(R) / (q det R) in integers; the solve is its oracle."""
+
+    @staticmethod
+    def check_monoid(gamma, monoid):
+        mult = gamma_structures._multipliers(gamma)
+        for c in monoid.classes:
+            got = gamma_structures._action_matrices(
+                mult, c.representative.lattice)
+            assert got == action_matrices_by_solve(gamma, c.representative)
+        return monoid.size
+
+    def test_corpus_classes(self, corpus_monoids):
+        assert sum(self.check_monoid(e.order, m)
+                   for e, m in corpus_monoids) == 583
+
+    @pytest.mark.parametrize("poly,rows", [
+        # the orders of the three gamma-count golden files
+        ([1, 0, 1], [[1, 0], [0, 6]]),
+        ([-2, 0, 1], [[1, 0], [0, 3]]),
+        ([71, 0, 1], [[1, 0], [0, 1]]),
+        # b1 != 0, and the rational order
+        ([-1, 1, 1], [[1, 0], [0, 4]]),
+        ([5, 1, 1], [[1, 0], [0, 3]]),
+        ([0, 1], [[1]]),
+    ])
+    def test_small_orders(self, poly, rows):
+        gamma = is_order(make_field(poly), rows)
+        self.check_monoid(gamma, class_monoid(gamma))
+
+    def test_unstable_lattice_raises_alike(self, z_i, z_2i):
+        # Z + 2iZ is not stable under i: both routes raise the same error
+        mult = gamma_structures._multipliers(z_i)
+        ideal = FractionalIdeal(z_i, z_2i.lattice, check=False)
+        for route in (lambda: gamma_structures._action_matrices(
+                          mult, ideal.lattice),
+                      lambda: action_matrices_by_solve(z_i, ideal)):
+            with pytest.raises(MethodDisagreement) as err:
+                route()
+            assert (str(err.value), err.value.operation) == (
+                "order element maps the ideal outside itself",
+                "_action_matrices")
 
 
 class TestEmbeddings:

@@ -1409,10 +1409,71 @@ def first_mismatch_by_lattices(k, m, table):
                 if m.classes[idx].label != expected[i][j])
 
 
+def picard_rows_by_label(classes, picard_subset, labels, out):
+    """Oracle of ideals._picard_rows: its fill before it wrote class
+    indices.  The same composed row per generator and closure, but
+    out[x][y] gets the label of the class of x * y, which class_monoid then
+    mapped to its index entry by entry."""
+    pic_labels = [classes[i].label for i in picard_subset]
+    where = {lab: k for k, lab in enumerate(pic_labels)}
+    rows = {0: list(range(len(pic_labels)))}
+    gens = []
+    for k, lab in enumerate(pic_labels):
+        if k in rows:
+            continue
+        row = [where.get(labels.label(quadforms.compose(lab, c)))
+               for c in pic_labels]
+        if None in row:
+            raise FactorizationViolation(
+                "product of classes left the assembled monoid",
+                operation="class_monoid")
+        rows[k] = row
+        gens.append(row)
+        todo = [k]
+        while todo:
+            y = todo.pop()
+            row_y = rows[y]
+            for row_g in gens:
+                x = row_g[y]
+                if x not in rows:
+                    rows[x] = [row_g[v] for v in row_y]
+                    todo.append(x)
+    for k, i in enumerate(picard_subset):
+        out_i = out[i]
+        for j, pos in zip(picard_subset, rows[k]):
+            out_i[j] = pic_labels[pos]
+
+
 class TestPicardRows:
     """class_monoid reads the Picard block of its table off one composed
     row per generator; verify_monoid_table's fill, every Picard pair
     composed and every other pair multiplied as lattices, is the oracle."""
+
+    def test_index_fill_matches_label_fill(self, corpus_monoids):
+        # the Picard block filled by class index against the label fill
+        # mapped through the class order, on the corpus and on imaginary
+        # maximal orders with |Pic| from 15 to 36; both leave every
+        # non-Picard entry alone
+        monoids = [m for _e, m in corpus_monoids] + [
+            class_monoid(maximal_order(make_field([m, 0, 1])))
+            for m in (239, 647, 719, 839, 959)]
+        assert max(len(m.picard_subset) for m in monoids) == 36
+        for m in monoids:
+            n, pic = m.size, set(m.picard_subset)
+            by_index = [[None] * n for _ in range(n)]
+            by_label = [[None] * n for _ in range(n)]
+            ideals._picard_rows(m.classes, m.picard_subset,
+                                quadforms.LabelMap(), by_index)
+            picard_rows_by_label(m.classes, m.picard_subset,
+                                 quadforms.LabelMap(), by_label)
+            index_of = {c.label: i for i, c in enumerate(m.classes)}
+            for i in range(n):
+                for j in range(n):
+                    if i in pic and j in pic:
+                        assert (by_index[i][j] == index_of[by_label[i][j]]
+                                == m.table[i][j])
+                    else:
+                        assert by_index[i][j] is by_label[i][j] is None
 
     def test_corpus_matches_pairwise(self, corpus_monoids):
         for _e, m in corpus_monoids:

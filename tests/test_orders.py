@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -47,6 +48,13 @@ class TestIsOrder:
         f = make_field([-5, 0, 1])
         with pytest.raises(NotClosed):
             is_order(f, [[1, 0], [0, Fraction(1, 3)]])
+
+    def test_not_closed_names_rational_coordinates(self):
+        f = make_field([-2, 0, 1])
+        with pytest.raises(NotClosed) as err:
+            is_order(f, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+        assert str(err.value) == ("product of basis elements [1/2, 0] and "
+                                  "[1/2, 0] leaves the lattice")
 
     def test_not_unital(self, gaussian_field):
         with pytest.raises(NotUnital):
@@ -154,6 +162,36 @@ class TestConductor:
             data = conductor(fresh, om)
             assert data.lattice == colon
             assert data.norm == lattice_index(om.lattice, colon) == f * f
+
+    def test_index_is_computed_once_per_class_monoid(self, monkeypatch):
+        # class_monoid and the intermediate_classes it calls ask for f
+        # twice; the second call reads the f kept on the order
+        from orderkit.verify import build_corpus
+        asked = []
+        index = conductor_index
+
+        def watched(gamma, maximal):
+            kept = gamma._conductor_index
+            asked.append(kept is not None and kept[0] is maximal)
+            return index(gamma, maximal)
+
+        monkeypatch.setattr(ideals, "conductor_index", watched)
+        for e in build_corpus():
+            asked.clear()
+            ideals.class_monoid(e.order)
+            assert asked == [False, True]
+            om = maximal_order(e.order.field)
+            assert e.order._conductor_index == (om, e.conductor_index)
+
+    def test_kept_index_is_read_for_the_same_maximal_only(self, z_2i):
+        gamma = Order(z_2i.field, z_2i.lattice)
+        om = maximal_order(gamma.field)
+        assert conductor_index(gamma, om) == 2
+        object.__setattr__(gamma, "_conductor_index", (om, 99))
+        assert conductor_index(gamma, om) == 99
+        # an equal maximal order made apart is checked afresh
+        twin = Order(om.field, om.lattice)
+        assert conductor_index(gamma, twin) == 2
 
     @pytest.mark.parametrize("gamma,maximal,text", [
         ("z_i", "z_2i", "order is not contained in the maximal order"),
@@ -280,6 +318,61 @@ class TestUnits:
     def test_bound_two_pow_g(self, z_i, o_minus3, z_sqrt_minus5, field_sqrt2):
         for gamma in (z_i, o_minus3, z_sqrt_minus5, maximal_order(field_sqrt2)):
             assert unit_square_quotient(gamma).square_class_count <= 4
+
+
+def fundamental_unit_by_field_elements(gamma):
+    """Oracle of fundamental_unit's integer coordinates, its route before
+    them: eps = (t + u*sqrt(d0)) / 2 from least_unit_power, built by
+    FieldElement arithmetic with sqrt(d0) = 2*w0 - Tr(w0), its norm taken
+    as a field element."""
+    field = gamma.field
+    om = maximal_order(field)
+    d0 = om.disc()
+    _, t, u = least_unit_power(d0, conductor_index(gamma, om))
+    t0, _ = om.omega_data()
+    sqrt_d0 = om.omega() * 2 - field.from_rational(t0)
+    eps = (field.from_rational(t) + sqrt_d0 * u) * Fraction(1, 2)
+    assert abs(eps.norm()) == 1
+    return eps
+
+
+class TestUnitsFromIntegers:
+    """unit_square_quotient reads the unit's coordinates and the torsion
+    order off integers; the FieldElement unit and torsion_units' count are
+    their oracles."""
+
+    @staticmethod
+    def check(gamma):
+        data = unit_square_quotient(gamma)
+        if gamma.field.signature == (2, 0):
+            eps = fundamental_unit_by_field_elements(gamma)
+            assert data.fundamental_unit == eps
+            assert data.fundamental_unit.coords == eps.coords
+            assert (data.torsion_order, data.square_class_count) == (2, 4)
+        else:
+            assert data.fundamental_unit is None
+            assert data.torsion_order == len(torsion_units(gamma))
+            assert data.square_class_count == 2
+        return gamma.field.signature[0]
+
+    def test_corpus(self):
+        from orderkit.verify import build_corpus
+        signatures = Counter(self.check(e.order) for e in build_corpus())
+        assert sum(signatures.values()) == 183 and len(signatures) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(-60, 60), st.integers(-9, 9), st.integers(1, 7))
+    @example(3, 1, 1)      # disc -3: six units
+    @example(3, 1, 2)
+    @example(1, 0, 1)      # disc -4: four
+    @example(4, 0, 1)      # Z[i] through theta = 2i
+    @example(-94, 0, 1)    # 2143295 + 221064 sqrt(94)
+    @example(-1, 1, 1)     # b1 != 0, half coordinates in sqrt(5)
+    def test_random_orders(self, b0, b1, f):
+        d = b1 * b1 - 4 * b0
+        assume(d < 0 or isqrt(d) ** 2 != d)
+        field = make_field([b0, b1, 1])
+        self.check(scaled_subring(maximal_order(field), f))
 
 
 class TestDerivedDataCache:
