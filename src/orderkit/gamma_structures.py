@@ -80,11 +80,6 @@ class MatrixOrder:
     def __repr__(self):
         return f"MatrixOrder(n={self.n}, K={list(self.base_field.coeffs)})"
 
-    @property
-    def rank(self):
-        """Z-rank of R: n^2 [K:Q]."""
-        return self.n * self.n * self.base_field.degree
-
     def identity_matrix(self):
         one, zero = self.base_field.one(), self.base_field.zero()
         return tuple(tuple(one if i == j else zero for j in range(self.n))
@@ -315,7 +310,7 @@ def structures_from_ideal_classes(gamma: Order, target: MatrixOrder,
         return out
     if target.n == 1:
         phi_gen = embs[phi_index]
-        if not _phi_o_k_inside(k, l, phi_gen, target.base_max_order, gamma):
+        if not _phi_o_k_inside(l, phi_gen, target.base_max_order):
             raise NotFreeModule(
                 "embedding does not carry O_K into the maximal order",
                 operation="structures_from_ideal_classes")
@@ -335,7 +330,7 @@ def structures_from_ideal_classes(gamma: Order, target: MatrixOrder,
         operation="structures_from_ideal_classes")
 
 
-def _phi_o_k_inside(k, l, phi_gen, ok: Order, gamma: Order) -> bool:
+def _phi_o_k_inside(l, phi_gen, ok: Order) -> bool:
     for b in ok.basis_elements():
         if not maximal_order(l).contains(_apply_embedding(phi_gen, b)):
             return False
@@ -374,7 +369,6 @@ def structure_to_ideal(rho: RingMorphism) -> FractionalIdeal:
     n = rho.target.n
     g = l.degree
     dk = k.degree
-    basis = gamma.unital_basis_elements()
     ok_rows = rho.target.base_max_order.lattice.rows_q()
 
     # columns of M_v: flattened rho_Q(theta^j) * v for v = e_0

@@ -57,6 +57,7 @@ from .orders import (
     escaping_product,
     least_unit_power,
     maximal_order,
+    torsion_order,
 )
 
 # The census audits stable sublattices up to index N(f)^2 times this factor.
@@ -167,8 +168,7 @@ def is_invertible(i: FractionalIdeal) -> bool:
     route, which the tests keep as the oracle for degree 2.
     """
     if i.order.degree == 2:
-        t, n = i.order.omega_data()
-        return quadforms.disc_of(ideal_form(i)) == t * t - 4 * n
+        return quadforms.disc_of(ideal_form(i)) == i.order.disc()
     inv = colon_ideal(unit_ideal(i.order), i)
     return ideal_product(i, inv).lattice == i.order.lattice
 
@@ -225,7 +225,6 @@ def class_label(i: FractionalIdeal):
 
 def _aligned_element(i: FractionalIdeal, j: FractionalIdeal):
     """x with j = x*i, found by aligning reduced forms; None if classes differ."""
-    field = i.order.field
     ai, bi = oriented_basis(i)
     aj, bj = oriented_basis(j)
     fi, fj = ideal_form(i), ideal_form(j)
@@ -287,6 +286,12 @@ class IdealClass:
         return f"IdealClass(label={self.label}, invertible={self.invertible})"
 
 
+def _class_of_z(gamma: Order) -> IdealClass:
+    """The one ideal class of Z = gamma: every fractional ideal of Z is
+    principal."""
+    return IdealClass(unit_ideal(gamma), True, (1,))
+
+
 def _pair_label(gamma: Order, a, b, labels):
     """class_label of the stable lattice [a, b + omega], in integers: its
     oriented form times its content is (a, s*(2b + t), (b^2 + t*b + n) / a),
@@ -302,9 +307,8 @@ def _pair_label(gamma: Order, a, b, labels):
 def _pair_class(gamma: Order, a, b, label) -> IdealClass:
     """The class labelled ``label`` represented by [a, b + omega]; invertible
     when the label has the order's discriminant, as in is_invertible."""
-    t, n = gamma.omega_data()
     return IdealClass(_standard_ideal(gamma, a, b),
-                      quadforms.disc_of(label) == t * t - 4 * n, label, (a, b))
+                      quadforms.disc_of(label) == gamma.disc(), label, (a, b))
 
 
 def _pair_of_rows(rows, t, n):
@@ -362,8 +366,8 @@ def intermediate_classes(gamma: Order, maximal: Order | None = None, *,
     nf = f * f
     _check_budget(f"quotient order {nf}", nf, intmat._MAX_INDEX,
                   "enumerate_intermediate_lattices")
-    if gamma.degree == 1:  # every fractional ideal of Z is principal
-        return [IdealClass(unit_ideal(gamma), True, (1,))]
+    if gamma.degree == 1:
+        return [_class_of_z(gamma)]
     (t, n), (p0, p1, q) = gamma.omega_data(), gamma.omega_coords()
     (o00, o01), (_, o11) = maximal.lattice.basis.entries
     den = maximal.lattice.den
@@ -414,10 +418,10 @@ def _index_formula(d0: int, f_idx: int, h0: int) -> int:
     num = h0
     for p, e in factorize(f_idx).items():
         num *= p ** (e - 1) * (p - kronecker(d0, p))
-    # [O_L^x : Gamma^x]: imaginary, the roots of unity of O_L (6 for d0 = -3,
-    # 4 for d0 = -4, else 2) over the +-1 left in Gamma
+    # [O_L^x : Gamma^x]: imaginary, the roots of unity of O_L over those of
+    # Gamma
     if d0 < 0:
-        u_idx = {-3: 3, -4: 2}.get(d0, 1)
+        u_idx = torsion_order(d0) // torsion_order(d0 * f_idx * f_idx)
     else:
         u_idx = least_unit_power(d0, f_idx)[0]
     if num % u_idx:
@@ -440,8 +444,7 @@ def picard_group(gamma: Order) -> PicardGroup:
     laws on its multiplication table.
     """
     if gamma.degree == 1:
-        return PicardGroup((IdealClass(unit_ideal(gamma), True, (1,)),),
-                           1, 1, 1, 1)
+        return PicardGroup((_class_of_z(gamma),), 1, 1, 1, 1)
     if gamma.degree != 2:
         raise UnsupportedDegree("picard_group implemented for degree <= 2",
                                 operation="picard_group")
@@ -560,7 +563,7 @@ def _census(gamma: Order, bound):
     per ideal.
     """
     t, n = gamma.omega_data()
-    d = t * t - 4 * n
+    d = gamma.disc()
     if d < 0:
         kernel = quadforms._reduce_definite
         opposite = quadforms._opposite_definite
@@ -660,8 +663,8 @@ def class_monoid(gamma: Order) -> ClassMonoid:
     built only for each class of the monoid, in its final order.
     """
     if gamma.degree == 1:
-        cls = IdealClass(unit_ideal(gamma), True, (1,))
-        return ClassMonoid(gamma, (cls,), ((0,),), (0,), (0,), 1, 1, 1, 1)
+        return ClassMonoid(gamma, (_class_of_z(gamma),), ((0,),), (0,), (0,),
+                           1, 1, 1, 1)
     if gamma.degree != 2:
         raise UnsupportedDegree("class_monoid implemented for degree <= 2",
                                 operation="class_monoid")

@@ -3,7 +3,7 @@
 Everything here works over Python ints / Fractions: Hermite and Smith normal
 forms with transformation matrices, determinants, kernels, lattice sums,
 intersections, indices, and enumeration of all lattices between two nested
-ones (via subgroup enumeration of the finite abelian quotient).
+ones (the subgroups of the finite abelian quotient, read off its SNF).
 
 ``solve_square`` is the package's one solver over Q: it eliminates
 fraction-free on integer rows and makes Fractions only for the answer.
@@ -49,10 +49,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, n, m):
-        return cls([[0] * m for _ in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -68,14 +64,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]})"
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix([
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
 
     def __neg__(self):
         return IntMatrix([[-a for a in r] for r in self.entries])
@@ -105,9 +93,6 @@ class IntMatrix:
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
         return _det_bareiss([list(r) for r in self.entries])
-
-    def is_zero(self):
-        return all(a == 0 for r in self.entries for a in r)
 
 
 def _det_bareiss(a):
@@ -618,24 +603,6 @@ def _subgroup_lattices_of_quotient(diag, max_subgroups):
     return [IntMatrix(rows) for rows in tails]
 
 
-def _multiplier(outer: Lattice, inner: Lattice):
-    """The integer k >= 1 with inner = k * outer for a full-rank outer, or
-    None: both bases are in HNF, which k * outer's basis is too, so the
-    lattices agree iff the bases agree over a common denominator."""
-    g = outer.dim
-    if inner.dim != g or outer.rank != g or inner.rank != g:
-        return None
-    num, den = inner.basis[0, 0] * outer.den, inner.den * outer.basis[0, 0]
-    if num % den:
-        return None
-    k = num // den
-    scale = k * inner.den
-    for r_in, r_out in zip(inner.basis.entries, outer.basis.entries):
-        if any(x * outer.den != y * scale for x, y in zip(r_in, r_out)):
-            return None
-    return k
-
-
 # Largest quotient [outer : inner] whose intermediate lattices are listed.
 _MAX_INDEX = 100_000
 
@@ -645,34 +612,25 @@ def enumerate_intermediate_lattices(outer: Lattice, inner: Lattice,
                                     max_subgroups=100_000):
     """Every lattice M with inner <= M <= outer, each exactly once, sorted.
 
-    When inner = k * outer, as the conductor f*O_L of a quadratic order is,
-    the quotient is (Z/k)^g in outer's own coordinates: its subgroups are
-    listed there, with no index, solve or SNF.  Any other pair goes through
-    the SNF of inner's coordinates in outer; the tests keep that route as
-    the oracle of the first.
+    The quotient is read off the SNF diag(d_i) = u*C*v of the coordinates C
+    of inner's basis in outer's: its subgroups are listed in w-coordinates
+    (w = x*v, _subgroup_lattices_of_quotient), mapped back by v^-1 and then
+    into the ambient space through outer's basis.  An index [outer : inner]
+    over max_index raises IndexTooLarge before any subgroup is listed.
     """
     g = outer.dim
-    k = _multiplier(outer, inner)
-    idx = lattice_index(outer, inner) if k is None else k ** g
+    idx = lattice_index(outer, inner)
     if idx > max_index:
         raise IndexTooLarge(f"quotient order {idx} exceeds budget {max_index}",
                             operation="enumerate_intermediate_lattices",
                             limit=max_index, consumed=idx)
-    if k == 1:  # inner = outer
-        return [outer]
-    if k is None:
-        d, _, v = snf(coords_in(outer, inner))
-        diag, back = [d[i, i] for i in range(g)], inverse_unimodular(v)
-    else:
-        diag, back = (k,) * g, None
-    # Subgroups live in w-coordinates (w = x * v, or x itself when k is
-    # known); map their bases back, then into the ambient space through
-    # outer's basis.
+    d, _, v = snf(coords_in(outer, inner))
+    back = inverse_unimodular(v)
     out = []
-    for sub in _subgroup_lattices_of_quotient(diag, max_subgroups):
-        xrows = (sub if back is None else sub * back).entries
+    for sub in _subgroup_lattices_of_quotient([d[i, i] for i in range(g)],
+                                              max_subgroups):
         amb = [[sum(x[i] * outer.basis[i, j] for i in range(g))
-                for j in range(g)] for x in xrows]
+                for j in range(g)] for x in (sub * back).entries]
         out.append(Lattice(g, IntMatrix(amb), outer.den))
     out.sort(key=lambda lat: (lat.den, lat.basis.entries))
     return out

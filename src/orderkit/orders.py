@@ -7,6 +7,7 @@ verified constructively at build time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -25,28 +26,36 @@ from .intmat import Lattice, lattice_index
 from .numberfield import FieldElement, NumberField, squarefree_part
 
 
+def _derived(compute):
+    """Decorate the computation of a derived datum of an Order: the datum is
+    computed on first use and kept in the order's one store (``_kept``,
+    under compute's name), which the immutability of the order makes safe.
+    A datum relative to a maximal order, compute(order, maximal), is kept
+    with that order object and read back for the same object only: the key
+    is identity, as maximal_order(field) returns one object per field."""
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def read(order, maximal=None):
+        kept = order._kept.get(name)
+        if kept is not None and kept[0] is maximal:
+            return kept[1]
+        value = compute(order) if maximal is None else compute(order, maximal)
+        order._kept[name] = (maximal, value)
+        return value
+
+    return read
+
+
 class Order:
     """A unital, multiplicatively closed, full-rank lattice in a number field."""
 
-    __slots__ = ("field", "lattice", "assumed_maximal", "_elements",
-                 "_unital", "_structure", "_omega_coords", "_omega",
-                 "_omega_data", "_disc", "_conductor_index", "_conductor")
+    __slots__ = ("field", "lattice", "_kept")
 
-    def __init__(self, field: NumberField, lattice: Lattice,
-                 assumed_maximal=False):
+    def __init__(self, field: NumberField, lattice: Lattice):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "assumed_maximal", assumed_maximal)
-        # derived data, computed on first use (the order is immutable)
-        object.__setattr__(self, "_elements", None)
-        object.__setattr__(self, "_unital", None)
-        object.__setattr__(self, "_structure", None)
-        object.__setattr__(self, "_omega_coords", None)  # (p0, p1, q)
-        object.__setattr__(self, "_omega", None)
-        object.__setattr__(self, "_omega_data", None)
-        object.__setattr__(self, "_disc", None)
-        object.__setattr__(self, "_conductor_index", None)  # (maximal, f)
-        object.__setattr__(self, "_conductor", None)  # (maximal, ConductorData)
+        object.__setattr__(self, "_kept", {})  # derived data, see _derived
 
     def __setattr__(self, name, value):
         raise AttributeError("Order is immutable")
@@ -65,12 +74,9 @@ class Order:
     def degree(self):
         return self.field.degree
 
+    @_derived
     def basis_elements(self):
-        cached = self._elements
-        if cached is None:
-            cached = tuple(self.field.element(row) for row in self.lattice.rows_q())
-            object.__setattr__(self, "_elements", cached)
-        return cached
+        return tuple(self.field.element(row) for row in self.lattice.rows_q())
 
     def contains(self, e: FieldElement) -> bool:
         return self.lattice.contains(e.coords)
@@ -78,14 +84,9 @@ class Order:
     def contains_order(self, other: "Order") -> bool:
         return self.lattice.contains_lattice(other.lattice)
 
+    @_derived
     def disc(self) -> int:
-        """Discriminant: determinant of the trace pairing on a basis,
-        computed on first use and kept."""
-        if self._disc is None:
-            object.__setattr__(self, "_disc", self._compute_disc())
-        return self._disc
-
-    def _compute_disc(self):
+        """Discriminant: determinant of the trace pairing on a basis."""
         if self.degree == 2:  # the disc of the basis (1, omega)
             t, n = self.omega_data()
             return t * t - 4 * n
@@ -104,14 +105,10 @@ class Order:
                                      operation="disc")
         return int(d)
 
+    @_derived
     def unital_basis_elements(self):
         """A basis starting with 1: complete the coordinate row of 1 to a
         unimodular transform of the stored HNF basis."""
-        if self._unital is None:
-            object.__setattr__(self, "_unital", self._compute_unital_basis())
-        return self._unital
-
-    def _compute_unital_basis(self):
         from .intmat import complete_unimodular, coords_in
         one_lat = Lattice.from_rows([list(self.field.one().coords)],
                                     self.degree)
@@ -129,20 +126,15 @@ class Order:
                                      operation="unital_basis_elements")
         return tuple(out)
 
+    @_derived
     def structure_constants(self):
         """c[i][j], the integer coordinates of b_i * b_j in the unital basis
-        b (unital_basis_elements), computed on first use and kept.
+        b (unital_basis_elements).
 
         A quadratic order has b = (1, u) with u = k + e*omega, e = +-1, so
         u^2 = Tr(u)*u - N(u) with Tr(u) = 2k + e*t and N(u) = k^2 + e*k*t + n,
         read off omega_data (omega^2 = t*omega - n).  Other degrees solve
         for all the products at once."""
-        if self._structure is None:
-            object.__setattr__(self, "_structure",
-                               self._compute_structure_constants())
-        return self._structure
-
-    def _compute_structure_constants(self):
         basis = self.unital_basis_elements()
         g = self.degree
         if g == 2:
@@ -167,42 +159,37 @@ class Order:
         return tuple(tuple(tuple(int(c) for c in sol[i * g + j])
                            for j in range(g)) for i in range(g))
 
+    @_derived
     def omega(self) -> FieldElement:
         """Canonical second generator of a quadratic order: Gamma = Z + Z*omega,
         normalized so the generator coordinate is positive and the rational
-        part lies in [0, 1); built from omega_coords on first use and kept."""
-        if self._omega is None:
-            p0, p1, q = self.omega_coords()
-            object.__setattr__(self, "_omega", self.field.element(
-                [Fraction(p0, q), Fraction(p1, q)]))
-        return self._omega
+        part lies in [0, 1); built from omega_coords."""
+        p0, p1, q = self.omega_coords()
+        return self.field.element([Fraction(p0, q), Fraction(p1, q)])
 
+    @_derived
     def omega_coords(self):
-        """(p0, p1, q) with omega = (p0 + p1*theta) / q, read once off the HNF
+        """(p0, p1, q) with omega = (p0 + p1*theta) / q, read off the HNF
         rows (x0, x1), (0, y1) over q: for g = gcd(x1, y1) = u*x1 + v*y1,
         omega is (u*x0 mod q, g) / q, as 1 = (q, 0) / q lies in the order."""
-        if self._omega_coords is None:
-            if self.degree != 2:
-                raise UnsupportedDegree("quadratic orders only",
-                                        operation="omega")
-            (x0, x1), (_, y1) = self.lattice.basis.entries
-            q = self.lattice.den
-            g, u, _ = quadforms._xgcd(x1, y1)
-            object.__setattr__(self, "_omega_coords", (u * x0 % q, g, q))
-        return self._omega_coords
+        if self.degree != 2:
+            raise UnsupportedDegree("quadratic orders only", operation="omega")
+        (x0, x1), (_, y1) = self.lattice.basis.entries
+        q = self.lattice.den
+        g, u, _ = quadforms._xgcd(x1, y1)
+        return (u * x0 % q, g, q)
 
+    @_derived
     def omega_data(self):
         """(trace, norm) of omega of a quadratic order, from omega_coords."""
-        if self._omega_data is None:
-            p0, p1, q = self.omega_coords()
-            b0, b1, _ = self.field.coeffs
-            t, rt = divmod(2 * p0 - b1 * p1, q)
-            n, rn = divmod(p0 * p0 - b1 * p0 * p1 + b0 * p1 * p1, q * q)
-            if rt or rn:
-                raise MethodDisagreement("omega is not integral",
-                                         operation="omega_data")
-            object.__setattr__(self, "_omega_data", (t, n))
-        return self._omega_data
+        p0, p1, q = self.omega_coords()
+        b0, b1, _ = self.field.coeffs
+        t, rt = divmod(2 * p0 - b1 * p1, q)
+        n, rn = divmod(p0 * p0 - b1 * p0 * p1 + b0 * p1 * p1, q * q)
+        if rt or rn:
+            raise MethodDisagreement("omega is not integral",
+                                     operation="omega_data")
+        return (t, n)
 
 
 def is_order(field: NumberField, basis_rows, den=1) -> Order:
@@ -291,7 +278,7 @@ def maximal_order(field: NumberField, candidate=None) -> Order:
         raise NeedsUserInput(
             "candidate discriminant is not 0 or 1 mod 4",
             operation="maximal_order")
-    return Order(field, cand.lattice, assumed_maximal=True)
+    return cand
 
 
 def _ring_of_integers(field: NumberField) -> Order:
@@ -317,6 +304,7 @@ class ConductorData:
     norm: int
 
 
+@_derived
 def conductor_index(gamma: Order, maximal: Order) -> int:
     """f with Gamma = Z + f*O_L, for an order Gamma of degree <= 2 inside
     O_L = ``maximal``, in integers: f = isqrt(disc Gamma / disc O_L)
@@ -325,12 +313,9 @@ def conductor_index(gamma: Order, maximal: Order) -> int:
     first lies in the second iff g | f, that is iff the ratio is the square
     of an integer (Q has the one order Z, ratio 1): so NotContained is
     raised, as conductor raises it, when the two lie in different fields or
-    the ratio is no integer square.  f is kept on gamma with ``maximal``: a
-    later call with the same maximal order object returns it, so
-    class_monoid and the intermediate_classes it calls read one f."""
-    cached = gamma._conductor_index
-    if cached is not None and cached[0] is maximal:
-        return cached[1]
+    the ratio is no integer square.  Kept on gamma with ``maximal`` (see
+    _derived), so class_monoid and the intermediate_classes it calls read
+    one f."""
     if gamma.field != maximal.field:
         raise NotContained("orders of different fields", operation="conductor")
     if gamma.degree > 2:
@@ -341,37 +326,30 @@ def conductor_index(gamma: Order, maximal: Order) -> int:
     if r or f * f != f2:
         raise NotContained("order is not contained in the maximal order",
                            operation="conductor")
-    object.__setattr__(gamma, "_conductor_index", (maximal, f))
     return f
 
 
+@_derived
 def conductor(gamma: Order, maximal: Order) -> ConductorData:
     """{x in O_L : x*O_L <= Gamma}: f*O_L for a quadratic order Gamma =
     Z + f*O_L, f from conductor_index, and else by lattice intersections
-    (colon_lattice).  Computed once per order and kept on it with
-    ``maximal``; a later call with an equal maximal order returns the kept
-    data.  Callers that need only N(f) of a quadratic order (class_monoid,
+    (colon_lattice).  Kept on gamma with ``maximal``, as conductor_index
+    is.  Callers that need only N(f) of a quadratic order (class_monoid,
     picard_group, intermediate_classes, count_structures) read f off
     conductor_index instead."""
-    cached = gamma._conductor
-    if cached is not None and cached[0] == maximal:
-        return cached[1]
     if gamma.degree == 2:
         f = conductor_index(gamma, maximal)
-        data = ConductorData(
+        return ConductorData(
             maximal.lattice if f == 1 else maximal.lattice.scale(f), f * f)
-    else:
-        if gamma.field != maximal.field:
-            raise NotContained("orders of different fields",
-                               operation="conductor")
-        if not maximal.contains_order(gamma):
-            raise NotContained("order is not contained in the maximal order",
-                               operation="conductor")
-        lat = colon_lattice(gamma.lattice, maximal.basis_elements(),
-                            gamma.field)
-        data = ConductorData(lat, lattice_index(maximal.lattice, lat))
-    object.__setattr__(gamma, "_conductor", (maximal, data))
-    return data
+    if gamma.field != maximal.field:
+        raise NotContained("orders of different fields",
+                           operation="conductor")
+    if not maximal.contains_order(gamma):
+        raise NotContained("order is not contained in the maximal order",
+                           operation="conductor")
+    lat = colon_lattice(gamma.lattice, maximal.basis_elements(),
+                        gamma.field)
+    return ConductorData(lat, lattice_index(maximal.lattice, lat))
 
 
 def colon_lattice(lat: Lattice, elements, field) -> Lattice:
@@ -447,6 +425,13 @@ class UnitGroupData:
     torsion_order: int
     fundamental_unit: FieldElement | None
     square_class_count: int
+
+
+def torsion_order(disc: int) -> int:
+    """The number of roots of unity in the imaginary quadratic order of
+    discriminant disc: 6 at -3, 4 at -4, else 2 (Cohen, GTM 138, 5.3), the
+    count torsion_units enumerates."""
+    return {-3: 6, -4: 4}.get(disc, 2)
 
 
 def torsion_units(gamma: Order):
@@ -530,9 +515,7 @@ def fundamental_unit(gamma: Order) -> FieldElement:
 def unit_square_quotient(gamma: Order) -> UnitGroupData:
     """|Gamma^x / Gamma^x2| with the exact unit-group data behind it: for a
     real quadratic order {+-1} x <eps> (fundamental_unit), for an imaginary
-    one the roots of unity, read off the discriminant: 6 for disc -3, 4 for
-    disc -4, else 2 (Cohen, GTM 138, 5.3), the count torsion_units
-    enumerates."""
+    one the roots of unity, read off the discriminant (torsion_order)."""
     field = gamma.field
     if field.degree == 1:
         return UnitGroupData(2, None, 2)
@@ -545,4 +528,4 @@ def unit_square_quotient(gamma: Order) -> UnitGroupData:
         # units = {+-1} x <eps>: squares have index 2 in each factor
         return UnitGroupData(2, eps, 4)
     # cyclic of even order: squares form the index-2 subgroup
-    return UnitGroupData({-3: 6, -4: 4}.get(gamma.disc(), 2), None, 2)
+    return UnitGroupData(torsion_order(gamma.disc()), None, 2)

@@ -50,7 +50,7 @@ def build_corpus(max_abs_disc=200, max_conductor=6):
     for m in range(-max_abs_disc, max_abs_disc + 1):
         if m in (0, 1):
             continue
-        sqf, s = squarefree_part(m)
+        _, s = squarefree_part(m)
         if s != 1:
             continue
         d0 = m if m % 4 == 1 else 4 * m
@@ -115,7 +115,7 @@ def check_structure_counts() -> CheckResult:
     details = []
     ok = True
     target = MatrixOrder(RATIONAL_FIELD, 2)
-    for coeffs, expected, tight in (([5, 0, 1], 2, True), ([1, 0, 1], 1, True)):
+    for coeffs, expected in (([5, 0, 1], 2), ([1, 0, 1], 1)):
         field = make_field(coeffs)
         om = maximal_order(field)
         res = count_structures(om, target)

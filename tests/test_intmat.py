@@ -49,7 +49,7 @@ def test_hnf_identity_and_zero():
     i3 = IntMatrix.identity(3)
     h, u = hnf(i3)
     assert h == i3 and u == i3
-    z = IntMatrix.zero(2, 2)
+    z = IntMatrix([[0, 0], [0, 0]])
     h, u = hnf(z)
     assert h == z and u == IntMatrix.identity(2)
 
@@ -301,26 +301,19 @@ def test_intermediate_budget():
         enumerate_intermediate_lattices(z, big)
 
 
-def multiple_route_and_snf_route(monkeypatch, outer, inner, **kw):
-    """enumerate_intermediate_lattices for inner = k * outer twice: by the
-    (Z/k)^g route, with the SNF route's steps refused, and by the SNF route,
-    with the multiple left undetected."""
-    def refuse(*_args):
-        raise AssertionError("the (Z/k)^g route ran an SNF-route step")
-
-    with monkeypatch.context() as mp:
-        for name in ("lattice_index", "coords_in", "snf",
-                     "inverse_unimodular"):
-            mp.setattr(intmat, name, refuse)
-        fast = enumerate_intermediate_lattices(outer, inner, **kw)
-    with monkeypatch.context() as mp:
-        mp.setattr(intmat, "_multiplier", lambda *_args: None)
-        slow = enumerate_intermediate_lattices(outer, inner, **kw)
-    return fast, slow
+def lattices_by_closure(outer, k):
+    """Oracle for enumerate_intermediate_lattices(outer, k * outer): the
+    subgroups of (Z/k)^g by BFS closure (subgroups_by_closure), in outer's
+    own coordinates, mapped into the ambient space through outer's basis."""
+    g = outer.dim
+    return sorted((Lattice(g, h * outer.basis, outer.den)
+                   for h in subgroups_by_closure((k,) * g)),
+                  key=lambda lat: (lat.den, lat.basis.entries))
 
 
-def test_multiple_route_matches_snf_route_on_verify_conductors(monkeypatch):
-    # the conductor f*O_L of each of the 183 verify-corpus orders
+def test_multiple_route_matches_snf_route_on_verify_conductors():
+    # the conductor f*O_L = f * O_L of each of the 183 verify-corpus orders:
+    # the SNF route lists the subgroups of (Z/f)^2 the closure oracle finds
     from orderkit.orders import conductor, maximal_order
     from orderkit.verify import build_corpus
     corpus = build_corpus()
@@ -328,9 +321,9 @@ def test_multiple_route_matches_snf_route_on_verify_conductors(monkeypatch):
     for entry in corpus:
         om = maximal_order(entry.order.field)
         outer, inner = om.lattice, conductor(entry.order, om).lattice
-        assert intmat._multiplier(outer, inner) == entry.conductor_index
-        fast, slow = multiple_route_and_snf_route(monkeypatch, outer, inner)
-        assert fast == slow
+        assert inner == outer.scale(entry.conductor_index)
+        assert (enumerate_intermediate_lattices(outer, inner)
+                == lattices_by_closure(outer, entry.conductor_index))
 
 
 @pytest.mark.parametrize("outer,k", [
@@ -339,53 +332,35 @@ def test_multiple_route_matches_snf_route_on_verify_conductors(monkeypatch):
     (Lattice.from_rows([[Fraction(1, 2), 0], [Fraction(1, 3), 1]]), 4),
     (Lattice.from_rows([[1, 2, 0], [0, 3, 1], [1, 0, 2]]), 4),  # degree 3
 ])
-def test_multiple_route_matches_snf_route(monkeypatch, outer, k):
-    inner = outer.scale(k)
-    assert intmat._multiplier(outer, inner) == k
-    fast, slow = multiple_route_and_snf_route(monkeypatch, outer, inner)
-    assert fast == slow
-    assert len(set(fast)) == len(fast)
-    assert outer in fast and inner in fast
+def test_multiple_route_matches_snf_route(outer, k):
+    # inner = k * outer, the shape of a conductor, against the closure
+    # oracle (up to k = 6 on Z^2, where its cost stays small)
+    found = enumerate_intermediate_lattices(outer, outer.scale(k))
+    assert len(set(found)) == len(found)
+    assert outer in found and outer.scale(k) in found
+    if k <= 6:
+        assert found == lattices_by_closure(outer, k)
 
 
-def test_multiple_route_keeps_the_index_budget(monkeypatch):
-    # the same IndexTooLarge, message and numbers, on either route
+def test_multiple_route_keeps_the_index_budget():
+    # inner = k * outer: IndexTooLarge names the index k^g and the budget
     for outer, k, max_index in (
             (Lattice.from_rows([[1, 0], [0, 1]]), 12, 100),
             (Lattice.from_rows([[1, 2, 0], [0, 3, 1], [1, 0, 2]]), 5, 124),
             (Lattice.from_rows([[1]]), 10 ** 7, 100_000)):
-        errors = []
-        for route in (lambda: None, None):
-            with monkeypatch.context() as mp:
-                if route is not None:
-                    mp.setattr(intmat, "_multiplier", lambda *_args: None)
-                with pytest.raises(IndexTooLarge) as err:
-                    enumerate_intermediate_lattices(
-                        outer, outer.scale(k), max_index=max_index)
-            errors.append((str(err.value), err.value.limit,
-                           err.value.consumed))
+        with pytest.raises(IndexTooLarge) as err:
+            enumerate_intermediate_lattices(outer, outer.scale(k),
+                                            max_index=max_index)
         idx = k ** outer.dim
-        assert errors == [(f"quotient order {idx} exceeds budget "
-                           f"{max_index}", max_index, idx)] * 2
-
-
-def test_multiplier_needs_a_multiple():
-    outer = Lattice.from_rows([[2, 1], [1, 3]])
-    assert intmat._multiplier(outer, outer) == 1
-    # k = 1/2; 3 * outer plus (0, 5), leading with the same 3; diag(2, 4)
-    for inner in (outer.scale(Fraction(1, 2)),
-                  outer.scale(3).sum(Lattice.from_rows([[0, 5]])),
-                  Lattice(2, IntMatrix([[2, 0], [0, 4]]))):
-        assert intmat._multiplier(outer, inner) is None
-    assert intmat._multiplier(Lattice.from_rows([[1, 0]], dim=2),
-                              Lattice.from_rows([[2, 0]], dim=2)) is None
+        assert (str(err.value), err.value.limit, err.value.consumed) == (
+            f"quotient order {idx} exceeds budget {max_index}", max_index, idx)
 
 
 def test_left_kernel():
     m = IntMatrix([[1, 2], [2, 4], [0, 1]])
     k = left_kernel(m)
     assert k.rows == 1
-    assert (k * m).is_zero()
+    assert not any(map(any, (k * m).entries))
 
 
 def test_intersection_sum():
